@@ -52,18 +52,8 @@ def save_checkpoint(model: SentimentModel, path) -> None:
         "categories": (list(model.aspect_embeddings.categories)
                        if model.aspect_embeddings is not None else None),
     }
-    arrays: dict[str, np.ndarray] = {"emb.words": model.embeddings.matrix}
-    if model.aspect_embeddings is not None:
-        arrays["emb.aspects"] = model.aspect_embeddings.matrix
-    for name, arr in model.cell.to_arrays().items():
-        arrays[f"cell.{name}"] = arr
-    if model.attn is not None:
-        for name, arr in model.attn.to_arrays().items():
-            arrays[f"attn.{name}"] = arr
-    for name, arr in model.clf.to_arrays().items():
-        arrays[f"clf.{name}"] = arr
     with open(path, "wb") as fh:
-        np.savez(fh, **{_META_KEY: np.array(json.dumps(meta))}, **arrays)
+        np.savez(fh, **{_META_KEY: np.array(json.dumps(meta))}, **model.arrays())
 
 
 _READ_CHUNK = 1 << 20

@@ -14,15 +14,14 @@ import sys
 import time
 from dataclasses import asdict, fields as dataclass_fields
 
-from .cells import (AALstmParams, ClassicLstmParams, ConfigError,
-                    aa_lstm_backward, classic_lstm_backward, unroll)
+import numpy as np
+
+from .cells import ConfigError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import (DataFormatError, EmbeddingTable, build_vocab, dev_split,
+from .data import (POLARITIES, UNK_TOKEN, CategoryId, DataFormatError,
+                   EmbeddingTable, LabeledInstance, build_vocab, dev_split,
                    disambiguation_subset, generate_synthetic, load_embeddings,
                    load_instances, parse_semeval_xml, save_instances)
-from .heads import (AttentionParams, ClassifierParams, attention_backward,
-                    attention_head, classifier_backward, classify_with_cache,
-                    last_hidden_backward, last_hidden_head)
 from .model import CELLS, HEADS, TASKS, build_model
 from .tensor import make_rng
 from .train import (GradCheckReport, TrainConfig, TrainingDiverged,
@@ -155,8 +154,10 @@ def cmd_train(args, parser) -> int:
             _SYNTH_SENTENCES, seed=cfg.seed, dim=cfg.emb_dim)
     else:
         train_insts = parse_semeval_xml(args.data, args.task)
-        if not train_insts:
-            raise CliError(f"no {args.task} instances found in {args.data}")
+        if len(train_insts) < 2:
+            raise CliError(
+                f"{len(train_insts)} {args.task} instances found in {args.data}; "
+                f"training needs at least 2, to split off a dev set")
         emb = load_embeddings(args.emb, build_vocab(train_insts),
                               cfg.emb_dim, cfg.seed)
         if args.test_data:
@@ -210,87 +211,48 @@ def cmd_eval(args, parser) -> int:
 
 
 def pipeline_grad_report(cell_kind: str, head_kind: str, dx: int, dc: int,
-                         da: int, seq_len: int, seed=0, corrupt=None,
-                         scale: float = _GRADCHECK_SCALE,
+                         seq_len: int, seed=0, corrupt=None,
                          floor: float = 1e-8) -> GradCheckReport:
-    """Finite-difference check of the full cell+head+classifier gradient.
+    """Finite-difference check of the model's full forward/backward.
 
-    Builds a raw pipeline with no embedding table: random inputs of dim `dx`,
-    a random aspect vector of dim `da`, cross-entropy against a seeded gold
-    label. `corrupt` names a parameter whose analytic gradient gets one entry
-    shifted, to prove the detector trips.
+    Builds an acsa model whose word table holds `seq_len` random inputs of
+    dim `dx` (plus a zero unknown-token row) and whose one-row category
+    table holds a random aspect of dim `dc`, then checks `model.backward`
+    against the cross-entropy of `model.predict_probs` over every trainable
+    array, embedding and category tables included. `corrupt` names a
+    parameter whose analytic gradient gets one entry shifted, to prove the
+    detector trips.
     """
-    if cell_kind not in CELLS:
-        raise ConfigError(f"cell must be one of {CELLS}, got {cell_kind!r}")
-    if head_kind not in HEADS:
-        raise ConfigError(f"head must be one of {HEADS}, got {head_kind!r}")
-    if min(dx, dc, da, seq_len) < 1:
+    if min(dx, dc, seq_len) < 1:
         raise ConfigError("dims and sequence length must be >= 1")
-    if cell_kind == "aa" and da != dc:
-        raise ConfigError(
-            f"aspect-aware cell needs aspect dim == hidden dim, got {da} != {dc}")
-
-    lo, hi = -scale, scale
-    if cell_kind == "aa":
-        cell = AALstmParams.init(dx, dc, da, lo=lo, hi=hi, seed=seed)
-    else:
-        cell = ClassicLstmParams.init(dx, dc, lo=lo, hi=hi, seed=seed)
-    attn = (AttentionParams.init(dc, da, lo=lo, hi=hi, seed=seed)
-            if head_kind == "attention" else None)
-    clf = ClassifierParams.init(dc, lo=lo, hi=hi, seed=seed)
+    lo, hi = -_GRADCHECK_SCALE, _GRADCHECK_SCALE
     rng = make_rng([seed, 70])
     xs = [rng.uniform(lo, hi, dx) for _ in range(seq_len)]
-    aspect = make_rng([seed, 71]).uniform(lo, hi, da)
+    aspect = make_rng([seed, 71]).uniform(lo, hi, dc)
     gold = int(make_rng([seed, 72]).integers(3))
-    cell_aspect = aspect if cell_kind == "aa" else None
 
-    params = {f"cell.{k}": v for k, v in cell.to_arrays().items()}
-    if attn is not None:
-        params.update({f"attn.{k}": v for k, v in attn.to_arrays().items()})
-    params.update({f"clf.{k}": v for k, v in clf.to_arrays().items()})
+    tokens = tuple(f"x{t}" for t in range(seq_len))
+    vocab = {UNK_TOKEN: 0, **{tok: t + 1 for t, tok in enumerate(tokens)}}
+    emb = EmbeddingTable(vocab, np.array([np.zeros(dx)] + xs))
+    model = build_model("acsa", cell_kind, head_kind, emb, dc, seed=seed,
+                        categories=("aspect",), init_low=lo, init_high=hi)
+    if model.aspect_embeddings is not None:
+        model.aspect_embeddings.matrix[0] = aspect
+    inst = LabeledInstance(tokens, CategoryId(0), POLARITIES[gold])
 
-    def forward():
-        hs, caches = unroll(cell, xs, cell_aspect)
-        if head_kind == "attention":
-            rep, _, head_cache = attention_head(hs, aspect, attn)
-        else:
-            rep, head_cache = last_hidden_head(hs), None
-        probs, clf_cache = classify_with_cache(rep, clf)
-        return hs, caches, head_cache, probs, clf_cache
-
-    def loss_fn() -> float:
-        _, _, _, probs, _ = forward()
-        return cross_entropy(probs, gold)
-
-    hs, caches, head_cache, probs, clf_cache = forward()
-    d_logits = probs.copy()
-    d_logits[gold] -= 1.0
-    clf_grads, d_rep = classifier_backward(clf, clf_cache, d_logits)
-    if head_kind == "attention":
-        attn_grads, dhs, _ = attention_backward(attn, head_cache, d_rep)
-    else:
-        attn_grads, dhs = None, last_hidden_backward(d_rep, len(hs))
-    if cell_kind == "aa":
-        cell_grads, _, _ = aa_lstm_backward(cell, caches, dhs)
-    else:
-        cell_grads, _ = classic_lstm_backward(cell, caches, dhs)
-
-    analytic = {f"cell.{k}": v for k, v in cell_grads.items()}
-    if attn_grads is not None:
-        analytic.update({f"attn.{k}": v for k, v in attn_grads.items()})
-    analytic.update({f"clf.{k}": v for k, v in clf_grads.items()})
+    analytic = model.backward(model.forward(inst))
     if corrupt is not None:
         if corrupt not in analytic:
             raise CliError(f"--corrupt: no parameter named {corrupt!r} "
                            f"(choices: {', '.join(sorted(analytic))})")
-        analytic[corrupt] = analytic[corrupt].copy()
         analytic[corrupt].flat[0] += 1.0
-    return grad_check(loss_fn, params, analytic, floor=floor)
+    return grad_check(lambda: cross_entropy(model.predict_probs(inst), gold),
+                      model.params(), analytic, floor=floor)
 
 
 def cmd_gradcheck(args, parser) -> int:
     report = pipeline_grad_report(args.cell, args.head, dx=args.dim,
-                                  dc=args.dim, da=args.dim, seq_len=args.seq,
+                                  dc=args.dim, seq_len=args.seq,
                                   seed=args.seed, corrupt=args.corrupt)
     print(f"cell={args.cell} head={args.head} dim={args.dim} "
           f"seq={args.seq} seed={args.seed}")

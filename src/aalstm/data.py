@@ -115,7 +115,8 @@ def parse_semeval_xml(path, task: str,
     `task` selects the annotation layer: "atsa" reads aspectTerm elements
     (term text plus character offsets), "acsa" reads aspectCategory elements.
     One instance is emitted per (sentence, aspect) pair; aspects labeled
-    "conflict" and sentences without any usable aspect produce nothing.
+    "conflict" and sentences without any usable aspect produce nothing. A
+    sentence whose text is missing or only whitespace is a DataFormatError.
     """
     if task not in ("atsa", "acsa"):
         raise ValueError(f"task must be 'atsa' or 'acsa', got {task!r}")
@@ -127,7 +128,7 @@ def parse_semeval_xml(path, task: str,
     instances: list[LabeledInstance] = []
     for sentence in tree.getroot().iter("sentence"):
         text_node = sentence.find("text")
-        if text_node is None or text_node.text is None:
+        if text_node is None or not (text_node.text or "").strip():
             raise DataFormatError(f"{path}: sentence {sentence.get('id')!r} has no text")
         text = text_node.text
         tokens, offsets = tokenize_with_offsets(text)

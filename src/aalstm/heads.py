@@ -21,9 +21,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .metrics import N_CLASSES
 from .tensor import ShapeError, as_matrix, as_vector, tanh_v, uniform_init
-
-N_CLASSES = 3
 
 # Smallest normal double: probability floor keeping softmax outputs strictly
 # positive even for wildly separated logits.
@@ -225,12 +224,6 @@ def attention_backward(p: AttentionParams, cache: AttentionCache, d_repr: np.nda
 class ClassifierCache:
     rep: np.ndarray
     probs: np.ndarray
-
-
-def softmax_classify(rep: np.ndarray, p: ClassifierParams) -> np.ndarray:
-    """Class probabilities for a representation vector."""
-    probs, _ = classify_with_cache(rep, p)
-    return probs
 
 
 def classify_with_cache(rep: np.ndarray, p: ClassifierParams,

@@ -3,9 +3,11 @@
 A model is picked by three switches: task ("atsa" aspect vectors are span
 means of token embeddings, "acsa" aspect vectors are rows of a trainable
 category table), cell ("classic" or the aspect-aware "aa"), and head ("last"
-hidden state or aspect-conditioned "attention"). All trainable arrays are
-exposed through one flat dict with namespaced keys ("cell.W_i", "clf.b_s",
-...) so the optimizer and the checkpoint code stay generic.
+hidden state or aspect-conditioned "attention"). `SentimentModel.arrays()` is
+the one owner of the namespaced array names ("emb.words", "cell.W_i",
+"clf.b_s", ...): the checkpoint writes exactly those arrays, and `params()`,
+which the optimizer and the gradient check walk, is the same dict minus the
+frozen or unused tables.
 
 Gradient routing notes, since they are easy to get wrong:
   - input gradients pass back through the per-token dropout masks before
@@ -147,20 +149,26 @@ class SentimentModel:
     def hidden_dim(self) -> int:
         return self.cell.hidden_dim
 
-    def params(self) -> dict[str, np.ndarray]:
-        """Name -> live array. Mutating a value updates the model."""
-        out: dict[str, np.ndarray] = {}
-        if self.train_embeddings:
-            out["emb.words"] = self.embeddings.matrix
-        if self.aspect_embeddings is not None and self.uses_aspect:
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Name -> live array for every array inference needs."""
+        out = {"emb.words": self.embeddings.matrix}
+        if self.aspect_embeddings is not None:
             out["emb.aspects"] = self.aspect_embeddings.matrix
-        for name, arr in self.cell.to_arrays().items():
-            out[f"cell.{name}"] = arr
-        if self.attn is not None:
-            for name, arr in self.attn.to_arrays().items():
-                out[f"attn.{name}"] = arr
-        for name, arr in self.clf.to_arrays().items():
-            out[f"clf.{name}"] = arr
+        for prefix, part in (("cell", self.cell), ("attn", self.attn),
+                             ("clf", self.clf)):
+            if part is not None:
+                for name, arr in part.to_arrays().items():
+                    out[f"{prefix}.{name}"] = arr
+        return out
+
+    def params(self) -> dict[str, np.ndarray]:
+        """Trainable name -> live array: arrays() minus frozen or unused
+        tables. Mutating a value updates the model."""
+        out = self.arrays()
+        if not self.train_embeddings:
+            del out["emb.words"]
+        if not self.uses_aspect:
+            out.pop("emb.aspects", None)
         return out
 
     def regularized(self) -> list[str]:
@@ -268,12 +276,6 @@ def build_model(task: str, cell_kind: str, head_kind: str,
     is created here). The aspect-aware cell requires the aspect and hidden
     dimensions to match, so aa + atsa additionally needs emb.dim == hidden.
     """
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    if cell_kind not in CELLS:
-        raise ConfigError(f"cell must be one of {CELLS}, got {cell_kind!r}")
-    if head_kind not in HEADS:
-        raise ConfigError(f"head must be one of {HEADS}, got {head_kind!r}")
     uses_aspect = SentimentModel._uses_aspect_static(cell_kind, head_kind)
     dx = embeddings.dim
     aspect_dim = dx if task == "atsa" else hidden_dim

@@ -38,25 +38,6 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product; result[i] = sum_j m[i, j] * v[j]."""
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec: matrix {m.shape} incompatible with vector {v.shape}")
-    return m @ v
-
-
-def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate two vectors, a's entries first."""
-    return np.concatenate([a, b])
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two equal-length vectors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
-    return a * b
-
-
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function, stable for large |x| and clamped into open (0, 1).
 

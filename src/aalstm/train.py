@@ -219,11 +219,6 @@ def evaluate(model, instances) -> EvalReport:
     return EvalReport.from_predictions(preds, golds)
 
 
-def instance_loss(model, inst) -> float:
-    """Eval-mode cross-entropy of one instance (no dropout, no L2)."""
-    return cross_entropy(model.predict_probs(inst), inst.label)
-
-
 def train(model, train_insts, dev_insts, cfg: TrainConfig, log_stream=None) -> TrainResult:
     """Minibatch Adam with early stopping on dev macro F1.
 

@@ -74,7 +74,7 @@ def test_criterion_1_bptt_matches_finite_differences():
     where = ""
     for cell_kind, head_kind in _COMBOS:
         for seed in range(20):
-            rep = pipeline_grad_report(cell_kind, head_kind, dx=4, dc=6, da=6,
+            rep = pipeline_grad_report(cell_kind, head_kind, dx=4, dc=6,
                                        seq_len=5, seed=seed, floor=1e-6)
             assert rep.n_checked > 0
             if rep.worst_rel_err > worst:

@@ -101,6 +101,29 @@ def test_frozen_embeddings_round_trip(tmp_path):
     assert loaded.embeddings.matrix.tobytes() == model.embeddings.matrix.tobytes()
 
 
+_AA_CELL_KEYS = {f"cell.{g}" for g in (
+    "W_ai", "W_af", "W_ao", "W_i", "W_f", "W_c", "W_o",
+    "b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")}
+_CLASSIC_CELL_KEYS = {f"cell.{g}" for g in (
+    "W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")}
+
+
+@pytest.mark.parametrize("args,train_embeddings,keys", [
+    (("acsa", "aa", "attention"), True,
+     {"__meta__", "emb.words", "emb.aspects", "attn.W_h", "attn.W_v", "attn.w",
+      "attn.W_p", "attn.W_x", "clf.W_s", "clf.b_s"} | _AA_CELL_KEYS),
+    (("atsa", "classic", "last"), False,
+     {"__meta__", "emb.words", "clf.W_s", "clf.b_s"} | _CLASSIC_CELL_KEYS),
+])
+def test_archive_key_set_is_pinned(tmp_path, args, train_embeddings, keys):
+    # Format version 1 fixes these names; frozen tables are stored too.
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(make(*args, train_embeddings=train_embeddings), path)
+    with np.load(path, allow_pickle=False) as archive:
+        assert set(archive.files) == keys
+        assert json.loads(str(archive["__meta__"][()]))["version"] == 1
+
+
 def test_loaded_params_are_live_views(tmp_path):
     model = make("atsa", "aa", "attention")
     path = tmp_path / "ckpt.npz"

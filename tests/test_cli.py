@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from aalstm.cells import ConfigError
-from aalstm.checkpoint import load_checkpoint
+from aalstm.checkpoint import load_checkpoint, save_checkpoint
 from aalstm.cli import (CliError, build_parser, main, parse_config_file,
                         pipeline_grad_report, resolve_config, run_bench)
+from aalstm.data import build_vocab, random_embeddings
+from aalstm.model import build_model
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "mini_reviews.xml")
 
@@ -58,11 +60,27 @@ def test_gradcheck_unknown_corrupt_name(capsys):
     assert "no parameter named" in err
 
 
+@pytest.mark.parametrize("cell,head,name", [
+    ("classic", "last", "emb.words"),
+    ("classic", "attention", "emb.words"),
+    ("aa", "last", "emb.words"),
+    ("aa", "attention", "emb.words"),
+    ("classic", "attention", "emb.aspects"),
+    ("aa", "last", "emb.aspects"),
+    ("aa", "attention", "emb.aspects"),
+])
+def test_gradcheck_covers_embedding_and_category_gradients(cell, head, name, capsys):
+    code = main(["gradcheck", "--cell", cell, "--head", head, "--corrupt", name])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL" in out
+
+
 def test_pipeline_report_rejects_bad_dims():
-    with pytest.raises(ConfigError, match="aspect dim == hidden dim"):
-        pipeline_grad_report("aa", "last", dx=3, dc=4, da=5, seq_len=2)
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        pipeline_grad_report("aa", "last", dx=3, dc=3, seq_len=0)
     with pytest.raises(ConfigError, match="cell must be"):
-        pipeline_grad_report("gru", "last", dx=3, dc=3, da=3, seq_len=2)
+        pipeline_grad_report("gru", "last", dx=3, dc=3, seq_len=2)
 
 
 # --- train + eval on the synthetic corpus ------------------------------------
@@ -165,6 +183,37 @@ def test_eval_dim_mismatch_is_configuration_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "dim" in err
+
+
+def test_eval_whitespace_only_sentence_is_data_error(tmp_path, capsys):
+    emb = random_embeddings(build_vocab([]), dim=4)
+    ckpt = tmp_path / "acsa.npz"
+    save_checkpoint(build_model("acsa", "aa", "last", emb, hidden_dim=4), ckpt)
+    doc = tmp_path / "blank.xml"
+    doc.write_text(
+        '<sentences><sentence id="b1"><text>   </text><aspectCategories>'
+        '<aspectCategory category="food" polarity="positive"/>'
+        "</aspectCategories></sentence></sentences>")
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(doc)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "blank.xml" in err and "'b1'" in err
+
+
+def test_train_on_one_usable_instance_is_cli_error(tmp_path, capsys):
+    glove = write_glove(tmp_path / "vectors.txt")
+    doc = tmp_path / "one.xml"
+    doc.write_text(
+        '<sentences><sentence id="s1"><text>The soup is bad.</text><aspectTerms>'
+        '<aspectTerm term="soup" polarity="negative" from="4" to="8"/>'
+        "</aspectTerms></sentence></sentences>")
+    code = main(["train", "--data", str(doc), "--emb", glove, "--dim", "5",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "1 atsa instances found in" in err and "one.xml" in err
 
 
 # --- usage and file errors ----------------------------------------------------

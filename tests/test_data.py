@@ -145,6 +145,19 @@ def test_bad_polarity_raises(tmp_path):
         parse_semeval_xml(doc, "atsa")
 
 
+@pytest.mark.parametrize("task", ["atsa", "acsa"])
+def test_whitespace_only_sentence_raises_with_path_and_id(tmp_path, task):
+    doc = tmp_path / "doc.xml"
+    doc.write_text(
+        '<sentences><sentence id="blank7"><text> \n\t </text><aspectTerms>'
+        '<aspectTerm term="x" polarity="positive" from="0" to="1"/>'
+        "</aspectTerms><aspectCategories>"
+        '<aspectCategory category="food" polarity="positive"/>'
+        "</aspectCategories></sentence></sentences>")
+    with pytest.raises(DataFormatError, match=r"doc\.xml: sentence 'blank7' has no text"):
+        parse_semeval_xml(doc, task)
+
+
 def test_bad_task_name_rejected():
     with pytest.raises(ValueError, match="atsa"):
         parse_semeval_xml(FIXTURE, "absa")

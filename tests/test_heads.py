@@ -17,7 +17,6 @@ from aalstm.heads import (
     last_hidden_backward,
     last_hidden_head,
     softmax,
-    softmax_classify,
 )
 
 from helpers import fd_grad_of_array, worst_rel_err
@@ -155,7 +154,7 @@ class TestAttention:
 class TestClassifier:
     def test_zero_logits_uniform(self):
         p = ClassifierParams(W_s=np.zeros((3, 4)), b_s=np.zeros(3))
-        probs = softmax_classify(np.ones(4), p)
+        probs, _ = classify_with_cache(np.ones(4), p)
         np.testing.assert_allclose(probs, 1.0 / 3.0, rtol=1e-12)
 
     def test_shift_invariance(self):

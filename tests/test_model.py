@@ -15,7 +15,7 @@ from aalstm.data import (
 )
 from aalstm.model import SentimentModel, build_model
 from aalstm.tensor import make_rng
-from aalstm.train import grad_check, instance_loss
+from aalstm.train import cross_entropy, grad_check
 
 DIM = 4
 
@@ -163,7 +163,8 @@ def _pipeline_grad_report(task, cell_kind, head_kind, insts, seed,
             analytic[k] += g
 
     def loss():
-        return sum(instance_loss(m, inst) for inst in insts)
+        return sum(cross_entropy(m.predict_probs(inst), inst.label)
+                   for inst in insts)
 
     return grad_check(loss, params, analytic)
 

@@ -6,72 +6,9 @@ import numpy as np
 import pytest
 
 from aalstm import tensor
-from aalstm.tensor import (
-    ShapeError,
-    concat,
-    hadamard,
-    matvec,
-    sigmoid,
-    tanh_v,
-    uniform_init,
-)
+from aalstm.tensor import sigmoid, tanh_v, uniform_init
 
 from helpers import clipped_tanh, two_branch_sigmoid
-
-
-class TestMatvec:
-    def test_identity(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(matvec(np.eye(3), v), v)
-
-    def test_zero_matrix_annihilates(self):
-        assert np.array_equal(matvec(np.zeros((2, 3)), np.array([4.0, 5.0, 6.0])), np.zeros(2))
-
-    def test_hand_multiplied(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matvec(m, np.array([1.0, 1.0])), np.array([3.0, 7.0]))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2,\)"):
-            matvec(np.zeros((2, 3)), np.zeros(2))
-
-    def test_linearity(self):
-        rng = tensor.make_rng(0)
-        for _ in range(50):
-            m = rng.normal(size=(4, 6))
-            a, b = rng.normal(size=6), rng.normal(size=6)
-            alpha, beta = rng.normal(), rng.normal()
-            lhs = matvec(m, alpha * a + beta * b)
-            rhs = alpha * matvec(m, a) + beta * matvec(m, b)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-class TestConcat:
-    def test_order(self):
-        assert concat(np.array([1.0, 2.0]), np.array([3.0])).tolist() == [1.0, 2.0, 3.0]
-
-    def test_empty_is_neutral(self):
-        assert concat(np.array([]), np.array([5.0])).tolist() == [5.0]
-
-    def test_zeros(self):
-        assert concat(np.zeros(2), np.zeros(1)).tolist() == [0.0, 0.0, 0.0]
-
-
-class TestHadamard:
-    def test_hand_multiplied(self):
-        assert hadamard(np.array([1.0, 2.0]), np.array([3.0, 4.0])).tolist() == [3.0, 8.0]
-
-    def test_zero_annihilates(self):
-        a = np.array([1.5, -2.0, 7.0])
-        assert hadamard(a, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
-
-    def test_ones_identity(self):
-        a = np.array([1.5, -2.0, 7.0])
-        assert hadamard(a, np.ones(3)).tolist() == a.tolist()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.zeros(2), np.zeros(3))
 
 
 class TestActivations:

@@ -18,7 +18,6 @@ from aalstm.train import (
     dropout,
     evaluate,
     grad_check,
-    instance_loss,
     l2_grad,
     l2_penalty,
     train,
