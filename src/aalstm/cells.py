@@ -22,28 +22,27 @@ Backward passes are hand-derived backpropagation through time with weight
 gradients accumulated across steps (weights are tied over time) and the
 aspect gradient summed over every step it feeds.
 
-Storage and the per-step kernel. Each parameter set keeps its gates
-row-stacked in persistent buffers: the core gates in ``W_core`` (4*dc, dx+dc)
-and ``b_core`` (4*dc,) in the order i, f, o, c, and for the aspect-aware cell
-the aspect gates in ``W_aspect`` (3*dc, 2*dc) and ``b_aspect`` (3*dc,) in the
-order a_i, a_f, a_o. Every named field (``W_i``, ..., ``b_ao``) is a row
-block view into its buffer, so in-place writes through the names (the
-optimizer, gradient checks, restoring the best weights) reach the kernel.
-Assign into those arrays, never rebind the names. The names, their shapes
-and ``to_arrays()`` are those of separate per-gate arrays, so checkpoints
-do not see the stacking.
+Storage. A parameter set's only fields are its row-stacked buffers: the
+core gates in ``W_core`` (4*dc, dx+dc) and ``b_core`` (4*dc,) in the order
+i, f, o, c, and for the aspect-aware cell the aspect gates in ``W_aspect``
+(3*dc, 2*dc) and ``b_aspect`` (3*dc,) in the order a_i, a_f, a_o. The
+per-gate names (``W_i``, ..., ``b_ao``) exist only in ``to_arrays()``, as
+live row-block views in a fixed key order: in-place writes through them
+(the optimizer, gradient checks, restoring the best weights) reach the
+kernel, and checkpoints do not see the stacking.
 
-One kernel serves ``classic_lstm_step``, ``aa_lstm_step`` and ``unroll``:
-per step one matvec and one sigmoid per gate group (i/f/o, and
-a_i/a_f/a_o) plus one tanh for the candidate. The backward passes keep one
-stacked pre-activation gradient per step and take the recurrent gradient
-on h_prev with one transposed matvec per group; the input, aspect and
-weight gradients follow after the time loop, one matmul per group.
+One kernel runs ``unroll``, and ``classic_lstm_step``/``aa_lstm_step`` as
+one-step runs: per step one matvec and one sigmoid per gate group (i/f/o,
+and a_i/a_f/a_o) plus one tanh for the candidate. A run records one
+``SequenceCache`` of (T, .) arrays. The backward passes keep one stacked
+pre-activation gradient per step and take the recurrent gradient on h_prev
+with one transposed matvec per group; the input, aspect and weight
+gradients follow after the time loop, one matmul per group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,15 +54,11 @@ class ConfigError(ValueError):
     """Inconsistent model configuration (e.g. aspect dim != hidden dim)."""
 
 
-# Row-block order of the stacked buffers. The three sigmoid gates come first
-# so one sigmoid covers them, and they line up with the aspect gates.
-_CORE_W = ("W_i", "W_f", "W_o", "W_c")
-_CORE_B = ("b_i", "b_f", "b_o", "b_c")
-_ASPECT_W = ("W_ai", "W_af", "W_ao")
-_ASPECT_B = ("b_ai", "b_af", "b_ao")
-# (names, ndim) of each stacked buffer.
-_CORE_GROUPS = ((_CORE_W, 2), (_CORE_B, 1))
-_ASPECT_GROUPS = ((_ASPECT_W, 2), (_ASPECT_B, 1))
+# Row-block names of each stacked buffer, in row order. The three sigmoid
+# gates come first so one sigmoid covers them, and they line up with the
+# aspect gates.
+_CORE = {"W_core": ("W_i", "W_f", "W_o", "W_c"), "b_core": ("b_i", "b_f", "b_o", "b_c")}
+_ASPECT = {"W_aspect": ("W_ai", "W_af", "W_ao"), "b_aspect": ("b_ai", "b_af", "b_ao")}
 # Seed stream of each weight matrix at init.
 _INIT_STREAM = {"W_i": 0, "W_f": 1, "W_c": 2, "W_o": 3, "W_ai": 10, "W_af": 11, "W_ao": 12}
 
@@ -74,28 +69,8 @@ def _row_blocks(buf: np.ndarray, names) -> dict[str, np.ndarray]:
     return {name: buf[k * rows:(k + 1) * rows] for k, name in enumerate(names)}
 
 
-def _stack_fields(params, names) -> np.ndarray:
-    """Rebind the named fields to the row blocks of one buffer; return it.
-
-    Fields that already are those blocks, in order, of one contiguous buffer
-    are adopted as they are; anything else is copied into a new buffer.
-    """
-    parts = [getattr(params, name) for name in names]
-    buf = parts[0].base
-    adopt = (isinstance(buf, np.ndarray) and buf.flags.c_contiguous
-             and buf.shape == (len(parts) * parts[0].shape[0],) + parts[0].shape[1:]
-             and all(part.base is buf and part.flags.c_contiguous
-                     and part.ctypes.data == buf.ctypes.data + k * part.nbytes
-                     for k, part in enumerate(parts)))
-    if not adopt:
-        buf = np.concatenate(parts)
-    for name, view in _row_blocks(buf, names).items():
-        setattr(params, name, view)
-    return buf
-
-
-def _read_stacked(source, groups) -> dict[str, np.ndarray]:
-    """Views into new stacked buffers, each block read from `source`.
+def _read_stacked(source, blocks) -> dict[str, np.ndarray]:
+    """New stacked buffers, keyed like `blocks`, each row block read from `source`.
 
     A source answers ``shape_of(name)`` and writes the array into a given
     block with ``read_into(name, out)``. Reading straight into the blocks
@@ -103,17 +78,17 @@ def _read_stacked(source, groups) -> dict[str, np.ndarray]:
     block-sized scratch arrays behind to fragment the heap.
     """
     out: dict[str, np.ndarray] = {}
-    for names, ndim in groups:
+    for key, names in blocks.items():
         shape = tuple(source.shape_of(names[0]))
+        ndim = 2 if key.startswith("W") else 1
         if len(shape) != ndim:
             raise ShapeError(f"{names[0]}: expected {ndim} dimensions, got shape {shape}")
-        blocks = _row_blocks(np.empty((len(names) * shape[0],) + shape[1:]), names)
-        for name, block in blocks.items():
+        out[key] = np.empty((len(names) * shape[0],) + shape[1:])
+        for name, block in _row_blocks(out[key], names).items():
             got = tuple(source.shape_of(name))
             if got != block.shape:
                 raise ShapeError(f"{name} shape {got} != {block.shape}")
             source.read_into(name, block)
-        out.update(blocks)
     return out
 
 
@@ -139,7 +114,7 @@ class _Init:
     def shape_of(self, name):
         if name not in _INIT_STREAM:
             return (self.rows,)
-        return (self.rows, self.width if name in _CORE_W else 2 * self.rows)
+        return (self.rows, self.width if name in _CORE["W_core"] else 2 * self.rows)
 
     def read_into(self, name, out):
         if name in _INIT_STREAM:
@@ -162,85 +137,96 @@ def zero_state(hidden_dim: int) -> CellState:
 
 
 @dataclass
-class StepCache:
-    """Everything one step produced, kept for the backward pass.
+class SequenceCache:
+    """Everything one run over T steps produced, kept for the backward pass.
 
-    ``xh`` is [x_t, h_prev]; ``ifo`` holds the post-sigmoid i, f, o gates
-    stacked, ``c_cand`` the post-tanh candidate. For aspect-aware steps ``ah``
-    is [A, h_prev] and ``a_gates`` the post-sigmoid a_i, a_f, a_o stacked;
-    both are None, like ``aspect``, for classic steps. The per-gate
-    properties are views into the stacked arrays.
+    ``X`` holds the (T, dx) inputs. ``H`` and ``C`` hold T+1 rows of hidden
+    state and cell memory; row 0 is the initial state, row t+1 the state
+    after step t. Per step ``ifo`` holds the post-sigmoid i, f, o gates
+    stacked, ``c_cand`` the post-tanh candidate and ``tanh_c`` tanh(c_t).
+    For aspect-aware runs ``a_gates`` holds the post-sigmoid a_i, a_f, a_o
+    stacked; it is None, like ``aspect``, for classic runs.
     """
 
-    xh: np.ndarray
-    c_prev: np.ndarray
+    X: np.ndarray
+    H: np.ndarray
+    C: np.ndarray
     ifo: np.ndarray
     c_cand: np.ndarray
-    c: np.ndarray
     tanh_c: np.ndarray
-    h: np.ndarray
     aspect: Optional[np.ndarray] = None
-    ah: Optional[np.ndarray] = None
     a_gates: Optional[np.ndarray] = None
 
-    def _block(self, stacked, k):
-        dc = self.c.shape[0]
-        return None if stacked is None else stacked[k * dc:(k + 1) * dc]
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.xh[:self.xh.shape[0] - self.c.shape[0]]
-
-    @property
-    def h_prev(self) -> np.ndarray:
-        return self.xh[self.xh.shape[0] - self.c.shape[0]:]
-
-    i_gate = property(lambda self: self._block(self.ifo, 0))
-    f_gate = property(lambda self: self._block(self.ifo, 1))
-    o_gate = property(lambda self: self._block(self.ifo, 2))
-    ai_gate = property(lambda self: self._block(self.a_gates, 0))
-    af_gate = property(lambda self: self._block(self.a_gates, 1))
-    ao_gate = property(lambda self: self._block(self.a_gates, 2))
+    def __len__(self) -> int:
+        return self.X.shape[0]
 
 
-@dataclass
-class ClassicLstmParams:
-    """Standard LSTM weights: four (dc, dx+dc) matrices and four dc biases,
-    stored as row blocks of ``W_core``/``b_core`` (see module docstring)."""
+class _StackedParams:
+    """What both cells share: their dataclass fields are the stacked buffers.
 
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_c: np.ndarray
-    W_o: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    A subclass gives ``_BLOCKS`` (buffer -> row-block names, in the order
+    buffers are read) and ``_NAMES`` (the key order of ``to_arrays()``).
+    """
+
+    _BLOCKS: dict[str, tuple[str, ...]]
+    _NAMES: tuple[str, ...]
 
     def __post_init__(self):
-        for name in _CORE_W:
-            setattr(self, name, as_matrix(getattr(self, name)))
-        for name in _CORE_B:
-            setattr(self, name, as_vector(getattr(self, name)))
-        dc = self.W_i.shape[0]
-        if self.W_i.shape[1] <= dc:
-            raise ConfigError(f"core matrix width {self.W_i.shape[1]} leaves no input columns")
-        for name in ("W_f", "W_c", "W_o"):
-            if getattr(self, name).shape != self.W_i.shape:
-                raise ShapeError(f"{name} shape {getattr(self, name).shape} != {self.W_i.shape}")
-        for name in ("b_i", "b_f", "b_c", "b_o"):
-            if getattr(self, name).shape != (dc,):
-                raise ShapeError(f"{name} shape {getattr(self, name).shape} != ({dc},)")
-        self.W_core = _stack_fields(self, _CORE_W)
-        self.b_core = _stack_fields(self, _CORE_B)
+        for key in self._BLOCKS:
+            coerce = as_matrix if key.startswith("W") else as_vector
+            setattr(self, key, coerce(getattr(self, key)))
+        dc, width = self.W_core.shape[0] // 4, self.W_core.shape[1]
+        if width <= dc:
+            raise ConfigError(f"core matrix width {width} leaves no input columns")
+        if "W_aspect" in self._BLOCKS and self.W_aspect.shape[0] != 3 * dc:
+            raise ConfigError(
+                f"aspect dim {self.W_aspect.shape[0] // 3} must equal hidden dim {dc}: "
+                "gated aspect terms are added to hidden-sized gate pre-activations")
+        want = {"W_core": (4 * dc, width), "b_core": (4 * dc,),
+                "W_aspect": (3 * dc, 2 * dc), "b_aspect": (3 * dc,)}
+        for key in self._BLOCKS:
+            if getattr(self, key).shape != want[key]:
+                raise ShapeError(f"{key} shape {getattr(self, key).shape} != {want[key]}")
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_i.shape[0]
+        return self.b_core.shape[0] // 4
 
     @property
     def input_dim(self) -> int:
-        return self.W_i.shape[1] - self.hidden_dim
+        return self.W_core.shape[1] - self.hidden_dim
+
+    @classmethod
+    def _named(cls, buffers) -> dict[str, np.ndarray]:
+        """Per-gate name -> row-block view of the matching buffer, in `_NAMES` order."""
+        blocks: dict[str, np.ndarray] = {}
+        for key, names in cls._BLOCKS.items():
+            blocks.update(_row_blocks(buffers[key], names))
+        return {name: blocks[name] for name in cls._NAMES}
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return self._named(vars(self))
+
+    @classmethod
+    def from_arrays(cls, arrays):
+        return cls.from_source(_InMemory(arrays))
+
+    @classmethod
+    def from_source(cls, source):
+        """Read every array straight into new stacked storage (see _read_stacked)."""
+        return cls(**_read_stacked(source, cls._BLOCKS))
+
+
+@dataclass
+class ClassicLstmParams(_StackedParams):
+    """Standard LSTM weights: four (dc, dx+dc) matrices and four dc biases,
+    stacked in ``W_core``/``b_core`` (see module docstring)."""
+
+    W_core: np.ndarray
+    b_core: np.ndarray
+
+    _BLOCKS = _CORE
+    _NAMES = ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, lo: float = -0.1, hi: float = 0.1,
@@ -248,88 +234,30 @@ class ClassicLstmParams:
         """Weights from U(lo, hi), biases zero."""
         return cls.from_source(_Init(hidden_dim, input_dim + hidden_dim, lo, hi, seed))
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "ClassicLstmParams":
-        return cls.from_source(_InMemory(arrays))
-
-    @classmethod
-    def from_source(cls, source) -> "ClassicLstmParams":
-        """Read every array straight into new stacked storage (see _read_stacked)."""
-        return cls(**_read_stacked(source, _CORE_GROUPS))
-
 
 @dataclass
-class AALstmParams:
+class AALstmParams(_StackedParams):
     """Aspect-aware LSTM weights.
 
-    Aspect-gate matrices W_a* are (da, dc+da) over [A, h_prev]; core matrices
-    are (dc, dx+dc) over [x_t, h_prev]. The aspect dimension must equal the
-    hidden dimension: a_* * A is added to dc-length gate pre-activations.
-    The fields are row blocks of ``W_aspect``/``b_aspect`` and
-    ``W_core``/``b_core`` (see module docstring).
+    Aspect-gate matrices W_a* are (da, dc+da) over [A, h_prev], stacked in
+    ``W_aspect``/``b_aspect``; core matrices are (dc, dx+dc) over
+    [x_t, h_prev], stacked in ``W_core``/``b_core``. The aspect dimension
+    must equal the hidden dimension: a_* * A is added to dc-length gate
+    pre-activations.
     """
 
-    W_ai: np.ndarray
-    W_af: np.ndarray
-    W_ao: np.ndarray
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_c: np.ndarray
-    W_o: np.ndarray
-    b_ai: np.ndarray
-    b_af: np.ndarray
-    b_ao: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    W_aspect: np.ndarray
+    b_aspect: np.ndarray
+    W_core: np.ndarray
+    b_core: np.ndarray
 
-    def __post_init__(self):
-        for name in _ASPECT_W + _CORE_W:
-            setattr(self, name, as_matrix(getattr(self, name)))
-        for name in _ASPECT_B + _CORE_B:
-            setattr(self, name, as_vector(getattr(self, name)))
-        da = self.W_ai.shape[0]
-        dc = self.W_i.shape[0]
-        if da != dc:
-            raise ConfigError(
-                f"aspect dim {da} must equal hidden dim {dc}: gated aspect terms "
-                "are added to hidden-sized gate pre-activations")
-        if self.W_ai.shape[1] != dc + da:
-            raise ShapeError(f"W_ai shape {self.W_ai.shape} != ({da}, {dc + da})")
-        for name in ("W_af", "W_ao"):
-            if getattr(self, name).shape != self.W_ai.shape:
-                raise ShapeError(f"{name} shape {getattr(self, name).shape} != {self.W_ai.shape}")
-        if self.W_i.shape[1] <= dc:
-            raise ConfigError(f"core matrix width {self.W_i.shape[1]} leaves no input columns")
-        for name in ("W_f", "W_c", "W_o"):
-            if getattr(self, name).shape != self.W_i.shape:
-                raise ShapeError(f"{name} shape {getattr(self, name).shape} != {self.W_i.shape}")
-        for name in ("b_ai", "b_af", "b_ao"):
-            if getattr(self, name).shape != (da,):
-                raise ShapeError(f"{name} shape {getattr(self, name).shape} != ({da},)")
-        for name in ("b_i", "b_f", "b_c", "b_o"):
-            if getattr(self, name).shape != (dc,):
-                raise ShapeError(f"{name} shape {getattr(self, name).shape} != ({dc},)")
-        self.W_aspect = _stack_fields(self, _ASPECT_W)
-        self.b_aspect = _stack_fields(self, _ASPECT_B)
-        self.W_core = _stack_fields(self, _CORE_W)
-        self.b_core = _stack_fields(self, _CORE_B)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_i.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_i.shape[1] - self.hidden_dim
+    _BLOCKS = {**_ASPECT, **_CORE}
+    _NAMES = ("W_ai", "W_af", "W_ao", "W_i", "W_f", "W_c", "W_o",
+              "b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")
 
     @property
     def aspect_dim(self) -> int:
-        return self.W_ai.shape[0]
+        return self.b_aspect.shape[0] // 3
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, aspect_dim: Optional[int] = None,
@@ -342,82 +270,64 @@ class AALstmParams:
 
     def core(self) -> ClassicLstmParams:
         """The classic cell embedded in this one (shared core weights)."""
-        return ClassicLstmParams(self.W_i, self.W_f, self.W_c, self.W_o,
-                                 self.b_i, self.b_f, self.b_c, self.b_o)
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "AALstmParams":
-        return cls.from_source(_InMemory(arrays))
-
-    @classmethod
-    def from_source(cls, source) -> "AALstmParams":
-        """Read every array straight into new stacked storage (see _read_stacked)."""
-        return cls(**_read_stacked(source, _ASPECT_GROUPS + _CORE_GROUPS))
+        return ClassicLstmParams(self.W_core, self.b_core)
 
 
-def _check_inputs(p, xs, prev: CellState, aspect: Optional[np.ndarray] = None):
-    want = (p.input_dim,)
-    for x in xs:
-        if x.shape != want:
-            raise ShapeError(f"input shape {x.shape} != {want}")
-    dc = p.hidden_dim
-    if prev.h.shape != (dc,) or prev.c.shape != (dc,):
-        raise ShapeError(f"state shapes {prev.h.shape}/{prev.c.shape} != ({dc},)")
-    if aspect is not None and aspect.shape != (p.aspect_dim,):
-        raise ShapeError(f"aspect shape {aspect.shape} != ({p.aspect_dim},)")
-
-
-def _step(p, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-          aspect: Optional[np.ndarray], aspect3: Optional[np.ndarray]) -> StepCache:
-    """The one per-step kernel; `aspect` None runs the classic cell.
-
-    `aspect3` is the aspect repeated once per aspect gate, the gated
-    injection a_* * A of all three gates in one product.
-    """
-    dc = h_prev.shape[0]
-    xh = np.concatenate((x, h_prev))
-    z = p.W_core @ xh
-    ah = a_gates = None
+def _run(p, X: np.ndarray, prev: CellState, aspect: Optional[np.ndarray]) -> SequenceCache:
+    """The one kernel: run the cell over the rows of X; `aspect` None runs
+    the classic cell. `unroll` validates the inputs."""
+    n_steps, dc = X.shape[0], p.hidden_dim
+    W_core, b_core = p.W_core, p.b_core
+    H = np.empty((n_steps + 1, dc))
+    C = np.empty((n_steps + 1, dc))
+    H[0], C[0] = prev.h, prev.c
+    ifo = np.empty((n_steps, 3 * dc))
+    c_cand = np.empty((n_steps, dc))
+    tanh_c = np.empty((n_steps, dc))
+    a_gates = None
     if aspect is not None:
-        ah = np.concatenate((aspect, h_prev))
-        a_gates = sigmoid(p.W_aspect @ ah + p.b_aspect)
-        z[:3 * dc] += a_gates * aspect3
-    z += p.b_core
-    ifo = sigmoid(z[:3 * dc])
-    c_cand = tanh_v(z[3 * dc:])
-    c = ifo[dc:2 * dc] * c_prev
-    c += ifo[:dc] * c_cand
-    tanh_c = tanh_v(c)
-    h = ifo[2 * dc:] * tanh_c
-    return StepCache(xh, c_prev, ifo, c_cand, c, tanh_c, h, aspect, ah, a_gates)
+        W_aspect, b_aspect = p.W_aspect, p.b_aspect
+        a_gates = np.empty((n_steps, 3 * dc))
+        # The aspect once per aspect gate: all three injections a_* * A in
+        # one product.
+        aspect3 = np.tile(aspect, 3)
+    h = H[0]
+    for t, x in enumerate(X):
+        z = W_core @ np.concatenate((x, h))
+        if aspect is not None:
+            a = a_gates[t] = sigmoid(W_aspect @ np.concatenate((aspect, h)) + b_aspect)
+            z[:3 * dc] += a * aspect3
+        z += b_core
+        g = ifo[t] = sigmoid(z[:3 * dc])
+        cand = c_cand[t] = tanh_v(z[3 * dc:])
+        c = np.multiply(g[dc:2 * dc], C[t], out=C[t + 1])
+        c += g[:dc] * cand
+        tc = tanh_c[t] = tanh_v(c)
+        h = np.multiply(g[2 * dc:], tc, out=H[t + 1])
+    return SequenceCache(X, H, C, ifo, c_cand, tanh_c, aspect, a_gates)
 
 
-def classic_lstm_step(p: ClassicLstmParams, x: np.ndarray, prev: CellState) -> tuple[CellState, StepCache]:
-    """One classic LSTM step."""
-    _check_inputs(p, (x,), prev)
-    cache = _step(p, x, prev.h, prev.c, None, None)
-    return CellState(h=cache.h, c=cache.c), cache
+def classic_lstm_step(p: ClassicLstmParams, x: np.ndarray,
+                      prev: CellState) -> tuple[CellState, SequenceCache]:
+    """One classic LSTM step: a one-step unroll."""
+    _, cache = unroll(p, [x], init=prev)
+    return CellState(h=cache.H[1], c=cache.C[1]), cache
 
 
 def aa_lstm_step(p: AALstmParams, x: np.ndarray, aspect: np.ndarray,
-                 prev: CellState) -> tuple[CellState, StepCache]:
+                 prev: CellState) -> tuple[CellState, SequenceCache]:
     """One aspect-aware LSTM step (see module docstring for the update rule)."""
-    _check_inputs(p, (x,), prev, aspect)
-    cache = _step(p, x, prev.h, prev.c, aspect, np.tile(aspect, 3))
-    return CellState(h=cache.h, c=cache.c), cache
+    _, cache = unroll(p, [x], aspect, init=prev)
+    return CellState(h=cache.H[1], c=cache.C[1]), cache
 
 
 def unroll(params, xs, aspect: Optional[np.ndarray] = None,
-           init: Optional[CellState] = None) -> tuple[list[np.ndarray], list[StepCache]]:
+           init: Optional[CellState] = None) -> tuple[np.ndarray, SequenceCache]:
     """Run the cell over a sequence, threading state; init defaults to zeros.
 
     `params` selects the cell: AALstmParams requires `aspect`, ClassicLstmParams
-    forbids it. Returns one hidden vector and one cache per input. Inputs are
-    validated once; each step then runs the kernel of the step functions, so
-    the result equals composing them exactly.
+    forbids it. `xs` holds one input per step, as a (T, dx) array or a list
+    of vectors. Returns the (T, dc) hidden states and the run's cache.
     """
     if len(xs) == 0:
         raise ValueError("unroll: empty input sequence")
@@ -427,18 +337,18 @@ def unroll(params, xs, aspect: Optional[np.ndarray] = None,
     if not aware and aspect is not None:
         raise ValueError("unroll: classic cell takes no aspect vector")
     state = zero_state(params.hidden_dim) if init is None else init
-    _check_inputs(params, xs, state, aspect)
-    aspect3 = None if aspect is None else np.tile(aspect, 3)
-    h, c = state.h, state.c
-    caches: list[StepCache] = []
-    for x in xs:
-        cache = _step(params, x, h, c, aspect, aspect3)
-        h, c = cache.h, cache.c
-        caches.append(cache)
-    return [cache.h for cache in caches], caches
+    X, dc = as_matrix(xs), params.hidden_dim
+    if X.shape[1] != params.input_dim:
+        raise ShapeError(f"input shape {X.shape[1:]} != ({params.input_dim},)")
+    if state.h.shape != (dc,) or state.c.shape != (dc,):
+        raise ShapeError(f"state shapes {state.h.shape}/{state.c.shape} != ({dc},)")
+    if aware and aspect.shape != (dc,):
+        raise ShapeError(f"aspect shape {aspect.shape} != ({dc},)")
+    cache = _run(params, X, state, aspect)
+    return cache.H[1:], cache
 
 
-def _bptt(p, caches: list[StepCache], dh_list: list[np.ndarray], with_aspect_grad: bool):
+def _bptt(p, cache: SequenceCache, dh_list, with_aspect_grad: bool):
     """BPTT shared by both cells; returns (param grads, input grads, aspect grad).
 
     dZ[t] is the stacked pre-activation gradient of the core gates at step t
@@ -447,19 +357,18 @@ def _bptt(p, caches: list[StepCache], dh_list: list[np.ndarray], with_aspect_gra
     are formed for all steps before it, and the input, aspect and weight
     gradients after it, one matmul per gate group.
     """
-    if len(caches) != len(dh_list):
-        raise ValueError(f"got {len(caches)} caches but {len(dh_list)} hidden gradients")
+    if len(cache) != len(dh_list):
+        raise ValueError(f"got {len(cache)} cached steps but {len(dh_list)} hidden gradients")
     aware = isinstance(p, AALstmParams)
-    n_steps, dx, dc = len(caches), p.input_dim, p.hidden_dim
-    ifo = np.array([cache.ifo for cache in caches]).reshape(n_steps, 3, dc)
-    c_cand = np.array([cache.c_cand for cache in caches])
-    tanh_c = np.array([cache.tanh_c for cache in caches])
+    n_steps, dx, dc = len(cache), p.input_dim, p.hidden_dim
+    ifo = cache.ifo.reshape(n_steps, 3, dc)
+    c_cand, tanh_c = cache.c_cand, cache.tanh_c
     # dz = G * [dc_t, dc_t, dh_t, dc_t] blockwise, dc_t being the total
     # gradient on c_t: G holds d(c_t)/d(i, f, cand) and d(h_t)/d(o), each
     # times its gate's activation derivative.
     G = np.empty((n_steps, 4, dc))
     G[:, 0] = c_cand
-    G[:, 1] = [cache.c_prev for cache in caches]
+    G[:, 1] = cache.C[:-1]
     G[:, 2] = tanh_c
     G[:, :3] *= ifo
     G[:, :3] *= 1.0 - ifo
@@ -472,8 +381,8 @@ def _bptt(p, caches: list[StepCache], dh_list: list[np.ndarray], with_aspect_gra
     if aware:
         # z_* gained the term a_* * A, so dz_* splits into a gate part
         # (times A) and a direct aspect part (times a_*).
-        a_gates = np.array([cache.a_gates for cache in caches])
-        G_a = np.tile(caches[0].aspect, 3) * a_gates
+        a_gates = cache.a_gates
+        G_a = np.tile(cache.aspect, 3) * a_gates
         G_a *= 1.0 - a_gates
         W_ah = p.W_aspect[:, dc:]
         dZa = np.empty((n_steps, 3 * dc))
@@ -490,36 +399,35 @@ def _bptt(p, caches: list[StepCache], dh_list: list[np.ndarray], with_aspect_gra
         if aware:
             np.multiply(dZ[t, :3 * dc], G_a[t], out=dZa[t])
             dh_rec += W_ah.T @ dZa[t]
-    grads = _row_blocks(dZ.T @ np.array([cache.xh for cache in caches]), _CORE_W)
-    grads.update(_row_blocks(dZ.sum(axis=0), _CORE_B))
+    H_prev = cache.H[:-1]
+    grads = {"W_core": dZ.T @ np.hstack((cache.X, H_prev)), "b_core": dZ.sum(axis=0)}
     d_aspect = None
     if aware:
-        grads.update(_row_blocks(dZa.T @ np.array([cache.ah for cache in caches]), _ASPECT_W))
-        db_aspect = dZa.sum(axis=0)
-        grads.update(_row_blocks(db_aspect, _ASPECT_B))
+        AH = np.hstack((np.tile(cache.aspect, (n_steps, 1)), H_prev))
+        grads["W_aspect"] = dZa.T @ AH
+        grads["b_aspect"] = dZa.sum(axis=0)
         if with_aspect_grad:
             d_aspect = (dZ[:, :3 * dc] * a_gates).reshape(-1, dc).sum(axis=0)
-            d_aspect += p.W_aspect[:, :dc].T @ db_aspect
-    dX = dZ @ p.W_core[:, :dx]
-    return {f.name: grads[f.name] for f in fields(p)}, list(dX), d_aspect
+            d_aspect += p.W_aspect[:, :dc].T @ grads["b_aspect"]
+    return p._named(grads), dZ @ p.W_core[:, :dx], d_aspect
 
 
-def classic_lstm_backward(p: ClassicLstmParams, caches: list[StepCache],
-                          dh_list: list[np.ndarray]) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
-    """BPTT for the classic cell: per-parameter grads and per-step input grads."""
-    grads, dxs, _ = _bptt(p, caches, dh_list, with_aspect_grad=False)
-    return grads, dxs
+def classic_lstm_backward(p: ClassicLstmParams, cache: SequenceCache,
+                          dh_list) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """BPTT for the classic cell: per-parameter grads and (T, dx) input grads."""
+    grads, dX, _ = _bptt(p, cache, dh_list, with_aspect_grad=False)
+    return grads, dX
 
 
-def aa_lstm_backward(p: AALstmParams, caches: list[StepCache], dh_list: list[np.ndarray],
+def aa_lstm_backward(p: AALstmParams, cache: SequenceCache, dh_list,
                      with_aspect_grad: bool = True,
-                     ) -> tuple[dict[str, np.ndarray], list[np.ndarray], Optional[np.ndarray]]:
+                     ) -> tuple[dict[str, np.ndarray], np.ndarray, Optional[np.ndarray]]:
     """BPTT for the aspect-aware cell.
 
-    Returns (param grads, per-step input grads, aspect grad). The aspect feeds
+    Returns (param grads, (T, dx) input grads, aspect grad). The aspect feeds
     every step through all three aspect gates and the three gated injections,
     so its gradient is summed over the whole sequence; pass
     with_aspect_grad=False to skip it (returns None) when the aspect vector is
     not trained.
     """
-    return _bptt(p, caches, dh_list, with_aspect_grad)
+    return _bptt(p, cache, dh_list, with_aspect_grad)

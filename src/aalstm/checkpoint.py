@@ -5,7 +5,7 @@ plus a `__meta__` JSON string carrying everything that is not a weight:
 format version, task/cell/head switches, the vocabulary in row order, which
 rows were randomly initialized, and the category list. Word embeddings and
 the category table are always stored, even when frozen during training,
-because inference needs them.
+because inference needs them. Loading rejects an array holding NaN or inf.
 """
 
 from __future__ import annotations
@@ -146,11 +146,16 @@ def _read_model(path, archive) -> SentimentModel:
         if meta["categories"] is not None:
             aspect_embeddings = AspectEmbeddingTable(tuple(meta["categories"]),
                                                      _Section(archive, "emb")["aspects"])
-        return SentimentModel(meta["task"], meta["cell"], meta["head"],
-                              embeddings, cell, clf, attn=attn,
-                              aspect_embeddings=aspect_embeddings,
-                              train_embeddings=bool(meta["train_embeddings"]))
+        model = SentimentModel(meta["task"], meta["cell"], meta["head"],
+                               embeddings, cell, clf, attn=attn,
+                               aspect_embeddings=aspect_embeddings,
+                               train_embeddings=bool(meta["train_embeddings"]))
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"inconsistent checkpoint {path}: {exc}") from None
+    # One array at a time, so the check's scratch is one array's mask.
+    for key, arr in model.arrays().items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint {path} has non-finite values in {key!r}")
+    return model

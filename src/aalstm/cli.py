@@ -19,9 +19,10 @@ import numpy as np
 from .cells import ConfigError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (POLARITIES, UNK_TOKEN, CategoryId, DataFormatError,
-                   EmbeddingTable, LabeledInstance, build_vocab, dev_split,
-                   disambiguation_subset, generate_synthetic, load_embeddings,
-                   load_instances, parse_semeval_xml, save_instances)
+                   EmbeddingTable, LabeledInstance, TermSpan, build_vocab,
+                   dev_split, disambiguation_subset, generate_synthetic,
+                   load_embeddings, load_instances, parse_semeval_xml,
+                   save_instances)
 from .model import CELLS, HEADS, TASKS, build_model
 from .tensor import make_rng
 from .train import (GradCheckReport, TrainConfig, TrainingDiverged,
@@ -127,11 +128,26 @@ def resolve_config(args, synthetic: bool = False) -> TrainConfig:
         raise CliError(f"invalid configuration: {exc}") from None
 
 
-def _load_eval_instances(path, task: str):
-    """Instances from a SemEval XML file (by extension) or the internal TSV."""
+def _load_eval_instances(path, model):
+    """Instances from a SemEval XML file (by extension) or the internal TSV,
+    each checked against the model's task and category table."""
     if str(path).endswith(".xml"):
-        return parse_semeval_xml(path, task)
-    return load_instances(path)
+        instances = parse_semeval_xml(path, model.task)
+    else:
+        instances = load_instances(path)
+    kinds = {TermSpan: "term", CategoryId: "category"}
+    kind = TermSpan if model.task == "atsa" else CategoryId
+    table = model.aspect_embeddings
+    for n, inst in enumerate(instances, 1):
+        if not isinstance(inst.aspect, kind):
+            raise CliError(f"{path}: instance {n} has a {kinds[type(inst.aspect)]} aspect, "
+                           f"but the checkpoint's task {model.task!r} takes "
+                           f"{kinds[kind]} aspects")
+        if kind is CategoryId and table is not None \
+                and inst.aspect.index >= len(table.categories):
+            raise CliError(f"{path}: instance {n} has category index {inst.aspect.index}, "
+                           f"but the checkpoint has {len(table.categories)} categories")
+    return instances
 
 
 def cmd_train(args, parser) -> int:
@@ -201,7 +217,7 @@ def cmd_eval(args, parser) -> int:
         raise CliError(
             f"checkpoint {args.checkpoint} was trained for task {model.task!r}; "
             f"it cannot evaluate {args.task!r} data")
-    instances = _load_eval_instances(args.data, model.task)
+    instances = _load_eval_instances(args.data, model)
     if not instances:
         raise CliError(f"no {model.task} instances found in {args.data}")
     report = evaluate(model, instances)

@@ -241,13 +241,23 @@ def build_vocab(instances: Iterable[LabeledInstance]) -> dict[str, int]:
     return vocab
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingTable:
     """Embedding table for `vocab` from a whitespace text file.
 
     File rows are `token v1 ... v_dim`. Vocabulary tokens found in the file
     get the file's values; the rest are drawn from U(-0.1, 0.1), filled in
     vocabulary order from a single seeded stream so the result is
-    deterministic for a fixed (vocab, seed).
+    deterministic for a fixed (vocab, seed). A token with spaces in it
+    (GloVe has `. . .`) is skipped: `tokenize` never emits one. A vocabulary
+    token followed by more or fewer than `dim` numbers is a DataFormatError.
     """
     found: dict[int, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as f:
@@ -257,6 +267,8 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
                 continue
             token, values = parts[0], parts[1:]
             if token not in vocab:
+                continue
+            if len(values) > dim and not all(map(_is_number, values[:-dim])):
                 continue
             if len(values) != dim:
                 raise DataFormatError(
@@ -360,7 +372,11 @@ def load_instances(path) -> list[LabeledInstance]:
             if len(parts) != 3:
                 raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
             tokens, aspect, polarity = parts
-            out.append(LabeledInstance(tuple(tokens.split(" ")), _aspect_from_str(aspect), polarity))
+            try:
+                out.append(LabeledInstance(tuple(tokens.split(" ")),
+                                           _aspect_from_str(aspect), polarity))
+            except ValueError as e:
+                raise DataFormatError(f"{path}:{lineno}: {e}") from None
     return out
 
 

@@ -29,8 +29,19 @@ from .tensor import ShapeError, as_matrix, as_vector, tanh_v, uniform_init
 _PROB_FLOOR = np.finfo(np.float64).tiny
 
 
+class _Arrays:
+    """Name -> array conversion over a parameter dataclass's fields."""
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_arrays(cls, arrays):
+        return cls(**{f.name: arrays[f.name] for f in fields(cls)})
+
+
 @dataclass
-class AttentionParams:
+class AttentionParams(_Arrays):
     """Attention weights; dr (representation dim) defaults to dc at init."""
 
     W_h: np.ndarray  # (dc, dc) hidden-state projection for scoring
@@ -78,16 +89,9 @@ class AttentionParams:
             W_x=uniform_init(dr, hidden_dim, lo, hi, seed=[seed, 24]),
         )
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "AttentionParams":
-        return cls(**{f.name: arrays[f.name] for f in fields(cls)})
-
 
 @dataclass
-class ClassifierParams:
+class ClassifierParams(_Arrays):
     """Softmax classifier over the three polarity classes."""
 
     W_s: np.ndarray  # (3, dr)
@@ -108,13 +112,6 @@ class ClassifierParams:
     def init(cls, repr_dim: int, lo: float = -0.1, hi: float = 0.1, seed=0) -> "ClassifierParams":
         return cls(W_s=uniform_init(N_CLASSES, repr_dim, lo, hi, seed=[seed, 30]),
                    b_s=np.zeros(N_CLASSES))
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ClassifierParams":
-        return cls(**{f.name: arrays[f.name] for f in fields(cls)})
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

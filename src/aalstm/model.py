@@ -9,8 +9,12 @@ the one owner of the namespaced array names ("emb.words", "cell.W_i",
 which the optimizer and the gradient check walk, is the same dict minus the
 frozen or unused tables.
 
+A forward run gathers the (T, dx) input rows once, applies one dropout mask
+to all of them, and keeps the cell's `SequenceCache`; the backward pass
+scatters the (T, dx) input gradient back into the embedding rows.
+
 Gradient routing notes, since they are easy to get wrong:
-  - input gradients pass back through the per-token dropout masks before
+  - input gradients pass back through the dropout mask before
     accumulating into embedding rows;
   - the aspect vector for a term span is a mean of clean (pre-dropout)
     embedding rows, so its gradient spreads over the span rows divided by
@@ -30,7 +34,7 @@ from .cells import (
     AALstmParams,
     ClassicLstmParams,
     ConfigError,
-    StepCache,
+    SequenceCache,
     aa_lstm_backward,
     classic_lstm_backward,
     unroll,
@@ -64,15 +68,17 @@ HEADS = ("last", "attention")
 
 @dataclass
 class InstanceCache:
-    """Everything the backward pass needs about one forward run."""
+    """Everything the backward pass needs about one forward run.
+
+    ``x_mask`` is the (T, dx) dropout multiplier of the gathered inputs, or
+    None; the inputs themselves live in ``cell_cache.X``.
+    """
 
     inst: LabeledInstance
     indices: list[int]
-    xs: list[np.ndarray]
-    x_masks: Optional[list[np.ndarray]]
+    x_mask: Optional[np.ndarray]
     aspect: Optional[np.ndarray]
-    hs: list[np.ndarray]
-    cell_caches: list[StepCache]
+    cell_cache: SequenceCache
     head_cache: Optional[AttentionCache]
     rep_mask: Optional[np.ndarray]
     clf_cache: ClassifierCache
@@ -179,17 +185,14 @@ class SentimentModel:
     def forward(self, inst: LabeledInstance, mode: str = "eval",
                 dropout: float = 0.0, rng=None) -> InstanceCache:
         indices = [self.embeddings.index(t) for t in inst.tokens]
-        xs = [self.embeddings.matrix[i] for i in indices]
-        x_masks = None
+        X, x_mask = self.embeddings.matrix[indices], None
         if mode == "train" and dropout > 0.0:
-            pairs = [apply_dropout(x, dropout, mode, rng) for x in xs]
-            xs = [v for v, _ in pairs]
-            x_masks = [m for _, m in pairs]
+            X, x_mask = apply_dropout(X, dropout, mode, rng)
         aspect = None
         if self.uses_aspect:
             aspect = build_aspect_vector(inst, self.embeddings, self.aspect_embeddings)
         cell_aspect = aspect if self.cell_kind == "aa" else None
-        hs, cell_caches = unroll(self.cell, xs, aspect=cell_aspect)
+        hs, cell_cache = unroll(self.cell, X, aspect=cell_aspect)
         head_cache = None
         if self.head_kind == "attention":
             rep, _, head_cache = attention_head(hs, aspect, self.attn)
@@ -198,8 +201,8 @@ class SentimentModel:
         rep, rep_mask = apply_dropout(rep, dropout, mode, rng) \
             if mode == "train" and dropout > 0.0 else (rep, None)
         probs, clf_cache = classify_with_cache(rep, self.clf)
-        return InstanceCache(inst=inst, indices=indices, xs=xs, x_masks=x_masks,
-                             aspect=aspect, hs=hs, cell_caches=cell_caches,
+        return InstanceCache(inst=inst, indices=indices, x_mask=x_mask,
+                             aspect=aspect, cell_cache=cell_cache,
                              head_cache=head_cache, rep_mask=rep_mask,
                              clf_cache=clf_cache, probs=probs)
 
@@ -219,14 +222,14 @@ class SentimentModel:
                 self.attn, cache.head_cache, d_rep)
         else:
             attn_grads = None
-            dh_list = last_hidden_backward(d_rep, len(cache.hs))
+            dh_list = last_hidden_backward(d_rep, len(cache.cell_cache))
 
         if self.cell_kind == "aa":
-            cell_grads, dxs, d_aspect_cell = aa_lstm_backward(
-                self.cell, cache.cell_caches, dh_list)
+            cell_grads, dX, d_aspect_cell = aa_lstm_backward(
+                self.cell, cache.cell_cache, dh_list)
             d_aspect = d_aspect_cell if d_aspect is None else d_aspect + d_aspect_cell
         else:
-            cell_grads, dxs = classic_lstm_backward(self.cell, cache.cell_caches, dh_list)
+            cell_grads, dX = classic_lstm_backward(self.cell, cache.cell_cache, dh_list)
 
         grads: dict[str, np.ndarray] = {}
         for name, g in cell_grads.items():
@@ -239,11 +242,9 @@ class SentimentModel:
 
         if self.train_embeddings:
             d_words = np.zeros_like(self.embeddings.matrix)
-            for t, idx in enumerate(cache.indices):
-                dx = dxs[t]
-                if cache.x_masks is not None:
-                    dx = dx * cache.x_masks[t]
-                d_words[idx] += dx
+            if cache.x_mask is not None:
+                dX = dX * cache.x_mask
+            np.add.at(d_words, cache.indices, dX)
             if d_aspect is not None and isinstance(inst.aspect, TermSpan):
                 span = inst.aspect
                 share = d_aspect / (span.end - span.start + 1)

@@ -8,6 +8,7 @@ oracles for them.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,6 +75,18 @@ def clipped_tanh(v):
     return np.clip(np.tanh(v), -_OPEN_HI, _OPEN_HI)
 
 
+def _step_view(cache, t):
+    """Step t of a SequenceCache, under the per-gate names the oracles read."""
+    dc = cache.H.shape[1]
+    view = SimpleNamespace(x=cache.X[t], h_prev=cache.H[t], c_prev=cache.C[t],
+                           c_cand=cache.c_cand[t], tanh_c=cache.tanh_c[t],
+                           aspect=cache.aspect)
+    view.i_gate, view.f_gate, view.o_gate = cache.ifo[t].reshape(3, dc)
+    if cache.a_gates is not None:
+        view.ai_gate, view.af_gate, view.ao_gate = cache.a_gates[t].reshape(3, dc)
+    return view
+
+
 def _per_gate_core_backward_step(p, cache, dh, dc_next, grads):
     """Per-gate core backprop of one step; returns (dxh, dz_i, dz_f, dz_o, dc_prev)."""
     do = dh * cache.tanh_c
@@ -97,7 +110,8 @@ def _per_gate_core_backward_step(p, cache, dh, dc_next, grads):
     grads["b_f"] += dz_f
     grads["b_c"] += dz_c
     grads["b_o"] += dz_o
-    dxh = p.W_i.T @ dz_i + p.W_f.T @ dz_f + p.W_c.T @ dz_c + p.W_o.T @ dz_o
+    w = p.to_arrays()
+    dxh = w["W_i"].T @ dz_i + w["W_f"].T @ dz_f + w["W_c"].T @ dz_c + w["W_o"].T @ dz_o
     return dxh, dz_i, dz_f, dz_o, dc_prev
 
 
@@ -110,7 +124,7 @@ def per_gate_classic_backward(p, caches, dh_list):
     dc_rec = np.zeros(p.hidden_dim)
     for t in reversed(range(len(caches))):
         dxh, _, _, _, dc_rec = _per_gate_core_backward_step(
-            p, caches[t], dh_list[t] + dh_rec, dc_rec, grads)
+            p, _step_view(caches, t), dh_list[t] + dh_rec, dc_rec, grads)
         dxs[t] = dxh[:dx_in]
         dh_rec = dxh[dx_in:]
     return grads, dxs
@@ -127,7 +141,7 @@ def per_gate_aa_backward(p, caches, dh_list, with_aspect_grad=True):
     dh_rec = np.zeros(p.hidden_dim)
     dc_rec = np.zeros(p.hidden_dim)
     for t in reversed(range(len(caches))):
-        cache = caches[t]
+        cache = _step_view(caches, t)
         dxh, dz_i, dz_f, dz_o, dc_rec = _per_gate_core_backward_step(
             p, cache, dh_list[t] + dh_rec, dc_rec, grads)
 
@@ -143,7 +157,8 @@ def per_gate_aa_backward(p, caches, dh_list, with_aspect_grad=True):
         grads["b_af"] += dz_af
         grads["b_ao"] += dz_ao
 
-        dah = p.W_ai.T @ dz_ai + p.W_af.T @ dz_af + p.W_ao.T @ dz_ao
+        w = p.to_arrays()
+        dah = w["W_ai"].T @ dz_ai + w["W_af"].T @ dz_af + w["W_ao"].T @ dz_ao
         if with_aspect_grad:
             d_aspect += dz_i * cache.ai_gate + dz_f * cache.af_gate + dz_o * cache.ao_gate
             d_aspect += dah[:da]

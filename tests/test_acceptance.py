@@ -55,8 +55,9 @@ _AA_BIASES = ("b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")
 def random_aa_params(dx, dc, lo, hi, seed, rng):
     """U(lo, hi) weights via init, plus random biases (init zeroes them)."""
     p = AALstmParams.init(dx, dc, lo=lo, hi=hi, seed=seed)
+    arrays = p.to_arrays()
     for name in _AA_BIASES:
-        getattr(p, name)[:] = rng.uniform(lo, hi, dc)
+        arrays[name][:] = rng.uniform(lo, hi, dc)
     return p
 
 
@@ -146,8 +147,7 @@ def test_criterion_4_gate_and_hidden_range_invariants():
         for _ in range(100):
             x = rng.uniform(-3.0, 3.0, dx)
             state, cache = aa_lstm_step(p, x, aspect, state)
-            for g in (cache.i_gate, cache.f_gate, cache.o_gate,
-                      cache.ai_gate, cache.af_gate, cache.ao_gate):
+            for g in (*cache.ifo.reshape(3, -1), *cache.a_gates.reshape(3, -1)):
                 if not (0.0 < g.min() and g.max() < 1.0):
                     violations += 1
             if not (-1.0 < state.h.min() and state.h.max() < 1.0):

@@ -42,8 +42,7 @@ class TestAAStep:
         p = AALstmParams.from_arrays(
             {k: np.zeros_like(v) for k, v in AALstmParams.init(2, 2, seed=0).to_arrays().items()})
         state, cache = aa_lstm_step(p, np.array([0.7, -0.3]), np.zeros(2), zero_state(2))
-        for gate in (cache.ai_gate, cache.af_gate, cache.ao_gate,
-                     cache.i_gate, cache.f_gate, cache.o_gate):
+        for gate in (*cache.a_gates.reshape(3, -1), *cache.ifo.reshape(3, -1)):
             assert np.all(gate == 0.5)
         assert np.all(cache.c_cand == 0.0)
         assert np.all(state.c == 0.0)
@@ -91,8 +90,7 @@ class TestAAStep:
             x = rng.normal(scale=3.0, size=p.input_dim)
             aspect = rng.normal(scale=3.0, size=dc)
             state, cache = aa_lstm_step(p, x, aspect, random_state(rng, dc))
-            for gate in (cache.ai_gate, cache.af_gate, cache.ao_gate,
-                         cache.i_gate, cache.f_gate, cache.o_gate):
+            for gate in (*cache.a_gates.reshape(3, -1), *cache.ifo.reshape(3, -1)):
                 assert np.all((gate > 0.0) & (gate < 1.0))
             assert np.all((cache.c_cand > -1.0) & (cache.c_cand < 1.0))
             assert np.all((state.h > -1.0) & (state.h < 1.0))
@@ -170,7 +168,7 @@ class TestUnroll:
         for t, x in enumerate(xs):
             state, _ = classic_lstm_step(p, x, state)
             np.testing.assert_array_equal(hs[t], state.h)
-            np.testing.assert_array_equal(caches[t].c, state.c)
+            np.testing.assert_array_equal(caches.C[t + 1], state.c)
 
     def test_empty_sequence_rejected(self):
         p = ClassicLstmParams.init(2, 2, seed=0)
@@ -201,8 +199,8 @@ class TestParamPlumbing:
     def test_core_extraction_shares_values(self):
         p = AALstmParams.init(3, 4, seed=5)
         core = p.core()
-        assert np.array_equal(core.W_i, p.W_i)
-        assert np.array_equal(core.b_o, p.b_o)
+        assert np.array_equal(core.to_arrays()["W_i"], p.to_arrays()["W_i"])
+        assert np.array_equal(core.to_arrays()["b_o"], p.to_arrays()["b_o"])
 
     def test_named_fields_are_views_into_stacked_storage(self):
         # Writes through the names (optimizer, gradient check) reach the kernel.

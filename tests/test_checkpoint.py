@@ -101,26 +101,27 @@ def test_frozen_embeddings_round_trip(tmp_path):
     assert loaded.embeddings.matrix.tobytes() == model.embeddings.matrix.tobytes()
 
 
-_AA_CELL_KEYS = {f"cell.{g}" for g in (
+_AA_CELL_KEYS = [f"cell.{g}" for g in (
     "W_ai", "W_af", "W_ao", "W_i", "W_f", "W_c", "W_o",
-    "b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")}
-_CLASSIC_CELL_KEYS = {f"cell.{g}" for g in (
-    "W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")}
+    "b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")]
+_CLASSIC_CELL_KEYS = [f"cell.{g}" for g in (
+    "W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")]
 
 
 @pytest.mark.parametrize("args,train_embeddings,keys", [
     (("acsa", "aa", "attention"), True,
-     {"__meta__", "emb.words", "emb.aspects", "attn.W_h", "attn.W_v", "attn.w",
-      "attn.W_p", "attn.W_x", "clf.W_s", "clf.b_s"} | _AA_CELL_KEYS),
+     ["__meta__", "emb.words", "emb.aspects"] + _AA_CELL_KEYS
+     + ["attn.W_h", "attn.W_v", "attn.w", "attn.W_p", "attn.W_x", "clf.W_s", "clf.b_s"]),
     (("atsa", "classic", "last"), False,
-     {"__meta__", "emb.words", "clf.W_s", "clf.b_s"} | _CLASSIC_CELL_KEYS),
+     ["__meta__", "emb.words"] + _CLASSIC_CELL_KEYS + ["clf.W_s", "clf.b_s"]),
 ])
 def test_archive_key_set_is_pinned(tmp_path, args, train_embeddings, keys):
-    # Format version 1 fixes these names; frozen tables are stored too.
+    # Format version 1 fixes these names and their order; frozen tables are
+    # stored too. The cell's order comes from its name tuple, not its storage.
     path = tmp_path / "ckpt.npz"
     save_checkpoint(make(*args, train_embeddings=train_embeddings), path)
     with np.load(path, allow_pickle=False) as archive:
-        assert set(archive.files) == keys
+        assert archive.files == keys
         assert json.loads(str(archive["__meta__"][()]))["version"] == 1
 
 
@@ -130,7 +131,7 @@ def test_loaded_params_are_live_views(tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     loaded.params()["cell.W_i"][0, 0] = 7.0
-    assert loaded.cell.W_i[0, 0] == 7.0
+    assert loaded.cell.to_arrays()["W_i"][0, 0] == 7.0
 
 
 def test_cell_arrays_in_other_layouts_load_bit_exactly(tmp_path):
@@ -155,6 +156,21 @@ def test_cell_array_of_wrong_shape_is_rejected(tmp_path):
     save_checkpoint(model, src)
     rewrite_npz(src, dst, lambda e: e.update({"cell.W_f": e["cell.W_f"][:-1]}))
     with pytest.raises(CheckpointError, match="W_f"):
+        load_checkpoint(dst)
+
+
+@pytest.mark.parametrize("key,value", [("cell.W_i", np.nan), ("cell.b_ao", np.inf),
+                                       ("emb.words", -np.inf), ("clf.b_s", np.nan)])
+def test_non_finite_array_is_rejected(tmp_path, key, value):
+    model = make("atsa", "aa", "attention")
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(model, src)
+
+    def poison(entries):
+        entries[key] = entries[key].copy()
+        entries[key].flat[-1] = value
+    rewrite_npz(src, dst, poison)
+    with pytest.raises(CheckpointError, match=f"non-finite values in '{key}'"):
         load_checkpoint(dst)
 
 

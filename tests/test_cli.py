@@ -201,6 +201,29 @@ def test_eval_whitespace_only_sentence_is_data_error(tmp_path, capsys):
     assert "blank.xml" in err and "'b1'" in err
 
 
+@pytest.mark.parametrize("task,line,message", [
+    ("atsa", "the soup is great\tterm:1:1\tgreat", "insts.tsv:1: unknown polarity 'great'"),
+    ("atsa", "the soup is bad\tterm:1:9\tnegative", "insts.tsv:1: term span"),
+    ("atsa", "the soup is bad\tcategory:0\tnegative",
+     "instance 1 has a category aspect, but the checkpoint's task 'atsa' takes term"),
+    ("acsa", "the soup is bad\tterm:1:1\tnegative",
+     "instance 1 has a term aspect, but the checkpoint's task 'acsa' takes category"),
+    ("acsa", "the soup is bad\tcategory:5\tnegative",
+     "instance 1 has category index 5, but the checkpoint has 5 categories"),
+])
+def test_eval_bad_instances_tsv_is_data_error(tmp_path, capsys, task, line, message):
+    emb = random_embeddings(build_vocab([]), dim=4)
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(build_model(task, "aa", "last", emb, hidden_dim=4), ckpt)
+    data = tmp_path / "insts.tsv"
+    data.write_text(line + "\n")
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "insts.tsv" in err and message in err
+
+
 def test_train_on_one_usable_instance_is_cli_error(tmp_path, capsys):
     glove = write_glove(tmp_path / "vectors.txt")
     doc = tmp_path / "one.xml"

@@ -187,6 +187,26 @@ def test_load_embeddings_arity_error_names_line(tmp_path):
         load_embeddings(f, vocab, dim=3, seed=0)
 
 
+def test_load_embeddings_skips_tokens_with_spaces(tmp_path):
+    # GloVe has tokens such as ". . ."; tokenize never emits one.
+    f = tmp_path / "vec.txt"
+    f.write_text(". . . 0.1 0.2\n. 0.3 0.4\n")
+    vocab = {UNK_TOKEN: 0, ".": 1}
+    table = load_embeddings(f, vocab, dim=2, seed=0)
+    assert np.array_equal(table.matrix[1], [0.3, 0.4])
+    assert table.oov_tokens == {UNK_TOKEN}
+
+
+def test_load_embeddings_rejects_too_many_numbers(tmp_path):
+    # Numbers past `dim` after a vocabulary token are an error, not a token
+    # with spaces in it.
+    f = tmp_path / "vec.txt"
+    f.write_text("euro 1.0 2.0 3.0 4.0\n")
+    vocab = {UNK_TOKEN: 0, "euro": 1}
+    with pytest.raises(DataFormatError, match=r":1: expected 3 values for 'euro'"):
+        load_embeddings(f, vocab, dim=3, seed=0)
+
+
 def test_load_embeddings_oov_rows_deterministic(tmp_path):
     f = tmp_path / "vec.txt"
     f.write_text("euro 1.0 2.0 3.0\n")
@@ -294,6 +314,19 @@ def test_instances_round_trip(tmp_path):
     path = tmp_path / "insts.tsv"
     save_instances(insts, path)
     assert load_instances(path) == insts
+
+
+@pytest.mark.parametrize("line,message", [
+    ("the soup is great\tterm:1:1\tgreat\n", "unknown polarity 'great'"),
+    ("the soup is bad\tterm:1:9\tnegative\n", "outside 4 tokens"),
+    ("the soup\tterm:x:1\tnegative\n", "invalid literal"),
+    ("the soup\tcategory:-1\tnegative\n", "bad category index"),
+])
+def test_load_instances_errors_name_file_and_line(tmp_path, line, message):
+    path = tmp_path / "insts.tsv"
+    path.write_text("fine\tcategory:0\tneutral\n\n" + line)
+    with pytest.raises(DataFormatError, match=f"insts.tsv:3: .*{message}"):
+        load_instances(path)
 
 
 # --- synthetic corpus ---------------------------------------------------------

@@ -76,7 +76,7 @@ def test_params_are_live_references():
     m = make("atsa", "aa", "last")
     p = m.params()
     p["cell.W_i"][0, 0] = 123.0
-    assert m.cell.W_i[0, 0] == 123.0
+    assert m.cell.to_arrays()["W_i"][0, 0] == 123.0
 
 
 def test_regularized_is_matrices_only():
@@ -146,7 +146,7 @@ def test_train_mode_backward_respects_masks():
     grads = m.backward(cache)
     assert set(grads) == set(m.params())
     # a fully dropped token contributes nothing through the input path
-    for t, mask in enumerate(cache.x_masks):
+    for t, mask in enumerate(cache.x_mask):
         if np.all(mask == 0.0) and t not in (1,):  # skip the span token
             assert np.allclose(grads["emb.words"][cache.indices[t]], 0.0)
 
