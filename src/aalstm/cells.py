@@ -260,12 +260,9 @@ class AALstmParams(_StackedParams):
         return self.b_aspect.shape[0] // 3
 
     @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, aspect_dim: Optional[int] = None,
-             lo: float = -0.1, hi: float = 0.1, seed=0) -> "AALstmParams":
-        """Weights from U(lo, hi), biases zero; aspect_dim defaults to hidden_dim."""
-        da = hidden_dim if aspect_dim is None else aspect_dim
-        if da != hidden_dim:
-            raise ConfigError(f"aspect dim {da} must equal hidden dim {hidden_dim}")
+    def init(cls, input_dim: int, hidden_dim: int, lo: float = -0.1, hi: float = 0.1,
+             seed=0) -> "AALstmParams":
+        """Weights from U(lo, hi), biases zero; the aspect dim is hidden_dim."""
         return cls.from_source(_Init(hidden_dim, input_dim + hidden_dim, lo, hi, seed))
 
     def core(self) -> ClassicLstmParams:
@@ -348,17 +345,18 @@ def unroll(params, xs, aspect: Optional[np.ndarray] = None,
     return cache.H[1:], cache
 
 
-def _bptt(p, cache: SequenceCache, dh_list, with_aspect_grad: bool):
+def _bptt(p, cache: SequenceCache, dH, with_aspect_grad: bool):
     """BPTT shared by both cells; returns (param grads, input grads, aspect grad).
 
-    dZ[t] is the stacked pre-activation gradient of the core gates at step t
-    and dZa[t] that of the aspect gates (aspect-aware cell only). Only the
-    recurrent gradients on h and c need the time loop: the per-step factors
-    are formed for all steps before it, and the input, aspect and weight
-    gradients after it, one matmul per gate group.
+    dH holds the (T, dc) gradients on the hidden states (a list of T vectors
+    also works). dZ[t] is the stacked pre-activation gradient of the core
+    gates at step t and dZa[t] that of the aspect gates (aspect-aware cell
+    only). Only the recurrent gradients on h and c need the time loop: the
+    per-step factors are formed for all steps before it, and the input,
+    aspect and weight gradients after it, one matmul per gate group.
     """
-    if len(cache) != len(dh_list):
-        raise ValueError(f"got {len(cache)} cached steps but {len(dh_list)} hidden gradients")
+    if len(cache) != len(dH):
+        raise ValueError(f"got {len(cache)} cached steps but {len(dH)} hidden gradients")
     aware = isinstance(p, AALstmParams)
     n_steps, dx, dc = len(cache), p.input_dim, p.hidden_dim
     ifo = cache.ifo.reshape(n_steps, 3, dc)
@@ -389,7 +387,7 @@ def _bptt(p, cache: SequenceCache, dh_list, with_aspect_grad: bool):
     dh_rec = np.zeros(dc)
     dc_rec = np.zeros(dc)
     for t in reversed(range(n_steps)):
-        dh = dh_list[t] + dh_rec
+        dh = dH[t] + dh_rec
         d_cell = dh * dh_to_dc[t]
         d_cell += dc_rec
         np.multiply(G[t], d_cell, out=dZ4[t])
@@ -413,13 +411,13 @@ def _bptt(p, cache: SequenceCache, dh_list, with_aspect_grad: bool):
 
 
 def classic_lstm_backward(p: ClassicLstmParams, cache: SequenceCache,
-                          dh_list) -> tuple[dict[str, np.ndarray], np.ndarray]:
+                          dH) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """BPTT for the classic cell: per-parameter grads and (T, dx) input grads."""
-    grads, dX, _ = _bptt(p, cache, dh_list, with_aspect_grad=False)
+    grads, dX, _ = _bptt(p, cache, dH, with_aspect_grad=False)
     return grads, dX
 
 
-def aa_lstm_backward(p: AALstmParams, cache: SequenceCache, dh_list,
+def aa_lstm_backward(p: AALstmParams, cache: SequenceCache, dH,
                      with_aspect_grad: bool = True,
                      ) -> tuple[dict[str, np.ndarray], np.ndarray, Optional[np.ndarray]]:
     """BPTT for the aspect-aware cell.
@@ -430,4 +428,4 @@ def aa_lstm_backward(p: AALstmParams, cache: SequenceCache, dh_list,
     with_aspect_grad=False to skip it (returns None) when the aspect vector is
     not trained.
     """
-    return _bptt(p, cache, dh_list, with_aspect_grad)
+    return _bptt(p, cache, dH, with_aspect_grad)

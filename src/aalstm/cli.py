@@ -18,11 +18,11 @@ import numpy as np
 
 from .cells import ConfigError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import (POLARITIES, UNK_TOKEN, CategoryId, DataFormatError,
-                   EmbeddingTable, LabeledInstance, TermSpan, build_vocab,
-                   dev_split, disambiguation_subset, generate_synthetic,
-                   load_embeddings, load_instances, parse_semeval_xml,
-                   save_instances)
+from .data import (POLARITIES, RESTAURANT_CATEGORIES, UNK_TOKEN, CategoryId,
+                   DataFormatError, EmbeddingTable, LabeledInstance, TermSpan,
+                   build_vocab, dev_split, disambiguation_subset,
+                   generate_synthetic, load_embeddings, load_instances,
+                   parse_semeval_xml, save_instances)
 from .model import CELLS, HEADS, TASKS, build_model
 from .tensor import make_rng
 from .train import (GradCheckReport, TrainConfig, TrainingDiverged,
@@ -131,13 +131,14 @@ def resolve_config(args, synthetic: bool = False) -> TrainConfig:
 def _load_eval_instances(path, model):
     """Instances from a SemEval XML file (by extension) or the internal TSV,
     each checked against the model's task and category table."""
+    table = model.aspect_embeddings
     if str(path).endswith(".xml"):
-        instances = parse_semeval_xml(path, model.task)
+        categories = RESTAURANT_CATEGORIES if table is None else table.categories
+        instances = parse_semeval_xml(path, model.task, categories)
     else:
         instances = load_instances(path)
     kinds = {TermSpan: "term", CategoryId: "category"}
     kind = TermSpan if model.task == "atsa" else CategoryId
-    table = model.aspect_embeddings
     for n, inst in enumerate(instances, 1):
         if not isinstance(inst.aspect, kind):
             raise CliError(f"{path}: instance {n} has a {kinds[type(inst.aspect)]} aspect, "

@@ -249,6 +249,22 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _numbered_lines(path):
+    """(line number, line) over a UTF-8 text file. Invalid UTF-8 is a
+    DataFormatError naming the first line that does not decode."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            yield from enumerate(f, start=1)
+    except UnicodeDecodeError as e:
+        with open(path, "rb") as f:
+            for lineno, raw in enumerate(f, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise DataFormatError(f"{path}:{lineno}: not valid UTF-8 ({e.reason})") from None
+
+
 def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingTable:
     """Embedding table for `vocab` from a whitespace text file.
 
@@ -257,23 +273,26 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
     vocabulary order from a single seeded stream so the result is
     deterministic for a fixed (vocab, seed). A token with spaces in it
     (GloVe has `. . .`) is skipped: `tokenize` never emits one. A vocabulary
-    token followed by more or fewer than `dim` numbers is a DataFormatError.
+    token followed by more or fewer than `dim` numbers, or by a non-number,
+    is a DataFormatError, as is invalid UTF-8.
     """
     found: dict[int, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if token not in vocab:
-                continue
-            if len(values) > dim and not all(map(_is_number, values[:-dim])):
-                continue
-            if len(values) != dim:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(values)}")
+    for lineno, line in _numbered_lines(path):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if token not in vocab:
+            continue
+        if len(values) > dim and not all(map(_is_number, values[:-dim])):
+            continue
+        if len(values) != dim:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(values)}")
+        try:
             found[vocab[token]] = np.array([float(v) for v in values])
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{lineno}: {token!r}: {e}") from None
     matrix = np.zeros((len(vocab), dim))
     rng = make_rng([seed, 41])
     oov = []
@@ -363,20 +382,19 @@ def save_instances(instances: Iterable[LabeledInstance], path) -> None:
 
 def load_instances(path) -> list[LabeledInstance]:
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            tokens, aspect, polarity = parts
-            try:
-                out.append(LabeledInstance(tuple(tokens.split(" ")),
-                                           _aspect_from_str(aspect), polarity))
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{lineno}: {e}") from None
+    for lineno, line in _numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        tokens, aspect, polarity = parts
+        try:
+            out.append(LabeledInstance(tuple(tokens.split(" ")),
+                                       _aspect_from_str(aspect), polarity))
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{lineno}: {e}") from None
     return out
 
 

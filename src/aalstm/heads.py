@@ -1,15 +1,17 @@
 """Sentiment heads: turn hidden-state sequences into class probabilities.
 
-Two heads are provided. The last-hidden head simply takes h_T as the final
-sentiment representation. The attention head follows the concat-score design
+Both heads take the cell's hidden states as one (T, dc) array H (a list of
+T vectors also works) and hand their gradient back as one (T, dc) array.
+The last-hidden head simply takes h_T as the final sentiment
+representation. The attention head follows the concat-score design
 of the cited aspect-attention architecture: each hidden state is scored
 against the aspect, the states are averaged under the softmaxed scores, and
 the result is blended with h_T:
 
-    score_t = w . tanh([W_h h_t, W_v A])
-    alpha   = softmax(score)
-    r       = sum_t alpha_t h_t
-    repr    = tanh(W_p r + W_x h_T)
+    U       = tanh([H W_h^T | W_v A])       (T, dc + da), W_v A on every row
+    alpha   = softmax(U w)                  (T,)
+    r       = alpha H                       (dc,)
+    repr    = tanh(W_p r + W_x h_T)         (dc,)
 
 A 3-way softmax classifier maps the representation to polarity probabilities
 (positive, negative, neutral).
@@ -42,13 +44,13 @@ class _Arrays:
 
 @dataclass
 class AttentionParams(_Arrays):
-    """Attention weights; dr (representation dim) defaults to dc at init."""
+    """Attention weights over (dc,) hidden states and a (da,) aspect."""
 
     W_h: np.ndarray  # (dc, dc) hidden-state projection for scoring
     W_v: np.ndarray  # (da, da) aspect projection for scoring
     w: np.ndarray    # (dc + da,) scoring vector
-    W_p: np.ndarray  # (dr, dc) projection of the attention average
-    W_x: np.ndarray  # (dr, dc) projection of the last hidden state
+    W_p: np.ndarray  # (dc, dc) projection of the attention average
+    W_x: np.ndarray  # (dc, dc) projection of the last hidden state
 
     def __post_init__(self):
         self.W_h = as_matrix(self.W_h)
@@ -61,9 +63,9 @@ class AttentionParams(_Arrays):
             raise ShapeError(f"score projections must be square, got {self.W_h.shape}, {self.W_v.shape}")
         if self.w.shape != (dc + da,):
             raise ShapeError(f"score vector shape {self.w.shape} != ({dc + da},)")
-        if self.W_p.shape[1] != dc or self.W_x.shape != self.W_p.shape:
+        if self.W_p.shape != (dc, dc) or self.W_x.shape != (dc, dc):
             raise ShapeError(f"output projections {self.W_p.shape}/{self.W_x.shape} "
-                             f"incompatible with hidden dim {dc}")
+                             f"!= ({dc}, {dc})")
 
     @property
     def hidden_dim(self) -> int:
@@ -73,20 +75,15 @@ class AttentionParams(_Arrays):
     def aspect_dim(self) -> int:
         return self.W_v.shape[0]
 
-    @property
-    def repr_dim(self) -> int:
-        return self.W_p.shape[0]
-
     @classmethod
-    def init(cls, hidden_dim: int, aspect_dim: int, repr_dim: int | None = None,
-             lo: float = -0.1, hi: float = 0.1, seed=0) -> "AttentionParams":
-        dr = hidden_dim if repr_dim is None else repr_dim
+    def init(cls, hidden_dim: int, aspect_dim: int, lo: float = -0.1, hi: float = 0.1,
+             seed=0) -> "AttentionParams":
         return cls(
             W_h=uniform_init(hidden_dim, hidden_dim, lo, hi, seed=[seed, 20]),
             W_v=uniform_init(aspect_dim, aspect_dim, lo, hi, seed=[seed, 21]),
             w=uniform_init(1, hidden_dim + aspect_dim, lo, hi, seed=[seed, 22])[0],
-            W_p=uniform_init(dr, hidden_dim, lo, hi, seed=[seed, 23]),
-            W_x=uniform_init(dr, hidden_dim, lo, hi, seed=[seed, 24]),
+            W_p=uniform_init(hidden_dim, hidden_dim, lo, hi, seed=[seed, 23]),
+            W_x=uniform_init(hidden_dim, hidden_dim, lo, hi, seed=[seed, 24]),
         )
 
 
@@ -94,7 +91,7 @@ class AttentionParams(_Arrays):
 class ClassifierParams(_Arrays):
     """Softmax classifier over the three polarity classes."""
 
-    W_s: np.ndarray  # (3, dr)
+    W_s: np.ndarray  # (3, dc)
     b_s: np.ndarray  # (3,)
 
     def __post_init__(self):
@@ -122,99 +119,85 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def last_hidden_head(hs: list[np.ndarray]) -> np.ndarray:
-    """The final hidden state, unmodified."""
+def last_hidden_head(hs) -> np.ndarray:
+    """The final hidden state h_T, unmodified: the last row of (T, dc) states."""
     if len(hs) == 0:
         raise ValueError("last_hidden_head: empty hidden-state sequence")
     return hs[-1]
 
 
-def last_hidden_backward(d_repr: np.ndarray, length: int) -> list[np.ndarray]:
-    """Route the representation gradient to h_T; earlier steps get zeros."""
-    dhs = [np.zeros_like(d_repr) for _ in range(length)]
-    dhs[-1] = d_repr
-    return dhs
+def last_hidden_backward(d_repr: np.ndarray, length: int) -> np.ndarray:
+    """Route the (dc,) representation gradient to h_T: a (T, dc) array of
+    zeros with d_repr as its last row."""
+    dH = np.zeros((length, d_repr.shape[0]))
+    dH[-1] = d_repr
+    return dH
 
 
 @dataclass
 class AttentionCache:
-    hs: list[np.ndarray]
-    aspect: np.ndarray
-    u: list[np.ndarray]       # tanh'd concat score features, one per step
-    weights: np.ndarray       # attention distribution over steps
-    r: np.ndarray             # attention-weighted state average
-    repr: np.ndarray
+    H: np.ndarray             # (T, dc) hidden states
+    aspect: np.ndarray        # (da,)
+    U: np.ndarray             # (T, dc + da) tanh'd concat score features
+    weights: np.ndarray       # (T,) attention distribution over steps
+    r: np.ndarray             # (dc,) attention-weighted state average
+    repr: np.ndarray          # (dc,)
 
 
-def attention_scores(hs: list[np.ndarray], aspect: np.ndarray,
-                     p: AttentionParams) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-step scores w . tanh([W_h h_t, W_v A]) and the tanh'd features."""
-    va = p.W_v @ aspect
-    u = [tanh_v(np.concatenate([p.W_h @ h, va])) for h in hs]
-    return np.array([p.w @ ut for ut in u]), u
+def attention_scores(hs, aspect: np.ndarray,
+                     p: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Scores w . tanh([W_h h_t, W_v A]) of (T, dc) states: the (T,) scores
+    and the (T, dc + da) tanh'd features U."""
+    H = as_matrix(hs)
+    va = np.broadcast_to(p.W_v @ aspect, (H.shape[0], p.aspect_dim))
+    U = tanh_v(np.hstack((H @ p.W_h.T, va)))
+    return U @ p.w, U
 
 
-def attention_head(hs: list[np.ndarray], aspect: np.ndarray,
+def attention_head(hs, aspect: np.ndarray,
                    p: AttentionParams) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-    """Aspect-conditioned attention over hidden states.
+    """Aspect-conditioned attention over (T, dc) hidden states (an array, or
+    a list of T vectors) and a (da,) aspect.
 
-    Returns (representation, attention weights, cache for the backward pass).
-    Weights are a probability distribution over the sequence positions.
+    Returns the (dc,) representation, the (T,) attention weights, a
+    probability distribution over the positions, and the backward cache.
     """
     if len(hs) == 0:
         raise ValueError("attention_head: empty hidden-state sequence")
     if aspect.shape != (p.aspect_dim,):
         raise ShapeError(f"aspect shape {aspect.shape} != ({p.aspect_dim},)")
-    for h in hs:
-        if h.shape != (p.hidden_dim,):
-            raise ShapeError(f"hidden state shape {h.shape} != ({p.hidden_dim},)")
-    scores, u = attention_scores(hs, aspect, p)
+    H = as_matrix(hs)
+    if H.shape[1] != p.hidden_dim:
+        raise ShapeError(f"hidden state shape {H.shape[1:]} != ({p.hidden_dim},)")
+    scores, U = attention_scores(H, aspect, p)
     weights = softmax(scores)
-    r = np.zeros(p.hidden_dim)
-    for alpha, h in zip(weights, hs):
-        r = r + alpha * h
-    rep = tanh_v(p.W_p @ r + p.W_x @ hs[-1])
-    return rep, weights, AttentionCache(hs=hs, aspect=aspect, u=u, weights=weights, r=r, repr=rep)
+    r = weights @ H
+    rep = tanh_v(p.W_p @ r + p.W_x @ H[-1])
+    return rep, weights, AttentionCache(H=H, aspect=aspect, U=U, weights=weights, r=r, repr=rep)
 
 
 def attention_backward(p: AttentionParams, cache: AttentionCache, d_repr: np.ndarray,
-                       ) -> tuple[dict[str, np.ndarray], list[np.ndarray], np.ndarray]:
-    """Backprop through the attention head.
+                       ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Backprop a (dc,) representation gradient through the attention head.
 
-    Returns (param grads, one gradient per hidden state, aspect gradient).
+    Returns (param grads, (T, dc) hidden-state grads, (da,) aspect grad).
     """
     if d_repr.shape != cache.repr.shape:
         raise ValueError(f"upstream gradient shape {d_repr.shape} != {cache.repr.shape}")
-    hs, weights, u = cache.hs, cache.weights, cache.u
-    dc, da = p.hidden_dim, p.aspect_dim
-    grads = {name: np.zeros_like(arr) for name, arr in p.to_arrays().items()}
-    dhs = [np.zeros(dc) for _ in hs]
-
+    H, weights, U, dc = cache.H, cache.weights, cache.U, p.hidden_dim
     dz = d_repr * (1.0 - cache.repr ** 2)
-    grads["W_p"] += np.outer(dz, cache.r)
-    grads["W_x"] += np.outer(dz, hs[-1])
     dr = p.W_p.T @ dz
-    dhs[-1] += p.W_x.T @ dz
-
-    # r = sum_t alpha_t h_t
-    d_alpha = np.array([h @ dr for h in hs])
-    for t, alpha in enumerate(weights):
-        dhs[t] += alpha * dr
-
-    # softmax over scores
+    # r = weights @ H, then the softmax over the scores.
+    d_alpha = H @ dr
     d_scores = weights * (d_alpha - float(weights @ d_alpha))
-
-    d_aspect = np.zeros(da)
-    dva = np.zeros(da)
-    for t, (ds, ut) in enumerate(zip(d_scores, u)):
-        grads["w"] += ds * ut
-        dg = (ds * p.w) * (1.0 - ut ** 2)
-        grads["W_h"] += np.outer(dg[:dc], hs[t])
-        dhs[t] += p.W_h.T @ dg[:dc]
-        grads["W_v"] += np.outer(dg[dc:], cache.aspect)
-        dva += dg[dc:]
-    d_aspect += p.W_v.T @ dva
-    return grads, dhs, d_aspect
+    # Score features: dG is the gradient on [W_h h_t | W_v A] before the tanh.
+    dG = np.outer(d_scores, p.w) * (1.0 - U ** 2)
+    dG_h, dva = dG[:, :dc], dG[:, dc:].sum(axis=0)
+    dH = np.outer(weights, dr) + dG_h @ p.W_h
+    dH[-1] += p.W_x.T @ dz
+    grads = {"W_h": dG_h.T @ H, "W_v": np.outer(dva, cache.aspect), "w": d_scores @ U,
+             "W_p": np.outer(dz, cache.r), "W_x": np.outer(dz, H[-1])}
+    return grads, dH, p.W_v.T @ dva
 
 
 @dataclass

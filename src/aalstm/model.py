@@ -127,12 +127,10 @@ class SentimentModel:
                 raise ConfigError(
                     f"attention aspect dim {attn.aspect_dim} != aspect vector "
                     f"dim {aspect_dim}")
-        rep_dim = attn.W_p.shape[0] if (attn is not None and head_kind == "attention") \
-            else cell.hidden_dim
-        if clf.W_s.shape[1] != rep_dim:
+        if clf.W_s.shape[1] != cell.hidden_dim:
             raise ConfigError(
                 f"classifier input dim {clf.W_s.shape[1]} != representation "
-                f"dim {rep_dim}")
+                f"dim {cell.hidden_dim}")
         self.task = task
         self.cell_kind = cell_kind
         self.head_kind = head_kind
@@ -218,18 +216,18 @@ class SentimentModel:
 
         d_aspect = None
         if self.head_kind == "attention":
-            attn_grads, dh_list, d_aspect = attention_backward(
+            attn_grads, dH, d_aspect = attention_backward(
                 self.attn, cache.head_cache, d_rep)
         else:
             attn_grads = None
-            dh_list = last_hidden_backward(d_rep, len(cache.cell_cache))
+            dH = last_hidden_backward(d_rep, len(cache.cell_cache))
 
         if self.cell_kind == "aa":
             cell_grads, dX, d_aspect_cell = aa_lstm_backward(
-                self.cell, cache.cell_cache, dh_list)
+                self.cell, cache.cell_cache, dH)
             d_aspect = d_aspect_cell if d_aspect is None else d_aspect + d_aspect_cell
         else:
-            cell_grads, dX = classic_lstm_backward(self.cell, cache.cell_cache, dh_list)
+            cell_grads, dX = classic_lstm_backward(self.cell, cache.cell_cache, dH)
 
         grads: dict[str, np.ndarray] = {}
         for name, g in cell_grads.items():
@@ -247,9 +245,8 @@ class SentimentModel:
             np.add.at(d_words, cache.indices, dX)
             if d_aspect is not None and isinstance(inst.aspect, TermSpan):
                 span = inst.aspect
-                share = d_aspect / (span.end - span.start + 1)
-                for t in range(span.start, span.end + 1):
-                    d_words[cache.indices[t]] += share
+                np.add.at(d_words, cache.indices[span.start:span.end + 1],
+                          d_aspect / (span.end - span.start + 1))
             grads["emb.words"] = d_words
         if self.aspect_embeddings is not None and self.uses_aspect:
             d_cats = np.zeros_like(self.aspect_embeddings.matrix)
@@ -286,7 +283,7 @@ def build_model(task: str, cell_kind: str, head_kind: str,
             f"vectors have the embedding dim {dx}, hidden is {hidden_dim}")
     lo, hi = init_low, init_high
     if cell_kind == "aa":
-        cell = AALstmParams.init(dx, hidden_dim, aspect_dim, lo=lo, hi=hi, seed=seed)
+        cell = AALstmParams.init(dx, hidden_dim, lo=lo, hi=hi, seed=seed)
     else:
         cell = ClassicLstmParams.init(dx, hidden_dim, lo=lo, hi=hi, seed=seed)
     attn = AttentionParams.init(hidden_dim, aspect_dim, lo=lo, hi=hi, seed=seed) \

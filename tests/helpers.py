@@ -3,8 +3,9 @@
 The scalar implementations below use plain Python floats, lists, and
 math.exp only, no numpy, so they are an independent oracle for the
 vectorized cell code. The per-gate backward passes and the two-branch
-activations are the earlier numpy forms of the fused kernels, kept as
-oracles for them.
+activations are the earlier numpy forms of the fused kernels, and the
+per-step attention forward and backward the earlier form of the (T, dc)
+array head, kept as oracles for them.
 """
 
 import math
@@ -165,6 +166,58 @@ def per_gate_aa_backward(p, caches, dh_list, with_aspect_grad=True):
         dxs[t] = dxh[:dx_in]
         dh_rec = dxh[dx_in:] + dah[da:]
     return grads, dxs, d_aspect
+
+
+def loop_attention_head(hs, aspect, p):
+    """Per-step attention forward over a list of hidden states:
+    (representation, weights, cache for loop_attention_backward)."""
+    from aalstm.heads import softmax
+    from aalstm.tensor import tanh_v
+    va = p.W_v @ aspect
+    u = [tanh_v(np.concatenate([p.W_h @ h, va])) for h in hs]
+    scores = np.array([p.w @ ut for ut in u])
+    weights = softmax(scores)
+    r = np.zeros(p.hidden_dim)
+    for alpha, h in zip(weights, hs):
+        r = r + alpha * h
+    rep = tanh_v(p.W_p @ r + p.W_x @ hs[-1])
+    cache = SimpleNamespace(hs=hs, aspect=aspect, u=u, weights=weights, r=r, repr=rep)
+    return rep, weights, cache
+
+
+def loop_attention_backward(p, cache, d_repr):
+    """Per-step attention backward: (param grads, one gradient per hidden
+    state, aspect gradient)."""
+    hs, weights, u = cache.hs, cache.weights, cache.u
+    dc, da = p.hidden_dim, p.aspect_dim
+    grads = {name: np.zeros_like(arr) for name, arr in p.to_arrays().items()}
+    dhs = [np.zeros(dc) for _ in hs]
+
+    dz = d_repr * (1.0 - cache.repr ** 2)
+    grads["W_p"] += np.outer(dz, cache.r)
+    grads["W_x"] += np.outer(dz, hs[-1])
+    dr = p.W_p.T @ dz
+    dhs[-1] += p.W_x.T @ dz
+
+    # r = sum_t alpha_t h_t
+    d_alpha = np.array([h @ dr for h in hs])
+    for t, alpha in enumerate(weights):
+        dhs[t] += alpha * dr
+
+    # softmax over scores
+    d_scores = weights * (d_alpha - float(weights @ d_alpha))
+
+    d_aspect = np.zeros(da)
+    dva = np.zeros(da)
+    for t, (ds, ut) in enumerate(zip(d_scores, u)):
+        grads["w"] += ds * ut
+        dg = (ds * p.w) * (1.0 - ut ** 2)
+        grads["W_h"] += np.outer(dg[:dc], hs[t])
+        dhs[t] += p.W_h.T @ dg[:dc]
+        grads["W_v"] += np.outer(dg[dc:], cache.aspect)
+        dva += dg[dc:]
+    d_aspect += p.W_v.T @ dva
+    return grads, dhs, d_aspect
 
 
 def params_as_lists(params) -> dict:

@@ -106,7 +106,8 @@ class TestAAStep:
 
     def test_aspect_dim_must_match_hidden(self):
         with pytest.raises(ConfigError):
-            AALstmParams.init(3, 4, aspect_dim=5, seed=0)
+            AALstmParams(W_aspect=np.zeros((15, 10)), b_aspect=np.zeros(15),
+                         W_core=np.zeros((16, 7)), b_core=np.zeros(16))
 
 
 class TestClassicStep:

@@ -10,9 +10,10 @@ import pytest
 
 from aalstm.cells import ConfigError
 from aalstm.checkpoint import load_checkpoint, save_checkpoint
-from aalstm.cli import (CliError, build_parser, main, parse_config_file,
-                        pipeline_grad_report, resolve_config, run_bench)
-from aalstm.data import build_vocab, random_embeddings
+from aalstm.cli import (CliError, _load_eval_instances, build_parser, main,
+                        parse_config_file, pipeline_grad_report, resolve_config,
+                        run_bench)
+from aalstm.data import CategoryId, build_vocab, random_embeddings
 from aalstm.model import build_model
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "mini_reviews.xml")
@@ -222,6 +223,59 @@ def test_eval_bad_instances_tsv_is_data_error(tmp_path, capsys, task, line, mess
     assert code == 1
     assert err.startswith("error:")
     assert "insts.tsv" in err and message in err
+
+
+def _category_doc(path, category):
+    path.write_text(
+        '<sentences><sentence id="c1"><text>The soup is bad.</text><aspectCategories>'
+        f'<aspectCategory category="{category}" polarity="negative"/>'
+        "</aspectCategories></sentence></sentences>")
+    return str(path)
+
+
+def test_eval_xml_categories_use_the_checkpoint_table(tmp_path, capsys):
+    emb = random_embeddings(build_vocab([]), dim=4)
+    model = build_model("acsa", "aa", "last", emb, hidden_dim=4,
+                        categories=("service", "food"))
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(model, ckpt)
+    doc = _category_doc(tmp_path / "food.xml", "food")
+    [inst] = _load_eval_instances(doc, load_checkpoint(ckpt))
+    assert inst.aspect == CategoryId(1)
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", doc]) == 0
+
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--data", _category_doc(tmp_path / "amb.xml", "ambience")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "amb.xml" in err and "unknown category 'ambience'" in err
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("eval", b"the soup is bad\tterm:1:1\tnegative\ncaf\xe9\tterm:0:0\tneutral\n",
+     "bad.txt:2: not valid UTF-8"),
+    ("train", b"the 0.1 0.2 0.3 0.4 0.5\nsoup 0.1 abc 0.3 0.4 0.5\n",
+     "bad.txt:2: 'soup': could not convert string to float: 'abc'"),
+    ("train", b"the 0.1 0.2 0.3 0.4 0.5\ncaf\xe9 0.1 0.2 0.3 0.4 0.5\n",
+     "bad.txt:2: not valid UTF-8"),
+], ids=["eval-tsv-utf8", "train-emb-number", "train-emb-utf8"])
+def test_bad_input_file_is_data_error(tmp_path, capsys, command, payload, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(payload)
+    if command == "eval":
+        emb = random_embeddings(build_vocab([]), dim=4)
+        ckpt = tmp_path / "model.npz"
+        save_checkpoint(build_model("atsa", "classic", "last", emb, hidden_dim=4), ckpt)
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(bad)]
+    else:
+        argv = ["train", "--data", FIXTURE, "--emb", str(bad), "--dim", "5",
+                "--hidden", "5", "--epochs", "1", "--out", str(tmp_path / "o")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert message in err
 
 
 def test_train_on_one_usable_instance_is_cli_error(tmp_path, capsys):

@@ -207,6 +207,25 @@ def test_load_embeddings_rejects_too_many_numbers(tmp_path):
         load_embeddings(f, vocab, dim=3, seed=0)
 
 
+def test_load_embeddings_non_number_names_line(tmp_path):
+    f = tmp_path / "vec.txt"
+    f.write_text("euro 1.0 2.0\nthe 0.1 abc\n")
+    vocab = {UNK_TOKEN: 0, "euro": 1, "the": 2}
+    with pytest.raises(DataFormatError, match=r"vec.txt:2: 'the': .*'abc'"):
+        load_embeddings(f, vocab, dim=2, seed=0)
+
+
+@pytest.mark.parametrize("load", [
+    lambda path: load_embeddings(path, {UNK_TOKEN: 0, "euro": 1}, dim=2, seed=0),
+    load_instances,
+], ids=["embeddings", "instances"])
+def test_invalid_utf8_names_file_and_line(tmp_path, load):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"fine\tcategory:0\tneutral\n\ncaf\xe9 0.1 0.2\n")
+    with pytest.raises(DataFormatError, match=r"bad.txt:3: not valid UTF-8"):
+        load(f)
+
+
 def test_load_embeddings_oov_rows_deterministic(tmp_path):
     f = tmp_path / "vec.txt"
     f.write_text("euro 1.0 2.0 3.0\n")

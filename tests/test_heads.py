@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aalstm import tensor
 from aalstm.heads import (
@@ -19,11 +21,12 @@ from aalstm.heads import (
     softmax,
 )
 
-from helpers import fd_grad_of_array, worst_rel_err
+from helpers import (fd_grad_of_array, loop_attention_backward, loop_attention_head,
+                     worst_rel_err)
 
 
-def random_attention_params(rng, dc, da, dr=None):
-    p = AttentionParams.init(dc, da, repr_dim=dr, seed=0)
+def random_attention_params(rng, dc, da):
+    p = AttentionParams.init(dc, da, seed=0)
     return AttentionParams.from_arrays(
         {k: rng.normal(scale=0.5, size=v.shape) for k, v in p.to_arrays().items()})
 
@@ -149,6 +152,36 @@ class TestAttention:
         for g in dhs:
             assert np.all(g == 0.0)
         assert np.all(d_aspect == 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n_steps=st.integers(1, 12), dc=st.integers(1, 9), da=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_array_form_matches_loop_oracle(n_steps, dc, da, seed):
+    rng = tensor.make_rng(seed)
+    p = random_attention_params(rng, dc=dc, da=da)
+    H = rng.normal(size=(n_steps, dc))
+    aspect = rng.normal(size=da)
+    d_repr = rng.normal(size=dc)
+
+    rep, weights, cache = attention_head(H, aspect, p)
+    want_rep, want_weights, want = loop_attention_head(list(H), aspect, p)
+
+    def close(got, expected):
+        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+
+    close(rep, want_rep)
+    close(weights, want_weights)
+    close(cache.U, want.u)
+    close(cache.r, want.r)
+    grads, dH, d_aspect = attention_backward(p, cache, d_repr)
+    want_grads, want_dhs, want_d_aspect = loop_attention_backward(p, want, d_repr)
+    assert list(grads) == list(want_grads)
+    for name, g in grads.items():
+        close(g, want_grads[name])
+    assert dH.shape == (n_steps, dc)
+    close(dH, want_dhs)
+    close(d_aspect, want_d_aspect)
 
 
 class TestClassifier:
