@@ -16,11 +16,14 @@ context word ``x_t`` varies:
 
 so the aspect only steers information flow through the gates. With A = 0 the
 three ``a_* * A`` terms vanish and the step reduces exactly to the classic
-cell on the shared core weights.
+cell on the shared core weights. The classic cell is the aspect-aware one
+without the aspect gates, so a parameter set's class is its cell kind: code
+that needs to know the kind asks ``isinstance(p, AALstmParams)``.
 
 Backward passes are hand-derived backpropagation through time with weight
-gradients accumulated across steps (weights are tied over time) and the
-aspect gradient summed over every step it feeds.
+gradients accumulated across steps (weights are tied over time). The
+aspect-aware backward always returns the aspect gradient, summed over every
+step the aspect feeds.
 
 Storage. A parameter set's only fields are its row-stacked buffers: the
 core gates in ``W_core`` (4*dc, dx+dc) and ``b_core`` (4*dc,) in the order
@@ -216,6 +219,12 @@ class _StackedParams:
         """Read every array straight into new stacked storage (see _read_stacked)."""
         return cls(**_read_stacked(source, cls._BLOCKS))
 
+    @classmethod
+    def init(cls, input_dim: int, hidden_dim: int, lo: float = -0.1, hi: float = 0.1,
+             seed=0):
+        """Weights from U(lo, hi), biases zero; an aspect dim is hidden_dim."""
+        return cls.from_source(_Init(hidden_dim, input_dim + hidden_dim, lo, hi, seed))
+
 
 @dataclass
 class ClassicLstmParams(_StackedParams):
@@ -227,12 +236,6 @@ class ClassicLstmParams(_StackedParams):
 
     _BLOCKS = _CORE
     _NAMES = ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")
-
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, lo: float = -0.1, hi: float = 0.1,
-             seed=0) -> "ClassicLstmParams":
-        """Weights from U(lo, hi), biases zero."""
-        return cls.from_source(_Init(hidden_dim, input_dim + hidden_dim, lo, hi, seed))
 
 
 @dataclass
@@ -258,16 +261,6 @@ class AALstmParams(_StackedParams):
     @property
     def aspect_dim(self) -> int:
         return self.b_aspect.shape[0] // 3
-
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, lo: float = -0.1, hi: float = 0.1,
-             seed=0) -> "AALstmParams":
-        """Weights from U(lo, hi), biases zero; the aspect dim is hidden_dim."""
-        return cls.from_source(_Init(hidden_dim, input_dim + hidden_dim, lo, hi, seed))
-
-    def core(self) -> ClassicLstmParams:
-        """The classic cell embedded in this one (shared core weights)."""
-        return ClassicLstmParams(self.W_core, self.b_core)
 
 
 def _run(p, X: np.ndarray, prev: CellState, aspect: Optional[np.ndarray]) -> SequenceCache:
@@ -345,7 +338,7 @@ def unroll(params, xs, aspect: Optional[np.ndarray] = None,
     return cache.H[1:], cache
 
 
-def _bptt(p, cache: SequenceCache, dH, with_aspect_grad: bool):
+def _bptt(p, cache: SequenceCache, dH):
     """BPTT shared by both cells; returns (param grads, input grads, aspect grad).
 
     dH holds the (T, dc) gradients on the hidden states (a list of T vectors
@@ -404,28 +397,24 @@ def _bptt(p, cache: SequenceCache, dH, with_aspect_grad: bool):
         AH = np.hstack((np.tile(cache.aspect, (n_steps, 1)), H_prev))
         grads["W_aspect"] = dZa.T @ AH
         grads["b_aspect"] = dZa.sum(axis=0)
-        if with_aspect_grad:
-            d_aspect = (dZ[:, :3 * dc] * a_gates).reshape(-1, dc).sum(axis=0)
-            d_aspect += p.W_aspect[:, :dc].T @ grads["b_aspect"]
+        d_aspect = (dZ[:, :3 * dc] * a_gates).reshape(-1, dc).sum(axis=0)
+        d_aspect += p.W_aspect[:, :dc].T @ grads["b_aspect"]
     return p._named(grads), dZ @ p.W_core[:, :dx], d_aspect
 
 
 def classic_lstm_backward(p: ClassicLstmParams, cache: SequenceCache,
                           dH) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """BPTT for the classic cell: per-parameter grads and (T, dx) input grads."""
-    grads, dX, _ = _bptt(p, cache, dH, with_aspect_grad=False)
+    grads, dX, _ = _bptt(p, cache, dH)
     return grads, dX
 
 
-def aa_lstm_backward(p: AALstmParams, cache: SequenceCache, dH,
-                     with_aspect_grad: bool = True,
-                     ) -> tuple[dict[str, np.ndarray], np.ndarray, Optional[np.ndarray]]:
+def aa_lstm_backward(p: AALstmParams, cache: SequenceCache,
+                     dH) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """BPTT for the aspect-aware cell.
 
     Returns (param grads, (T, dx) input grads, aspect grad). The aspect feeds
     every step through all three aspect gates and the three gated injections,
-    so its gradient is summed over the whole sequence; pass
-    with_aspect_grad=False to skip it (returns None) when the aspect vector is
-    not trained.
+    so its gradient is summed over the whole sequence.
     """
-    return _bptt(p, cache, dH, with_aspect_grad)
+    return _bptt(p, cache, dH)

@@ -5,7 +5,9 @@ plus a `__meta__` JSON string carrying everything that is not a weight:
 format version, task/cell/head switches, the vocabulary in row order, which
 rows were randomly initialized, and the category list. Word embeddings and
 the category table are always stored, even when frozen during training,
-because inference needs them. Loading rejects an array holding NaN or inf.
+because inference needs them. The cell and head names pick which parameter
+sets are read, so loading checks them first; it also rejects an array
+holding NaN or inf.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .cells import AALstmParams, ClassicLstmParams
 from .data import AspectEmbeddingTable, EmbeddingTable
 from .heads import AttentionParams, ClassifierParams
-from .model import SentimentModel
+from .model import CELLS, HEADS, SentimentModel
 
 FORMAT_NAME = "aalstm-checkpoint"
 FORMAT_VERSION = 1
@@ -134,6 +136,11 @@ def _read_model(path, archive) -> SentimentModel:
             f"(this build reads version {FORMAT_VERSION})")
 
     try:
+        for switch, known in (("cell", CELLS), ("head", HEADS)):
+            if meta[switch] not in known:
+                raise CheckpointError(
+                    f"checkpoint {path} has unknown {switch} {meta[switch]!r}; "
+                    f"expected one of {known}")
         vocab = {token: i for i, token in enumerate(meta["vocab"])}
         embeddings = EmbeddingTable(vocab, _Section(archive, "emb")["words"],
                                     frozenset(meta["oov_tokens"]))
@@ -146,8 +153,7 @@ def _read_model(path, archive) -> SentimentModel:
         if meta["categories"] is not None:
             aspect_embeddings = AspectEmbeddingTable(tuple(meta["categories"]),
                                                      _Section(archive, "emb")["aspects"])
-        model = SentimentModel(meta["task"], meta["cell"], meta["head"],
-                               embeddings, cell, clf, attn=attn,
+        model = SentimentModel(meta["task"], embeddings, cell, clf, attn=attn,
                                aspect_embeddings=aspect_embeddings,
                                train_embeddings=bool(meta["train_embeddings"]))
     except CheckpointError:

@@ -25,10 +25,8 @@ from .data import (POLARITIES, RESTAURANT_CATEGORIES, UNK_TOKEN, CategoryId,
                    parse_semeval_xml, save_instances)
 from .model import CELLS, HEADS, TASKS, build_model
 from .tensor import make_rng
-from .train import (GradCheckReport, TrainConfig, TrainingDiverged,
-                    cross_entropy, evaluate, grad_check, train)
-
-GRADCHECK_THRESHOLD = 1e-4
+from .train import (GRADCHECK_THRESHOLD, GradCheckReport, TrainConfig,
+                    TrainingDiverged, cross_entropy, evaluate, grad_check, train)
 
 # Weights and inputs for the end-to-end gradient check are drawn from
 # U(-0.6, 0.6) rather than the training init range. At the smaller scale many

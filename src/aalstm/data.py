@@ -125,47 +125,37 @@ def parse_semeval_xml(path, task: str,
     except ET.ParseError as e:
         raise DataFormatError(f"{path}: malformed XML: {e}") from e
     category_index = {name: i for i, name in enumerate(categories)}
+    tag = "aspectTerm" if task == "atsa" else "aspectCategory"
     instances: list[LabeledInstance] = []
     for sentence in tree.getroot().iter("sentence"):
+        sid = sentence.get("id")
         text_node = sentence.find("text")
         if text_node is None or not (text_node.text or "").strip():
-            raise DataFormatError(f"{path}: sentence {sentence.get('id')!r} has no text")
-        text = text_node.text
-        tokens, offsets = tokenize_with_offsets(text)
-        if task == "atsa":
-            for term in sentence.iter("aspectTerm"):
-                polarity = term.get("polarity")
-                if polarity == "conflict":
-                    continue
-                if polarity not in POLARITIES:
-                    raise DataFormatError(
-                        f"{path}: sentence {sentence.get('id')!r}: bad polarity {polarity!r}")
+            raise DataFormatError(f"{path}: sentence {sid!r} has no text")
+        tokens, offsets = tokenize_with_offsets(text_node.text)
+        for node in sentence.iter(tag):
+            polarity = node.get("polarity")
+            if polarity == "conflict":
+                continue
+            if polarity not in POLARITIES:
+                raise DataFormatError(f"{path}: sentence {sid!r}: bad polarity {polarity!r}")
+            if task == "atsa":
                 try:
-                    lo, hi = int(term.get("from")), int(term.get("to"))
+                    lo, hi = int(node.get("from")), int(node.get("to"))
                 except (TypeError, ValueError) as e:
-                    raise DataFormatError(
-                        f"{path}: sentence {sentence.get('id')!r}: bad offsets on "
-                        f"term {term.get('term')!r}") from e
+                    raise DataFormatError(f"{path}: sentence {sid!r}: bad offsets on "
+                                          f"term {node.get('term')!r}") from e
                 try:
-                    span = char_range_to_span(offsets, lo, hi)
+                    aspect = char_range_to_span(offsets, lo, hi)
                 except DataFormatError as e:
-                    raise DataFormatError(
-                        f"{path}: sentence {sentence.get('id')!r}: {e}") from e
-                instances.append(LabeledInstance(tuple(tokens), span, polarity))
-        else:
-            for cat in sentence.iter("aspectCategory"):
-                polarity = cat.get("polarity")
-                if polarity == "conflict":
-                    continue
-                if polarity not in POLARITIES:
-                    raise DataFormatError(
-                        f"{path}: sentence {sentence.get('id')!r}: bad polarity {polarity!r}")
-                name = cat.get("category")
+                    raise DataFormatError(f"{path}: sentence {sid!r}: {e}") from e
+            else:
+                name = node.get("category")
                 if name not in category_index:
                     raise DataFormatError(
-                        f"{path}: sentence {sentence.get('id')!r}: unknown category {name!r}")
-                instances.append(
-                    LabeledInstance(tuple(tokens), CategoryId(category_index[name]), polarity))
+                        f"{path}: sentence {sid!r}: unknown category {name!r}")
+                aspect = CategoryId(category_index[name])
+            instances.append(LabeledInstance(tuple(tokens), aspect, polarity))
     return instances
 
 

@@ -1,17 +1,21 @@
 """The full classifier: embeddings -> recurrent cell -> head -> softmax.
 
-A model is picked by three switches: task ("atsa" aspect vectors are span
-means of token embeddings, "acsa" aspect vectors are rows of a trainable
-category table), cell ("classic" or the aspect-aware "aa"), and head ("last"
-hidden state or aspect-conditioned "attention"). `SentimentModel.arrays()` is
+The task is a switch: "atsa" aspect vectors are span means of token
+embeddings, "acsa" aspect vectors are rows of a trainable category table. The
+cell and head kinds are read from the parts a model holds: the cell is
+"aa" (aspect-aware) when it is an `AALstmParams` and "classic" otherwise, and
+the head is aspect-conditioned "attention" when the model has attention
+weights and the "last" hidden state otherwise. `build_model` takes the kinds
+by name and builds the matching parts. `SentimentModel.arrays()` is
 the one owner of the namespaced array names ("emb.words", "cell.W_i",
 "clf.b_s", ...): the checkpoint writes exactly those arrays, and `params()`,
 which the optimizer and the gradient check walk, is the same dict minus the
 frozen or unused tables.
 
 A forward run gathers the (T, dx) input rows once, applies one dropout mask
-to all of them, and keeps the cell's `SequenceCache`; the backward pass
-scatters the (T, dx) input gradient back into the embedding rows.
+to all of them when the dropout rate is above 0, and keeps the cell's
+`SequenceCache`; the backward pass scatters the (T, dx) input gradient back
+into the embedding rows.
 
 Gradient routing notes, since they are easy to get wrong:
   - input gradients pass back through the dropout mask before
@@ -66,6 +70,11 @@ CELLS = ("classic", "aa")
 HEADS = ("last", "attention")
 
 
+def _uses_aspect(cell, attn) -> bool:
+    """The aspect-aware cell and the attention head both read the aspect."""
+    return isinstance(cell, AALstmParams) or attn is not None
+
+
 @dataclass
 class InstanceCache:
     """Everything the backward pass needs about one forward run.
@@ -77,7 +86,6 @@ class InstanceCache:
     inst: LabeledInstance
     indices: list[int]
     x_mask: Optional[np.ndarray]
-    aspect: Optional[np.ndarray]
     cell_cache: SequenceCache
     head_cache: Optional[AttentionCache]
     rep_mask: Optional[np.ndarray]
@@ -86,8 +94,7 @@ class InstanceCache:
 
 
 class SentimentModel:
-    def __init__(self, task: str, cell_kind: str, head_kind: str,
-                 embeddings: EmbeddingTable,
+    def __init__(self, task: str, embeddings: EmbeddingTable,
                  cell: Union[ClassicLstmParams, AALstmParams],
                  clf: ClassifierParams,
                  attn: Optional[AttentionParams] = None,
@@ -95,30 +102,26 @@ class SentimentModel:
                  train_embeddings: bool = True):
         if task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-        if cell_kind not in CELLS:
-            raise ConfigError(f"cell must be one of {CELLS}, got {cell_kind!r}")
-        if head_kind not in HEADS:
-            raise ConfigError(f"head must be one of {HEADS}, got {head_kind!r}")
-        if cell_kind == "aa" and not isinstance(cell, AALstmParams):
-            raise ConfigError("cell_kind 'aa' needs AALstmParams")
-        if cell_kind == "classic" and not isinstance(cell, ClassicLstmParams):
-            raise ConfigError("cell_kind 'classic' needs ClassicLstmParams")
-        if head_kind == "attention" and attn is None:
-            raise ConfigError("attention head needs AttentionParams")
-        if task == "acsa" and self._uses_aspect_static(cell_kind, head_kind) \
-                and aspect_embeddings is None:
+        self.task = task
+        self.embeddings = embeddings
+        self.aspect_embeddings = aspect_embeddings
+        self.cell = cell
+        self.attn = attn
+        self.clf = clf
+        self.train_embeddings = train_embeddings
+        if task == "acsa" and self.uses_aspect and aspect_embeddings is None:
             raise ConfigError("acsa with an aspect-using model needs a category table")
         dx = embeddings.dim
         if cell.input_dim != dx:
             raise ConfigError(
                 f"embedding dim {dx} != cell input dim {cell.input_dim}")
         aspect_dim = None
-        if self._uses_aspect_static(cell_kind, head_kind):
+        if self.uses_aspect:
             aspect_dim = aspect_embeddings.dim if task == "acsa" else dx
-        if cell_kind == "aa" and cell.aspect_dim != aspect_dim:
+        if self.cell_kind == "aa" and cell.aspect_dim != aspect_dim:
             raise ConfigError(
                 f"cell aspect dim {cell.aspect_dim} != aspect vector dim {aspect_dim}")
-        if attn is not None and head_kind == "attention":
+        if attn is not None:
             if attn.hidden_dim != cell.hidden_dim:
                 raise ConfigError(
                     f"attention hidden dim {attn.hidden_dim} != cell hidden "
@@ -131,27 +134,18 @@ class SentimentModel:
             raise ConfigError(
                 f"classifier input dim {clf.W_s.shape[1]} != representation "
                 f"dim {cell.hidden_dim}")
-        self.task = task
-        self.cell_kind = cell_kind
-        self.head_kind = head_kind
-        self.embeddings = embeddings
-        self.aspect_embeddings = aspect_embeddings
-        self.cell = cell
-        self.attn = attn
-        self.clf = clf
-        self.train_embeddings = train_embeddings
 
-    @staticmethod
-    def _uses_aspect_static(cell_kind: str, head_kind: str) -> bool:
-        return cell_kind == "aa" or head_kind == "attention"
+    @property
+    def cell_kind(self) -> str:
+        return "aa" if isinstance(self.cell, AALstmParams) else "classic"
+
+    @property
+    def head_kind(self) -> str:
+        return "last" if self.attn is None else "attention"
 
     @property
     def uses_aspect(self) -> bool:
-        return self._uses_aspect_static(self.cell_kind, self.head_kind)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.cell.hidden_dim
+        return _uses_aspect(self.cell, self.attn)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Name -> live array for every array inference needs."""
@@ -180,27 +174,25 @@ class SentimentModel:
         return sorted(name for name, arr in self.params().items()
                       if not name.startswith("emb.") and arr.ndim == 2)
 
-    def forward(self, inst: LabeledInstance, mode: str = "eval",
-                dropout: float = 0.0, rng=None) -> InstanceCache:
+    def forward(self, inst: LabeledInstance, dropout: float = 0.0,
+                rng=None) -> InstanceCache:
+        """Run one instance; `dropout` above 0 drops inputs and representation."""
         indices = [self.embeddings.index(t) for t in inst.tokens]
-        X, x_mask = self.embeddings.matrix[indices], None
-        if mode == "train" and dropout > 0.0:
-            X, x_mask = apply_dropout(X, dropout, mode, rng)
+        X, x_mask = apply_dropout(self.embeddings.matrix[indices], dropout, rng)
         aspect = None
         if self.uses_aspect:
             aspect = build_aspect_vector(inst, self.embeddings, self.aspect_embeddings)
         cell_aspect = aspect if self.cell_kind == "aa" else None
         hs, cell_cache = unroll(self.cell, X, aspect=cell_aspect)
         head_cache = None
-        if self.head_kind == "attention":
+        if self.attn is not None:
             rep, _, head_cache = attention_head(hs, aspect, self.attn)
         else:
             rep = last_hidden_head(hs)
-        rep, rep_mask = apply_dropout(rep, dropout, mode, rng) \
-            if mode == "train" and dropout > 0.0 else (rep, None)
+        rep, rep_mask = apply_dropout(rep, dropout, rng)
         probs, clf_cache = classify_with_cache(rep, self.clf)
         return InstanceCache(inst=inst, indices=indices, x_mask=x_mask,
-                             aspect=aspect, cell_cache=cell_cache,
+                             cell_cache=cell_cache,
                              head_cache=head_cache, rep_mask=rep_mask,
                              clf_cache=clf_cache, probs=probs)
 
@@ -215,7 +207,7 @@ class SentimentModel:
             d_rep = d_rep * cache.rep_mask
 
         d_aspect = None
-        if self.head_kind == "attention":
+        if self.attn is not None:
             attn_grads, dH, d_aspect = attention_backward(
                 self.attn, cache.head_cache, d_rep)
         else:
@@ -256,7 +248,7 @@ class SentimentModel:
         return grads
 
     def predict_probs(self, inst: LabeledInstance) -> np.ndarray:
-        return self.forward(inst, mode="eval").probs
+        return self.forward(inst).probs
 
     def predict(self, inst: LabeledInstance) -> int:
         return int(np.argmax(self.predict_probs(inst)))
@@ -274,7 +266,10 @@ def build_model(task: str, cell_kind: str, head_kind: str,
     is created here). The aspect-aware cell requires the aspect and hidden
     dimensions to match, so aa + atsa additionally needs emb.dim == hidden.
     """
-    uses_aspect = SentimentModel._uses_aspect_static(cell_kind, head_kind)
+    if cell_kind not in CELLS:
+        raise ConfigError(f"cell must be one of {CELLS}, got {cell_kind!r}")
+    if head_kind not in HEADS:
+        raise ConfigError(f"head must be one of {HEADS}, got {head_kind!r}")
     dx = embeddings.dim
     aspect_dim = dx if task == "atsa" else hidden_dim
     if cell_kind == "aa" and aspect_dim != hidden_dim:
@@ -282,17 +277,15 @@ def build_model(task: str, cell_kind: str, head_kind: str,
             f"aspect-aware cell needs aspect dim == hidden dim; atsa aspect "
             f"vectors have the embedding dim {dx}, hidden is {hidden_dim}")
     lo, hi = init_low, init_high
-    if cell_kind == "aa":
-        cell = AALstmParams.init(dx, hidden_dim, lo=lo, hi=hi, seed=seed)
-    else:
-        cell = ClassicLstmParams.init(dx, hidden_dim, lo=lo, hi=hi, seed=seed)
+    cell_cls = AALstmParams if cell_kind == "aa" else ClassicLstmParams
+    cell = cell_cls.init(dx, hidden_dim, lo=lo, hi=hi, seed=seed)
     attn = AttentionParams.init(hidden_dim, aspect_dim, lo=lo, hi=hi, seed=seed) \
         if head_kind == "attention" else None
     clf = ClassifierParams.init(hidden_dim, lo=lo, hi=hi, seed=seed)
     aspect_embeddings = None
-    if task == "acsa" and uses_aspect:
+    if task == "acsa" and _uses_aspect(cell, attn):
         aspect_embeddings = AspectEmbeddingTable.init(categories, aspect_dim,
                                                       lo=lo, hi=hi, seed=seed)
-    return SentimentModel(task, cell_kind, head_kind, embeddings, cell, clf,
-                          attn=attn, aspect_embeddings=aspect_embeddings,
+    return SentimentModel(task, embeddings, cell, clf, attn=attn,
+                          aspect_embeddings=aspect_embeddings,
                           train_embeddings=train_embeddings)

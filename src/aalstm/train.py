@@ -20,6 +20,8 @@ from .tensor import make_rng
 _PROB_FLOOR = 1e-12
 _FD_EPS = 1e-5
 _FD_FLOOR = 1e-8
+# A gradient check passes when its worst relative error is below this.
+GRADCHECK_THRESHOLD = 1e-4
 
 
 class TrainingDiverged(RuntimeError):
@@ -59,22 +61,21 @@ class TrainConfig:
                 f"init_low must be below init_high, got [{self.init_low}, {self.init_high}]")
 
 
-def dropout(v: np.ndarray, rate: float, mode: str, rng=None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def dropout(v: np.ndarray, rate: float, rng=None) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Inverted dropout: zero entries with probability `rate`, scale the
     survivors by 1/(1-rate) so the expectation is unchanged.
 
-    Returns (output, multiplier mask); eval mode and rate 0 pass the vector
-    through with mask None. Reusing the mask is exactly multiplying by it,
-    which is what the backward pass does.
+    Returns (output, multiplier mask). Dropout is on exactly when `rate` is
+    above 0; rate 0, as in evaluation, passes the array through with mask
+    None. Reusing the mask is exactly multiplying by it, which is what the
+    backward pass does.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
+    if rate == 0.0:
         return v, None
     if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
+        raise ValueError("dropout at a rate above 0 needs an rng")
     keep = 1.0 - rate
     mask = (rng.random(v.shape) < keep) / keep
     return v * mask, mask
@@ -148,7 +149,7 @@ class GradCheckReport:
 
     @property
     def ok(self) -> bool:
-        return self.worst_rel_err < 1e-4
+        return self.worst_rel_err < GRADCHECK_THRESHOLD
 
 
 def grad_check(loss_fn: Callable[[], float], params: dict[str, np.ndarray],
@@ -251,8 +252,7 @@ def train(model, train_insts, dev_insts, cfg: TrainConfig, log_stream=None) -> T
             grads = {k: np.zeros_like(v) for k, v in params.items()}
             ce_sum = 0.0
             for inst in batch:
-                cache = model.forward(inst, mode="train", dropout=cfg.dropout,
-                                      rng=dropout_rng)
+                cache = model.forward(inst, dropout=cfg.dropout, rng=dropout_rng)
                 ce_sum += cross_entropy(cache.probs, inst.label)
                 for k, g in model.backward(cache).items():
                     grads[k] += g

@@ -76,6 +76,12 @@ def clipped_tanh(v):
     return np.clip(np.tanh(v), -_OPEN_HI, _OPEN_HI)
 
 
+def core(p):
+    """The classic cell embedded in an aspect-aware one (shared core weights)."""
+    from aalstm.cells import ClassicLstmParams
+    return ClassicLstmParams(p.W_core, p.b_core)
+
+
 def _step_view(cache, t):
     """Step t of a SequenceCache, under the per-gate names the oracles read."""
     dc = cache.H.shape[1]
@@ -131,14 +137,14 @@ def per_gate_classic_backward(p, caches, dh_list):
     return grads, dxs
 
 
-def per_gate_aa_backward(p, caches, dh_list, with_aspect_grad=True):
+def per_gate_aa_backward(p, caches, dh_list):
     """Per-gate BPTT for the aspect-aware cell: (param grads, input grads,
-    aspect grad or None)."""
+    aspect grad)."""
     dx_in = p.input_dim
     da = p.aspect_dim
     grads = {name: np.zeros_like(arr) for name, arr in p.to_arrays().items()}
     dxs = [None] * len(caches)
-    d_aspect = np.zeros(da) if with_aspect_grad else None
+    d_aspect = np.zeros(da)
     dh_rec = np.zeros(p.hidden_dim)
     dc_rec = np.zeros(p.hidden_dim)
     for t in reversed(range(len(caches))):
@@ -160,9 +166,8 @@ def per_gate_aa_backward(p, caches, dh_list, with_aspect_grad=True):
 
         w = p.to_arrays()
         dah = w["W_ai"].T @ dz_ai + w["W_af"].T @ dz_af + w["W_ao"].T @ dz_ao
-        if with_aspect_grad:
-            d_aspect += dz_i * cache.ai_gate + dz_f * cache.af_gate + dz_o * cache.ao_gate
-            d_aspect += dah[:da]
+        d_aspect += dz_i * cache.ai_gate + dz_f * cache.af_gate + dz_o * cache.ao_gate
+        d_aspect += dah[:da]
         dxs[t] = dxh[:dx_in]
         dh_rec = dxh[dx_in:] + dah[da:]
     return grads, dxs, d_aspect

@@ -89,13 +89,15 @@ def test_criterion_2_zero_aspect_reduces_to_classic():
     """With A = 0 the aspect-aware step equals the classic step on the
     shared core weights, to 1e-12 per coordinate, 200 random triples in
     under a second."""
+    from helpers import core
+
     rng = make_rng([2024, 2])
     started = time.perf_counter()
     for trial in range(200):
         dx = int(rng.integers(1, 7))
         dc = int(rng.integers(1, 7))
         p_aa = random_aa_params(dx, dc, lo=-1.5, hi=1.5, seed=[500, trial], rng=rng)
-        p_classic = p_aa.core()
+        p_classic = core(p_aa)
         x = rng.uniform(-2.0, 2.0, dx)
         h_prev = rng.uniform(-1.0, 1.0, dc)
         c_prev = rng.uniform(-2.0, 2.0, dc)

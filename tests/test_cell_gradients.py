@@ -96,21 +96,6 @@ class TestAABackward:
         numeric = fd_grad_of_array(loss, aspect, EPS)
         assert worst_rel_err(d_aspect, numeric) < TOL
 
-    def test_aspect_grad_skippable(self):
-        rng = tensor.make_rng(25)
-        p = random_aa_params(rng, dx=3, dc=3)
-        xs = [rng.normal(size=3) for _ in range(3)]
-        aspect = rng.normal(size=3)
-        _, caches = unroll(p, xs, aspect)
-        grads, dxs, d_aspect = aa_lstm_backward(p, caches, [np.ones(3)] * 3,
-                                                with_aspect_grad=False)
-        assert d_aspect is None
-        grads_on, dxs_on, _ = aa_lstm_backward(p, caches, [np.ones(3)] * 3)
-        for name in grads:
-            assert np.array_equal(grads[name], grads_on[name])
-        for a, b in zip(dxs, dxs_on):
-            assert np.array_equal(a, b)
-
 
 class TestClassicBackward:
     def test_param_and_input_grads_match_finite_differences(self):
@@ -179,17 +164,6 @@ class TestFusedMatchesPerGateOracle:
             want = per_gate_aa_backward(p, caches, dh)
             assert_grads_close(got, want)
             np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
-
-    def test_aa_without_aspect_grad(self):
-        for rng, dx, dc, n_steps, init in self.cases(41, n=10):
-            p = random_aa_params(rng, dx=dx, dc=dc)
-            xs = [rng.normal(size=dx) for _ in range(n_steps)]
-            _, caches = unroll(p, xs, rng.normal(size=dc), init=init)
-            dh = [rng.normal(size=dc) for _ in range(n_steps)]
-            got = aa_lstm_backward(p, caches, dh, with_aspect_grad=False)
-            want = per_gate_aa_backward(p, caches, dh, with_aspect_grad=False)
-            assert got[2] is None and want[2] is None
-            assert_grads_close(got, want)
 
     def test_classic(self):
         for rng, dx, dc, n_steps, init in self.cases(42):

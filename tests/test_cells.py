@@ -16,7 +16,7 @@ from aalstm.cells import (
 )
 from aalstm.tensor import ShapeError
 
-from helpers import params_as_lists, scalar_aa_step, scalar_classic_step
+from helpers import core, params_as_lists, scalar_aa_step, scalar_classic_step
 
 
 def random_aa_params(rng, dx=3, dc=3, scale=0.5):
@@ -55,7 +55,7 @@ class TestAAStep:
             x = rng.normal(size=3)
             prev = random_state(rng, 3)
             aa_state, _ = aa_lstm_step(p, x, np.zeros(3), prev)
-            cl_state, _ = classic_lstm_step(p.core(), x, prev)
+            cl_state, _ = classic_lstm_step(core(p), x, prev)
             np.testing.assert_allclose(aa_state.h, cl_state.h, atol=1e-12, rtol=0)
             np.testing.assert_allclose(aa_state.c, cl_state.c, atol=1e-12, rtol=0)
 
@@ -199,9 +199,9 @@ class TestUnroll:
 class TestParamPlumbing:
     def test_core_extraction_shares_values(self):
         p = AALstmParams.init(3, 4, seed=5)
-        core = p.core()
-        assert np.array_equal(core.to_arrays()["W_i"], p.to_arrays()["W_i"])
-        assert np.array_equal(core.to_arrays()["b_o"], p.to_arrays()["b_o"])
+        classic = core(p)
+        assert np.array_equal(classic.to_arrays()["W_i"], p.to_arrays()["W_i"])
+        assert np.array_equal(classic.to_arrays()["b_o"], p.to_arrays()["b_o"])
 
     def test_named_fields_are_views_into_stacked_storage(self):
         # Writes through the names (optimizer, gradient check) reach the kernel.

@@ -203,6 +203,16 @@ def test_unsupported_version(tmp_path):
         load_checkpoint(dst)
 
 
+@pytest.mark.parametrize("switch,value", [("cell", "gru"), ("head", "mean")])
+def test_unknown_cell_or_head_is_rejected(tmp_path, switch, value):
+    model = make("atsa", "aa", "attention")
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(model, src)
+    rewrite_npz(src, dst, lambda e: edit_meta(e, **{switch: value}))
+    with pytest.raises(CheckpointError, match=value):
+        load_checkpoint(dst)
+
+
 def test_wrong_format_tag(tmp_path):
     model = make("atsa", "classic", "last")
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"

@@ -122,7 +122,7 @@ def test_forward_eval_deterministic():
 def test_train_mode_dropout_changes_output():
     m = make("atsa", "aa", "last")
     rng = make_rng(62)
-    dropped = m.forward(atsa_instance(), mode="train", dropout=0.5, rng=rng).probs
+    dropped = m.forward(atsa_instance(), dropout=0.5, rng=rng).probs
     clean = m.predict_probs(atsa_instance())
     assert not np.array_equal(dropped, clean)
 
@@ -142,7 +142,7 @@ def test_backward_keys_match_params():
 def test_train_mode_backward_respects_masks():
     m = make("atsa", "classic", "last")
     rng = make_rng(63)
-    cache = m.forward(atsa_instance(), mode="train", dropout=0.5, rng=rng)
+    cache = m.forward(atsa_instance(), dropout=0.5, rng=rng)
     grads = m.backward(cache)
     assert set(grads) == set(m.params())
     # a fully dropped token contributes nothing through the input path

@@ -50,17 +50,18 @@ def test_config_rejects_bad_values(kwargs):
 # --- dropout -----------------------------------------------------------------
 
 def test_dropout_eval_and_zero_rate_are_identity():
+    # Evaluation runs at rate 0, with or without an rng.
     v = np.array([1.0, -2.0, 3.0])
-    out, mask = dropout(v, 0.5, "eval")
+    out, mask = dropout(v, 0.0)
     assert out is v and mask is None
-    out, mask = dropout(v, 0.0, "train", make_rng(70))
+    out, mask = dropout(v, 0.0, make_rng(70))
     assert out is v and mask is None
 
 
 def test_dropout_survivor_stats():
     rng = make_rng(71)
     v = np.ones(100_000)
-    out, mask = dropout(v, 0.5, "train", rng)
+    out, mask = dropout(v, 0.5, rng)
     survivors = np.count_nonzero(mask) / v.size
     assert abs(survivors - 0.5) < 0.01
     # inverted scaling preserves the expectation
@@ -70,21 +71,21 @@ def test_dropout_survivor_stats():
 def test_dropout_mask_is_the_multiplier():
     rng = make_rng(72)
     v = make_rng(73).uniform(-1, 1, 50)
-    out, mask = dropout(v, 0.3, "train", rng)
+    out, mask = dropout(v, 0.3, rng)
     assert np.array_equal(out, v * mask)
     assert set(np.unique(mask)).issubset({0.0, 1.0 / 0.7})
 
 
 def test_dropout_needs_rng_in_train_mode():
     with pytest.raises(ValueError, match="rng"):
-        dropout(np.ones(3), 0.5, "train")
+        dropout(np.ones(3), 0.5)
 
 
-def test_dropout_rejects_bad_mode_and_rate():
+def test_dropout_rejects_bad_rate():
     with pytest.raises(ValueError):
-        dropout(np.ones(3), 0.5, "predict", make_rng(0))
+        dropout(np.ones(3), 1.0, make_rng(0))
     with pytest.raises(ValueError):
-        dropout(np.ones(3), 1.0, "train", make_rng(0))
+        dropout(np.ones(3), -0.1, make_rng(0))
 
 
 # --- losses ------------------------------------------------------------------
