@@ -31,8 +31,9 @@ i, f, o, c, and for the aspect-aware cell the aspect gates in ``W_aspect``
 (3*dc, 2*dc) and ``b_aspect`` (3*dc,) in the order a_i, a_f, a_o. The
 per-gate names (``W_i``, ..., ``b_ao``) exist only in ``to_arrays()``, as
 live row-block views in a fixed key order: in-place writes through them
-(the optimizer, gradient checks, restoring the best weights) reach the
-kernel, and checkpoints do not see the stacking.
+(the optimizer, gradient checks, restoring the best weights, a checkpoint
+load) reach the kernel, and checkpoints do not see the stacking. The
+buffers' shapes come from the dims in one place, ``_shapes``.
 
 One kernel runs ``unroll``, and ``classic_lstm_step``/``aa_lstm_step`` as
 one-step runs: per step one matvec and one sigmoid per gate group (i/f/o,
@@ -50,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import ShapeError, as_matrix, as_vector, sigmoid, tanh_v, uniform_init
+from .tensor import ParamSet, ShapeError, as_matrix, sigmoid, tanh_v
 
 
 class ConfigError(ValueError):
@@ -62,69 +63,6 @@ class ConfigError(ValueError):
 # aspect gates.
 _CORE = {"W_core": ("W_i", "W_f", "W_o", "W_c"), "b_core": ("b_i", "b_f", "b_o", "b_c")}
 _ASPECT = {"W_aspect": ("W_ai", "W_af", "W_ao"), "b_aspect": ("b_ai", "b_af", "b_ao")}
-# Seed stream of each weight matrix at init.
-_INIT_STREAM = {"W_i": 0, "W_f": 1, "W_c": 2, "W_o": 3, "W_ai": 10, "W_af": 11, "W_ao": 12}
-
-
-def _row_blocks(buf: np.ndarray, names) -> dict[str, np.ndarray]:
-    """Equal row blocks of `buf`, one view per name, in order."""
-    rows = buf.shape[0] // len(names)
-    return {name: buf[k * rows:(k + 1) * rows] for k, name in enumerate(names)}
-
-
-def _read_stacked(source, blocks) -> dict[str, np.ndarray]:
-    """New stacked buffers, keyed like `blocks`, each row block read from `source`.
-
-    A source answers ``shape_of(name)`` and writes the array into a given
-    block with ``read_into(name, out)``. Reading straight into the blocks
-    allocates nothing but the buffers: loading a checkpoint then leaves no
-    block-sized scratch arrays behind to fragment the heap.
-    """
-    out: dict[str, np.ndarray] = {}
-    for key, names in blocks.items():
-        shape = tuple(source.shape_of(names[0]))
-        ndim = 2 if key.startswith("W") else 1
-        if len(shape) != ndim:
-            raise ShapeError(f"{names[0]}: expected {ndim} dimensions, got shape {shape}")
-        out[key] = np.empty((len(names) * shape[0],) + shape[1:])
-        for name, block in _row_blocks(out[key], names).items():
-            got = tuple(source.shape_of(name))
-            if got != block.shape:
-                raise ShapeError(f"{name} shape {got} != {block.shape}")
-            source.read_into(name, block)
-    return out
-
-
-class _InMemory:
-    """Source over a name -> array mapping."""
-
-    def __init__(self, arrays):
-        self.arrays = arrays
-
-    def shape_of(self, name):
-        return np.shape(self.arrays[name])
-
-    def read_into(self, name, out):
-        out[...] = self.arrays[name]
-
-
-class _Init:
-    """Source of fresh parameters: weights from U(lo, hi), biases zero."""
-
-    def __init__(self, rows: int, width: int, lo: float, hi: float, seed):
-        self.rows, self.width, self.lo, self.hi, self.seed = rows, width, lo, hi, seed
-
-    def shape_of(self, name):
-        if name not in _INIT_STREAM:
-            return (self.rows,)
-        return (self.rows, self.width if name in _CORE["W_core"] else 2 * self.rows)
-
-    def read_into(self, name, out):
-        if name in _INIT_STREAM:
-            out[...] = uniform_init(*out.shape, self.lo, self.hi,
-                                    seed=[self.seed, _INIT_STREAM[name]])
-        else:
-            out[...] = 0.0
 
 
 @dataclass
@@ -164,32 +102,35 @@ class SequenceCache:
         return self.X.shape[0]
 
 
-class _StackedParams:
+class _StackedParams(ParamSet):
     """What both cells share: their dataclass fields are the stacked buffers.
 
-    A subclass gives ``_BLOCKS`` (buffer -> row-block names, in the order
-    buffers are read) and ``_NAMES`` (the key order of ``to_arrays()``).
+    A subclass gives ``_BLOCKS`` (buffer -> row-block names, in row order)
+    and ``_NAMES`` (the key order of ``to_arrays()``).
     """
 
     _BLOCKS: dict[str, tuple[str, ...]]
     _NAMES: tuple[str, ...]
+    # Seed stream of each weight matrix at init.
+    _INIT_STREAM = {"W_i": 0, "W_f": 1, "W_c": 2, "W_o": 3, "W_ai": 10, "W_af": 11, "W_ao": 12}
+
+    @classmethod
+    def _shapes(cls, input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+        """Buffer name -> shape; an aspect dim is hidden_dim."""
+        dc = hidden_dim
+        shapes = {"W_core": (4 * dc, input_dim + dc), "b_core": (4 * dc,),
+                  "W_aspect": (3 * dc, 2 * dc), "b_aspect": (3 * dc,)}
+        return {key: shapes[key] for key in cls._BLOCKS}
 
     def __post_init__(self):
-        for key in self._BLOCKS:
-            coerce = as_matrix if key.startswith("W") else as_vector
-            setattr(self, key, coerce(getattr(self, key)))
-        dc, width = self.W_core.shape[0] // 4, self.W_core.shape[1]
+        dc, width = np.shape(self.W_core)[0] // 4, np.shape(self.W_core)[-1]
         if width <= dc:
             raise ConfigError(f"core matrix width {width} leaves no input columns")
-        if "W_aspect" in self._BLOCKS and self.W_aspect.shape[0] != 3 * dc:
+        if "W_aspect" in self._BLOCKS and np.shape(self.W_aspect)[0] != 3 * dc:
             raise ConfigError(
-                f"aspect dim {self.W_aspect.shape[0] // 3} must equal hidden dim {dc}: "
+                f"aspect dim {np.shape(self.W_aspect)[0] // 3} must equal hidden dim {dc}: "
                 "gated aspect terms are added to hidden-sized gate pre-activations")
-        want = {"W_core": (4 * dc, width), "b_core": (4 * dc,),
-                "W_aspect": (3 * dc, 2 * dc), "b_aspect": (3 * dc,)}
-        for key in self._BLOCKS:
-            if getattr(self, key).shape != want[key]:
-                raise ShapeError(f"{key} shape {getattr(self, key).shape} != {want[key]}")
+        self._coerce(width - dc, dc)
 
     @property
     def hidden_dim(self) -> int:
@@ -201,10 +142,13 @@ class _StackedParams:
 
     @classmethod
     def _named(cls, buffers) -> dict[str, np.ndarray]:
-        """Per-gate name -> row-block view of the matching buffer, in `_NAMES` order."""
+        """Per-gate name -> row-block view of the matching buffer, in `_NAMES`
+        order: each buffer splits into equal row blocks, one per name."""
         blocks: dict[str, np.ndarray] = {}
         for key, names in cls._BLOCKS.items():
-            blocks.update(_row_blocks(buffers[key], names))
+            rows = buffers[key].shape[0] // len(names)
+            blocks.update({name: buffers[key][k * rows:(k + 1) * rows]
+                           for k, name in enumerate(names)})
         return {name: blocks[name] for name in cls._NAMES}
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -212,18 +156,14 @@ class _StackedParams:
 
     @classmethod
     def from_arrays(cls, arrays):
-        return cls.from_source(_InMemory(arrays))
-
-    @classmethod
-    def from_source(cls, source):
-        """Read every array straight into new stacked storage (see _read_stacked)."""
-        return cls(**_read_stacked(source, cls._BLOCKS))
-
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, lo: float = -0.1, hi: float = 0.1,
-             seed=0):
-        """Weights from U(lo, hi), biases zero; an aspect dim is hidden_dim."""
-        return cls.from_source(_Init(hidden_dim, input_dim + hidden_dim, lo, hi, seed))
+        """New stacked storage holding a copy of per-gate arrays."""
+        dc, width = as_matrix(arrays["W_i"]).shape
+        p = cls.empty(width - dc, dc)
+        for name, out in p.to_arrays().items():
+            if np.shape(arrays[name]) != out.shape:
+                raise ShapeError(f"{name} shape {np.shape(arrays[name])} != {out.shape}")
+            out[...] = arrays[name]
+        return p
 
 
 @dataclass

@@ -1,13 +1,16 @@
 """Model persistence: one npz archive per checkpoint.
 
-The archive maps parameter name to float64 array (round-trips bit-exactly)
-plus a `__meta__` JSON string carrying everything that is not a weight:
-format version, task/cell/head switches, the vocabulary in row order, which
-rows were randomly initialized, and the category list. Word embeddings and
-the category table are always stored, even when frozen during training,
-because inference needs them. The cell and head names pick which parameter
-sets are read, so loading checks them first; it also rejects an array
-holding NaN or inf.
+The archive holds `SentimentModel.arrays()` under its names and in its order
+(float64, round-tripping bit-exactly), plus a `__meta__` JSON string carrying
+everything that is not a weight: format version, task/cell/head switches,
+the vocabulary in row order, which rows were randomly initialized, and the
+category list. Frozen tables are stored too: inference needs them.
+
+Loading mirrors saving. The .npy headers of "emb.words", "cell.b_i" and,
+with categories, "emb.aspects" give the dims; the model the switches name is
+built around them with uninitialized storage; the archive's keys must equal
+`__meta__` plus its `arrays()`; and each array is read straight into its
+live view, whose shape it must have. NaN or inf is rejected.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ import zipfile
 
 import numpy as np
 
-from .cells import AALstmParams, ClassicLstmParams
-from .data import AspectEmbeddingTable, EmbeddingTable
-from .heads import AttentionParams, ClassifierParams
-from .model import CELLS, HEADS, SentimentModel
+from .data import EmbeddingTable
+from .model import SentimentModel, assemble_model
 
 FORMAT_NAME = "aalstm-checkpoint"
 FORMAT_VERSION = 1
@@ -58,7 +59,7 @@ def save_checkpoint(model: SentimentModel, path) -> None:
         np.savez(fh, **{_META_KEY: np.array(json.dumps(meta))}, **model.arrays())
 
 
-_READ_CHUNK = 1 << 20
+_READ_CHUNK = 1 << 18  # numpy's own read size; larger ones raise peak memory
 
 
 def _npy_header(fp):
@@ -71,41 +72,39 @@ def _npy_header(fp):
     raise CheckpointError(f"unsupported .npy format version {version}")
 
 
-class _Section:
-    """The arrays under one prefix of an open archive, read on demand.
+def _shape(path, archive, key: str, ndim: int) -> tuple:
+    """The shape in the header of array `key`, which must have `ndim` dimensions."""
+    if key not in archive:
+        raise CheckpointError(f"checkpoint {path} is missing array {key!r}")
+    with archive.zip.open(key + ".npy") as fp:
+        shape = _npy_header(fp)[0]
+    if len(shape) != ndim:
+        raise CheckpointError(
+            f"checkpoint {path}: array {key!r} has shape {shape}, not {ndim} dimensions")
+    return shape
 
-    A cell reads its arrays straight into its stacked storage through
-    `shape_of`/`read_into` (see `cells._read_stacked`); other parameter
-    sets take whole arrays by name.
+
+def _read_into(path, archive, key: str, out: np.ndarray) -> None:
+    """Read array `key` into `out`, whose shape it must have.
+
+    Native C-order float64 data goes straight into `out`, chunk by chunk,
+    so a load allocates no scratch array; other layouts and dtypes are
+    converted through one.
     """
-
-    def __init__(self, archive, prefix: str):
-        self.archive, self.prefix = archive, prefix
-
-    def _key(self, name: str) -> str:
-        key = f"{self.prefix}.{name}"
-        if key not in self.archive:
-            raise CheckpointError(f"checkpoint is missing array {key!r}")
-        return key
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.archive[self._key(name)]
-
-    def shape_of(self, name: str) -> tuple:
-        with self.archive.zip.open(self._key(name) + ".npy") as fp:
-            return _npy_header(fp)[0]
-
-    def read_into(self, name: str, out: np.ndarray) -> None:
-        with self.archive.zip.open(self._key(name) + ".npy") as fp:
-            _, fortran_order, dtype = _npy_header(fp)
-            if fortran_order or dtype != out.dtype:
-                out[...] = self[name]
-                return
-            data = memoryview(out).cast("B")
-            for start in range(0, data.nbytes, _READ_CHUNK):
-                chunk = data[start:start + _READ_CHUNK]
-                if fp.readinto(chunk) != chunk.nbytes:
-                    raise CheckpointError(f"array {self._key(name)!r} is truncated")
+    with archive.zip.open(key + ".npy") as fp:
+        shape, fortran_order, dtype = _npy_header(fp)
+        if shape != out.shape:
+            raise CheckpointError(
+                f"checkpoint {path}: array {key!r} has shape {shape}, but the "
+                f"dims of its other arrays need {out.shape}")
+        if fortran_order or dtype != out.dtype:
+            out[...] = archive[key]
+            return
+        data = memoryview(out).cast("B")
+        for start in range(0, data.nbytes, _READ_CHUNK):
+            chunk = data[start:start + _READ_CHUNK]
+            if fp.readinto(chunk) != chunk.nbytes:
+                raise CheckpointError(f"checkpoint {path}: array {key!r} is truncated")
 
 
 def load_checkpoint(path) -> SentimentModel:
@@ -128,6 +127,9 @@ def _read_model(path, archive) -> SentimentModel:
         meta = json.loads(str(archive[_META_KEY][()]))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint metadata in {path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"corrupt checkpoint metadata in {path}: "
+                              f"a JSON {type(meta).__name__}, not an object")
     if meta.get("format") != FORMAT_NAME:
         raise CheckpointError(f"{path} is not an {FORMAT_NAME} file")
     if meta.get("version") != FORMAT_VERSION:
@@ -136,32 +138,31 @@ def _read_model(path, archive) -> SentimentModel:
             f"(this build reads version {FORMAT_VERSION})")
 
     try:
-        for switch, known in (("cell", CELLS), ("head", HEADS)):
-            if meta[switch] not in known:
-                raise CheckpointError(
-                    f"checkpoint {path} has unknown {switch} {meta[switch]!r}; "
-                    f"expected one of {known}")
-        vocab = {token: i for i, token in enumerate(meta["vocab"])}
-        embeddings = EmbeddingTable(vocab, _Section(archive, "emb")["words"],
-                                    frozenset(meta["oov_tokens"]))
-        cell_cls = AALstmParams if meta["cell"] == "aa" else ClassicLstmParams
-        cell = cell_cls.from_source(_Section(archive, "cell"))
-        attn = (AttentionParams.from_arrays(_Section(archive, "attn"))
-                if meta["head"] == "attention" else None)
-        clf = ClassifierParams.from_arrays(_Section(archive, "clf"))
-        aspect_embeddings = None
-        if meta["categories"] is not None:
-            aspect_embeddings = AspectEmbeddingTable(tuple(meta["categories"]),
-                                                     _Section(archive, "emb")["aspects"])
-        model = SentimentModel(meta["task"], embeddings, cell, clf, attn=attn,
-                               aspect_embeddings=aspect_embeddings,
-                               train_embeddings=bool(meta["train_embeddings"]))
+        n_words, dx = _shape(path, archive, "emb.words", 2)
+        (hidden_dim,) = _shape(path, archive, "cell.b_i", 1)
+        categories = meta["categories"]
+        category_dim = None if categories is None else _shape(path, archive, "emb.aspects", 2)[1]
+        embeddings = EmbeddingTable({token: i for i, token in enumerate(meta["vocab"])},
+                                    np.empty((n_words, dx)), frozenset(meta["oov_tokens"]))
+        model = assemble_model(meta["task"], meta["cell"], meta["head"], embeddings,
+                               hidden_dim, categories, category_dim,
+                               lambda cls, *dims: cls.empty(*dims),
+                               bool(meta["train_embeddings"]))
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"inconsistent checkpoint {path}: {exc}") from None
-    # One array at a time, so the check's scratch is one array's mask.
-    for key, arr in model.arrays().items():
-        if not np.isfinite(arr).all():
+    arrays = model.arrays()
+    stored = set(archive.files) - {_META_KEY}
+    mismatch = ([f"missing array {key!r}" for key in arrays if key not in stored]
+                + [f"unused array {key!r}" for key in sorted(stored.difference(arrays))])
+    if mismatch:
+        raise CheckpointError(
+            f"checkpoint {path} does not fit the {meta['task']} {meta['cell']}+"
+            f"{meta['head']} model its metadata declares: {', '.join(mismatch)}")
+    for key, out in arrays.items():
+        _read_into(path, archive, key, out)
+        # One array at a time, so the check's scratch is one array's mask.
+        if not np.isfinite(out).all():
             raise CheckpointError(f"checkpoint {path} has non-finite values in {key!r}")
     return model

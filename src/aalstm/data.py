@@ -22,7 +22,8 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .tensor import make_rng
+from .cells import ConfigError
+from .tensor import make_rng, uniform_init
 
 POLARITIES = ("positive", "negative", "neutral")
 POLARITY_INDEX = {name: i for i, name in enumerate(POLARITIES)}
@@ -211,9 +212,12 @@ class AspectEmbeddingTable:
                 f"{len(self.categories)} categories != matrix rows {self.matrix.shape[0]}")
 
     @classmethod
+    def empty(cls, categories: tuple[str, ...], dim: int) -> "AspectEmbeddingTable":
+        return cls(tuple(categories), np.empty((len(categories), dim)))
+
+    @classmethod
     def init(cls, categories: tuple[str, ...], dim: int,
              lo: float = -0.1, hi: float = 0.1, seed=0) -> "AspectEmbeddingTable":
-        from .tensor import uniform_init
         return cls(tuple(categories), uniform_init(len(categories), dim, lo, hi, seed=[seed, 40]))
 
     @property
@@ -431,7 +435,7 @@ def generate_synthetic(n_sentences: int, seed=0, dim: int = 24,
     subset. Token embeddings are random but fixed per token.
     """
     if n_sentences < 20:
-        raise ValueError(f"need at least 20 sentences, got {n_sentences}")
+        raise ConfigError(f"the synthetic corpus needs at least 20 sentences, got {n_sentences}")
     rng = make_rng([seed, 44])
     train: list[LabeledInstance] = []
     seen: set[tuple[str, ...]] = set()

@@ -19,31 +19,20 @@ A 3-way softmax classifier maps the representation to polarity probabilities
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import N_CLASSES
-from .tensor import ShapeError, as_matrix, as_vector, tanh_v, uniform_init
+from .tensor import ParamSet, ShapeError, as_matrix, tanh_v
 
 # Smallest normal double: probability floor keeping softmax outputs strictly
 # positive even for wildly separated logits.
 _PROB_FLOOR = np.finfo(np.float64).tiny
 
 
-class _Arrays:
-    """Name -> array conversion over a parameter dataclass's fields."""
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_arrays(cls, arrays):
-        return cls(**{f.name: arrays[f.name] for f in fields(cls)})
-
-
 @dataclass
-class AttentionParams(_Arrays):
+class AttentionParams(ParamSet):
     """Attention weights over (dc,) hidden states and a (da,) aspect."""
 
     W_h: np.ndarray  # (dc, dc) hidden-state projection for scoring
@@ -52,20 +41,16 @@ class AttentionParams(_Arrays):
     W_p: np.ndarray  # (dc, dc) projection of the attention average
     W_x: np.ndarray  # (dc, dc) projection of the last hidden state
 
+    _INIT_STREAM = {"W_h": 20, "W_v": 21, "w": 22, "W_p": 23, "W_x": 24}
+
+    @staticmethod
+    def _shapes(hidden_dim: int, aspect_dim: int) -> dict[str, tuple[int, ...]]:
+        dc, da = hidden_dim, aspect_dim
+        return {"W_h": (dc, dc), "W_v": (da, da), "w": (dc + da,),
+                "W_p": (dc, dc), "W_x": (dc, dc)}
+
     def __post_init__(self):
-        self.W_h = as_matrix(self.W_h)
-        self.W_v = as_matrix(self.W_v)
-        self.w = as_vector(self.w)
-        self.W_p = as_matrix(self.W_p)
-        self.W_x = as_matrix(self.W_x)
-        dc, da = self.W_h.shape[0], self.W_v.shape[0]
-        if self.W_h.shape != (dc, dc) or self.W_v.shape != (da, da):
-            raise ShapeError(f"score projections must be square, got {self.W_h.shape}, {self.W_v.shape}")
-        if self.w.shape != (dc + da,):
-            raise ShapeError(f"score vector shape {self.w.shape} != ({dc + da},)")
-        if self.W_p.shape != (dc, dc) or self.W_x.shape != (dc, dc):
-            raise ShapeError(f"output projections {self.W_p.shape}/{self.W_x.shape} "
-                             f"!= ({dc}, {dc})")
+        self._coerce(np.shape(self.W_h)[0], np.shape(self.W_v)[0])
 
     @property
     def hidden_dim(self) -> int:
@@ -75,40 +60,26 @@ class AttentionParams(_Arrays):
     def aspect_dim(self) -> int:
         return self.W_v.shape[0]
 
-    @classmethod
-    def init(cls, hidden_dim: int, aspect_dim: int, lo: float = -0.1, hi: float = 0.1,
-             seed=0) -> "AttentionParams":
-        return cls(
-            W_h=uniform_init(hidden_dim, hidden_dim, lo, hi, seed=[seed, 20]),
-            W_v=uniform_init(aspect_dim, aspect_dim, lo, hi, seed=[seed, 21]),
-            w=uniform_init(1, hidden_dim + aspect_dim, lo, hi, seed=[seed, 22])[0],
-            W_p=uniform_init(hidden_dim, hidden_dim, lo, hi, seed=[seed, 23]),
-            W_x=uniform_init(hidden_dim, hidden_dim, lo, hi, seed=[seed, 24]),
-        )
-
 
 @dataclass
-class ClassifierParams(_Arrays):
+class ClassifierParams(ParamSet):
     """Softmax classifier over the three polarity classes."""
 
     W_s: np.ndarray  # (3, dc)
     b_s: np.ndarray  # (3,)
 
+    _INIT_STREAM = {"W_s": 30}
+
+    @staticmethod
+    def _shapes(repr_dim: int) -> dict[str, tuple[int, ...]]:
+        return {"W_s": (N_CLASSES, repr_dim), "b_s": (N_CLASSES,)}
+
     def __post_init__(self):
-        self.W_s = as_matrix(self.W_s)
-        self.b_s = as_vector(self.b_s)
-        if self.W_s.shape[0] != N_CLASSES or self.b_s.shape != (N_CLASSES,):
-            raise ShapeError(f"classifier shapes {self.W_s.shape}/{self.b_s.shape} "
-                             f"must have {N_CLASSES} output rows")
+        self._coerce(np.shape(self.W_s)[-1])
 
     @property
     def repr_dim(self) -> int:
         return self.W_s.shape[1]
-
-    @classmethod
-    def init(cls, repr_dim: int, lo: float = -0.1, hi: float = 0.1, seed=0) -> "ClassifierParams":
-        return cls(W_s=uniform_init(N_CLASSES, repr_dim, lo, hi, seed=[seed, 30]),
-                   b_s=np.zeros(N_CLASSES))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

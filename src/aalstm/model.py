@@ -5,12 +5,13 @@ embeddings, "acsa" aspect vectors are rows of a trainable category table. The
 cell and head kinds are read from the parts a model holds: the cell is
 "aa" (aspect-aware) when it is an `AALstmParams` and "classic" otherwise, and
 the head is aspect-conditioned "attention" when the model has attention
-weights and the "last" hidden state otherwise. `build_model` takes the kinds
-by name and builds the matching parts. `SentimentModel.arrays()` is
+weights and the "last" hidden state otherwise. `assemble_model` picks the
+parts from the kinds by name, for `build_model` (fresh weights) and the
+checkpoint loader (empty storage it fills). `SentimentModel.arrays()` is
 the one owner of the namespaced array names ("emb.words", "cell.W_i",
-"clf.b_s", ...): the checkpoint writes exactly those arrays, and `params()`,
-which the optimizer and the gradient check walk, is the same dict minus the
-frozen or unused tables.
+"clf.b_s", ...): the checkpoint writes and reads exactly those arrays, and
+`params()`, which the optimizer and the gradient check walk, is the same
+dict minus the frozen or unused tables.
 
 A forward run gathers the (T, dx) input rows once, applies one dropout mask
 to all of them when the dropout rate is above 0, and keeps the cell's
@@ -68,11 +69,6 @@ from .train import dropout as apply_dropout
 TASKS = ("atsa", "acsa")
 CELLS = ("classic", "aa")
 HEADS = ("last", "attention")
-
-
-def _uses_aspect(cell, attn) -> bool:
-    """The aspect-aware cell and the attention head both read the aspect."""
-    return isinstance(cell, AALstmParams) or attn is not None
 
 
 @dataclass
@@ -145,7 +141,8 @@ class SentimentModel:
 
     @property
     def uses_aspect(self) -> bool:
-        return _uses_aspect(self.cell, self.attn)
+        """The aspect-aware cell and the attention head both read the aspect."""
+        return isinstance(self.cell, AALstmParams) or self.attn is not None
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Name -> live array for every array inference needs."""
@@ -254,6 +251,34 @@ class SentimentModel:
         return int(np.argmax(self.predict_probs(inst)))
 
 
+def assemble_model(task: str, cell_kind: str, head_kind: str,
+                   embeddings: EmbeddingTable, hidden_dim: int,
+                   categories: Optional[tuple[str, ...]], category_dim: Optional[int],
+                   make, train_embeddings: bool = True) -> SentimentModel:
+    """The model the (task, cell, head) names describe, around `embeddings`.
+
+    `make(cls, *dims)` makes each part: its `init` for a new model, its
+    `empty` for one a checkpoint fills. `categories` None means no category
+    table. Aspect vectors have `category_dim` for acsa and the embedding dim
+    for atsa.
+    """
+    if cell_kind not in CELLS:
+        raise ConfigError(f"cell must be one of {CELLS}, got {cell_kind!r}")
+    if head_kind not in HEADS:
+        raise ConfigError(f"head must be one of {HEADS}, got {head_kind!r}")
+    dx = embeddings.dim
+    aspect_dim = category_dim if task == "acsa" else dx
+    if aspect_dim is None and head_kind == "attention":
+        raise ConfigError("acsa with an aspect-using model needs a category table")
+    cell = make(AALstmParams if cell_kind == "aa" else ClassicLstmParams, dx, hidden_dim)
+    attn = make(AttentionParams, hidden_dim, aspect_dim) if head_kind == "attention" else None
+    aspect_embeddings = (None if categories is None
+                         else make(AspectEmbeddingTable, categories, category_dim))
+    return SentimentModel(task, embeddings, cell, make(ClassifierParams, hidden_dim),
+                          attn=attn, aspect_embeddings=aspect_embeddings,
+                          train_embeddings=train_embeddings)
+
+
 def build_model(task: str, cell_kind: str, head_kind: str,
                 embeddings: EmbeddingTable, hidden_dim: int, seed=0,
                 categories: tuple[str, ...] = RESTAURANT_CATEGORIES,
@@ -263,29 +288,17 @@ def build_model(task: str, cell_kind: str, head_kind: str,
 
     The aspect dimension is the embedding dimension for atsa (span means live
     in embedding space) and the hidden dimension for acsa (the category table
-    is created here). The aspect-aware cell requires the aspect and hidden
-    dimensions to match, so aa + atsa additionally needs emb.dim == hidden.
+    is created here, when the model reads the aspect). The aspect-aware cell
+    requires the aspect and hidden dimensions to match, so aa + atsa
+    additionally needs emb.dim == hidden.
     """
-    if cell_kind not in CELLS:
-        raise ConfigError(f"cell must be one of {CELLS}, got {cell_kind!r}")
-    if head_kind not in HEADS:
-        raise ConfigError(f"head must be one of {HEADS}, got {head_kind!r}")
-    dx = embeddings.dim
-    aspect_dim = dx if task == "atsa" else hidden_dim
-    if cell_kind == "aa" and aspect_dim != hidden_dim:
+    if cell_kind == "aa" and task == "atsa" and embeddings.dim != hidden_dim:
         raise ConfigError(
             f"aspect-aware cell needs aspect dim == hidden dim; atsa aspect "
-            f"vectors have the embedding dim {dx}, hidden is {hidden_dim}")
-    lo, hi = init_low, init_high
-    cell_cls = AALstmParams if cell_kind == "aa" else ClassicLstmParams
-    cell = cell_cls.init(dx, hidden_dim, lo=lo, hi=hi, seed=seed)
-    attn = AttentionParams.init(hidden_dim, aspect_dim, lo=lo, hi=hi, seed=seed) \
-        if head_kind == "attention" else None
-    clf = ClassifierParams.init(hidden_dim, lo=lo, hi=hi, seed=seed)
-    aspect_embeddings = None
-    if task == "acsa" and _uses_aspect(cell, attn):
-        aspect_embeddings = AspectEmbeddingTable.init(categories, aspect_dim,
-                                                      lo=lo, hi=hi, seed=seed)
-    return SentimentModel(task, embeddings, cell, clf, attn=attn,
-                          aspect_embeddings=aspect_embeddings,
-                          train_embeddings=train_embeddings)
+            f"vectors have the embedding dim {embeddings.dim}, hidden is {hidden_dim}")
+    uses_aspect = cell_kind == "aa" or head_kind == "attention"
+    return assemble_model(
+        task, cell_kind, head_kind, embeddings, hidden_dim,
+        categories if task == "acsa" and uses_aspect else None, hidden_dim,
+        lambda cls, *dims: cls.init(*dims, lo=init_low, hi=init_high, seed=seed),
+        train_embeddings)

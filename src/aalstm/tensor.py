@@ -3,10 +3,13 @@
 Vectors are 1-D float64 numpy arrays, matrices are 2-D row-major (C-order)
 float64 arrays. All functions here are pure: they validate shapes, never
 mutate their inputs, and return freshly allocated arrays, so values can be
-shared read-only across threads.
+shared read-only across threads. `ParamSet` is the base of the parameter
+sets.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -76,3 +79,46 @@ def uniform_init(rows: int, cols: int, lo: float, hi: float, seed) -> np.ndarray
     if not lo < hi:
         raise ValueError(f"uniform_init: need lo < hi, got lo={lo!r}, hi={hi!r}")
     return make_rng(seed).uniform(lo, hi, size=(rows, cols))
+
+
+class ParamSet:
+    """Base of the parameter dataclasses: storage comes from dims in one place.
+
+    A subclass gives ``_shapes(*dims)`` (field -> shape) and ``_INIT_STREAM``
+    (array name -> seed stream of each array drawn at init; the others start
+    at zero). Its arrays are its fields unless it overrides ``to_arrays``.
+    """
+
+    _INIT_STREAM: dict[str, int]
+
+    def _coerce(self, *dims) -> None:
+        """Make every field a float64 array of the shape `dims` give."""
+        for name, want in self._shapes(*dims).items():
+            arr = (as_matrix if len(want) == 2 else as_vector)(getattr(self, name))
+            if arr.shape != want:
+                raise ShapeError(f"{name} shape {arr.shape} != {want}")
+            setattr(self, name, arr)
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_arrays(cls, arrays):
+        return cls(**{f.name: arrays[f.name] for f in fields(cls)})
+
+    @classmethod
+    def empty(cls, *dims):
+        """Uninitialized storage for the given dims."""
+        return cls(**{name: np.empty(shape) for name, shape in cls._shapes(*dims).items()})
+
+    @classmethod
+    def init(cls, *dims, lo: float = -0.1, hi: float = 0.1, seed=0):
+        """Arrays named in `_INIT_STREAM` from U(lo, hi) seeded [seed, stream],
+        the others zero."""
+        p = cls.empty(*dims)
+        for name, out in p.to_arrays().items():
+            if name in cls._INIT_STREAM:
+                out.flat = uniform_init(1, out.size, lo, hi, seed=[seed, cls._INIT_STREAM[name]])
+            else:
+                out[...] = 0.0
+        return p

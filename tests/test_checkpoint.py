@@ -4,10 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aalstm.cells import ClassicLstmParams
 from aalstm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from aalstm.data import CategoryId, EmbeddingTable, LabeledInstance, TermSpan, UNK_TOKEN
-from aalstm.model import build_model
+from aalstm.data import (AspectEmbeddingTable, CategoryId, EmbeddingTable, LabeledInstance,
+                         TermSpan, UNK_TOKEN)
+from aalstm.heads import AttentionParams, ClassifierParams
+from aalstm.model import CELLS, HEADS, TASKS, SentimentModel, build_model
 from aalstm.tensor import make_rng
 
 DIM = 5
@@ -222,13 +227,19 @@ def test_wrong_format_tag(tmp_path):
         load_checkpoint(dst)
 
 
-def test_corrupt_meta_json(tmp_path):
+@pytest.mark.parametrize("text", [
+    pytest.param("{not json", id="not-json"),
+    # Valid JSON that is not an object.
+    pytest.param("[]", id="list"), pytest.param('"x"', id="string"),
+    pytest.param("3", id="number"),
+])
+def test_corrupt_meta_json(tmp_path, text):
     model = make("atsa", "classic", "last")
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(model, src)
 
     def break_meta(entries):
-        entries["__meta__"] = np.array("{not json")
+        entries["__meta__"] = np.array(text)
     rewrite_npz(src, dst, break_meta)
     with pytest.raises(CheckpointError, match="corrupt checkpoint metadata"):
         load_checkpoint(dst)
@@ -243,12 +254,40 @@ def test_missing_parameter_array(tmp_path):
         load_checkpoint(dst)
 
 
+@pytest.mark.parametrize("change,unused", [
+    pytest.param({"cell": "classic"}, ["cell.W_ai", "cell.W_af", "cell.W_ao",
+                                       "cell.b_ai", "cell.b_af", "cell.b_ao"], id="cell-classic"),
+    pytest.param({"head": "last"}, ["attn.W_h", "attn.W_v", "attn.w", "attn.W_p", "attn.W_x"],
+                 id="head-last"),
+])
+def test_arrays_the_declared_model_does_not_use_are_rejected(tmp_path, change, unused):
+    # An aa+attention archive whose metadata names a smaller model must not
+    # load as that model with the extra arrays dropped.
+    model = make("atsa", "aa", "attention")
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(model, src)
+    rewrite_npz(src, dst, lambda e: edit_meta(e, **change))
+    with pytest.raises(CheckpointError, match="unused array") as info:
+        load_checkpoint(dst)
+    for key in unused:
+        assert repr(key) in str(info.value)
+
+
 def test_missing_aspect_table(tmp_path):
     model = make("acsa", "aa", "last")
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(model, src)
     rewrite_npz(src, dst, lambda e: e.pop("emb.aspects"))
     with pytest.raises(CheckpointError, match="missing array 'emb.aspects'"):
+        load_checkpoint(dst)
+
+
+@pytest.mark.parametrize("cell_kind,head_kind", [("classic", "attention"), ("aa", "last")])
+def test_acsa_aspect_model_without_categories_is_rejected(tmp_path, cell_kind, head_kind):
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(make("acsa", cell_kind, head_kind), src)
+    rewrite_npz(src, dst, lambda e: (edit_meta(e, categories=None), e.pop("emb.aspects")))
+    with pytest.raises(CheckpointError, match="needs a category table"):
         load_checkpoint(dst)
 
 
@@ -269,3 +308,58 @@ def test_vocab_permutation_validated(tmp_path):
     model.embeddings.vocab["soup"] = model.embeddings.vocab["the"]
     with pytest.raises(CheckpointError, match="not a permutation"):
         save_checkpoint(model, tmp_path / "a.npz")
+
+
+# --- round-trip properties ------------------------------------------------------
+
+def assert_round_trip(model, path, inst):
+    """Load gives the same arrays and predictions, and saves the same bytes."""
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert (loaded.task, loaded.cell_kind, loaded.head_kind, loaded.train_embeddings) \
+        == (model.task, model.cell_kind, model.head_kind, model.train_embeddings)
+    before, after = model.arrays(), loaded.arrays()
+    assert list(before) == list(after)
+    for key in before:
+        assert after[key].shape == before[key].shape, key
+        assert after[key].tobytes() == before[key].tobytes(), key
+    assert model.predict_probs(inst).tobytes() == loaded.predict_probs(inst).tobytes()
+    again = path.with_name("again.npz")
+    save_checkpoint(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(task=st.sampled_from(TASKS), cell_kind=st.sampled_from(CELLS),
+       head_kind=st.sampled_from(HEADS), dim=st.integers(1, 6), hidden=st.integers(1, 6),
+       n_words=st.integers(0, 5), train_embeddings=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_round_trip_property(tmp_path_factory, task, cell_kind, head_kind, dim, hidden,
+                             n_words, train_embeddings, seed):
+    if task == "atsa" and cell_kind == "aa":
+        hidden = dim  # atsa aspect vectors have the embedding dim
+    words = [UNK_TOKEN] + [f"w{i}" for i in range(n_words)]
+    emb = EmbeddingTable({w: i for i, w in enumerate(words)},
+                         make_rng(seed).uniform(-0.5, 0.5, size=(len(words), dim)),
+                         oov_tokens=frozenset(words[::2]))
+    model = build_model(task, cell_kind, head_kind, emb, hidden_dim=hidden, seed=seed,
+                        train_embeddings=train_embeddings)
+    aspect = TermSpan(0, 0) if task == "atsa" else CategoryId(seed % 5)
+    inst = LabeledInstance(tuple(words[-2:]), aspect, "neutral")
+    assert_round_trip(model, tmp_path_factory.mktemp("ckpt") / "ckpt.npz", inst)
+
+
+@pytest.mark.parametrize("head_kind,category_dim", [("attention", 7), ("last", 2)])
+def test_round_trip_of_shapes_build_model_does_not_make(tmp_path, head_kind, category_dim):
+    # acsa classic+attention with a category dim other than the hidden dim,
+    # and acsa classic+last holding a category table it does not use: the
+    # loader must take every dim from the archive.
+    emb, hidden = tiny_embeddings(), 3
+    attn = AttentionParams.init(hidden, category_dim, seed=4) \
+        if head_kind == "attention" else None
+    model = SentimentModel(
+        "acsa", emb, ClassicLstmParams.init(DIM, hidden, seed=4), ClassifierParams.init(hidden),
+        attn=attn, aspect_embeddings=AspectEmbeddingTable.init(("food", "price"), category_dim),
+        train_embeddings=False)
+    assert_round_trip(model, tmp_path / "ckpt.npz",
+                      LabeledInstance(("the", "soup", "is", "bad"), CategoryId(1), "negative"))

@@ -419,3 +419,11 @@ def test_bench_smoke(tmp_path, capsys):
         assert stats["epochs"] >= 1
         assert (tmp_path / f"{kind}_metrics.tsv").exists()
         assert (tmp_path / f"{kind}_checkpoint.npz").exists()
+
+
+def test_bench_too_few_sentences_is_one_error_line(capsys):
+    code = main(["bench", "--sentences", "5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at least 20" in err
