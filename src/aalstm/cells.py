@@ -51,11 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import ParamSet, ShapeError, as_matrix, sigmoid, tanh_v
-
-
-class ConfigError(ValueError):
-    """Inconsistent model configuration (e.g. aspect dim != hidden dim)."""
+from .tensor import ConfigError, ParamSet, ShapeError, as_matrix, sigmoid, tanh_v
 
 
 # Row-block names of each stacked buffer, in row order. The three sigmoid
@@ -154,17 +150,6 @@ class _StackedParams(ParamSet):
     def to_arrays(self) -> dict[str, np.ndarray]:
         return self._named(vars(self))
 
-    @classmethod
-    def from_arrays(cls, arrays):
-        """New stacked storage holding a copy of per-gate arrays."""
-        dc, width = as_matrix(arrays["W_i"]).shape
-        p = cls.empty(width - dc, dc)
-        for name, out in p.to_arrays().items():
-            if np.shape(arrays[name]) != out.shape:
-                raise ShapeError(f"{name} shape {np.shape(arrays[name])} != {out.shape}")
-            out[...] = arrays[name]
-        return p
-
 
 @dataclass
 class ClassicLstmParams(_StackedParams):
@@ -197,10 +182,6 @@ class AALstmParams(_StackedParams):
     _BLOCKS = {**_ASPECT, **_CORE}
     _NAMES = ("W_ai", "W_af", "W_ao", "W_i", "W_f", "W_c", "W_o",
               "b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")
-
-    @property
-    def aspect_dim(self) -> int:
-        return self.b_aspect.shape[0] // 3
 
 
 def _run(p, X: np.ndarray, prev: CellState, aspect: Optional[np.ndarray]) -> SequenceCache:

@@ -16,7 +16,6 @@ from dataclasses import asdict, fields as dataclass_fields
 
 import numpy as np
 
-from .cells import ConfigError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (POLARITIES, RESTAURANT_CATEGORIES, UNK_TOKEN, CategoryId,
                    DataFormatError, EmbeddingTable, LabeledInstance, TermSpan,
@@ -24,7 +23,7 @@ from .data import (POLARITIES, RESTAURANT_CATEGORIES, UNK_TOKEN, CategoryId,
                    generate_synthetic, load_embeddings, load_instances,
                    parse_semeval_xml, save_instances)
 from .model import CELLS, HEADS, TASKS, build_model
-from .tensor import make_rng
+from .tensor import ConfigError, make_rng
 from .train import (GRADCHECK_THRESHOLD, GradCheckReport, TrainConfig,
                     TrainingDiverged, cross_entropy, evaluate, grad_check, train)
 
@@ -52,18 +51,6 @@ _SYNTH_OVERRIDES = {
     "hidden_dim": 24,
     "max_epochs": 50,
     "patience": 10,
-}
-
-_FLAG_TO_FIELD = {
-    "seed": "seed",
-    "lr": "lr",
-    "batch": "batch_size",
-    "dropout": "dropout",
-    "l2": "l2",
-    "dim": "emb_dim",
-    "hidden": "hidden_dim",
-    "epochs": "max_epochs",
-    "patience": "patience",
 }
 
 
@@ -112,9 +99,8 @@ def resolve_config(args, synthetic: bool = False) -> TrainConfig:
     values = asdict(TrainConfig())
     file_values = parse_config_file(args.config) if args.config else {}
     values.update(file_values)
-    flag_values = {field: getattr(args, flag)
-                   for flag, field in _FLAG_TO_FIELD.items()
-                   if getattr(args, flag, None) is not None}
+    flag_values = {key: getattr(args, key) for key in values
+                   if getattr(args, key, None) is not None}
     values.update(flag_values)
     if synthetic:
         for key, small in _SYNTH_OVERRIDES.items():
@@ -345,15 +331,19 @@ def _add_task_flags(sub) -> None:
 
 
 def _add_config_flags(sub) -> None:
+    """Flags that set TrainConfig fields: each one's dest is its field."""
     sub.add_argument("--seed", type=int, default=None, help="RNG seed")
     sub.add_argument("--lr", type=float, default=None, help="learning rate")
-    sub.add_argument("--batch", type=int, default=None, help="minibatch size")
+    sub.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int,
+                     default=None, help="minibatch size")
     sub.add_argument("--dropout", type=float, default=None, help="dropout rate")
     sub.add_argument("--l2", type=float, default=None, help="L2 coefficient")
-    sub.add_argument("--dim", type=int, default=None,
+    sub.add_argument("--dim", dest="emb_dim", metavar="DIM", type=int, default=None,
                      help="word embedding dimension")
-    sub.add_argument("--hidden", type=int, default=None, help="hidden dimension")
-    sub.add_argument("--epochs", type=int, default=None, help="max epochs")
+    sub.add_argument("--hidden", dest="hidden_dim", metavar="HIDDEN", type=int,
+                     default=None, help="hidden dimension")
+    sub.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int,
+                     default=None, help="max epochs")
     sub.add_argument("--patience", type=int, default=None,
                      help="early-stop patience in epochs")
     sub.add_argument("--config", default=None,

@@ -17,13 +17,11 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .cells import ConfigError
-from .tensor import make_rng, uniform_init
+from .tensor import ConfigError, make_rng, uniform_init
 
 POLARITIES = ("positive", "negative", "neutral")
 POLARITY_INDEX = {name: i for i, name in enumerate(POLARITIES)}
@@ -101,10 +99,10 @@ def char_range_to_span(offsets: list[tuple[int, int]], lo: int, hi: int) -> Term
     """Smallest token span covering character range [lo, hi).
 
     Offsets falling inside a token select that whole token; a range touching
-    no token at all is an annotation error.
+    no token at all, an empty one included, is an annotation error.
     """
     hit = [i for i, (s, e) in enumerate(offsets) if s < hi and e > lo]
-    if not hit:
+    if not hit or hi <= lo:
         raise DataFormatError(f"character range [{lo}, {hi}) covers no token")
     return TermSpan(hit[0], hit[-1])
 

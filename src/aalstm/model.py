@@ -5,9 +5,11 @@ embeddings, "acsa" aspect vectors are rows of a trainable category table. The
 cell and head kinds are read from the parts a model holds: the cell is
 "aa" (aspect-aware) when it is an `AALstmParams` and "classic" otherwise, and
 the head is aspect-conditioned "attention" when the model has attention
-weights and the "last" hidden state otherwise. `assemble_model` picks the
-parts from the kinds by name, for `build_model` (fresh weights) and the
-checkpoint loader (empty storage it fills). `SentimentModel.arrays()` is
+weights and the "last" hidden state otherwise. `assemble_model` is the one
+constructor: it picks the parts from the kinds by name, for `build_model`
+(fresh weights) and the checkpoint loader (empty storage it fills), and it
+owns the rules the names and dims must keep; the `SentimentModel`
+constructor only stores the parts. `SentimentModel.arrays()` is
 the one owner of the namespaced array names ("emb.words", "cell.W_i",
 "clf.b_s", ...): the checkpoint writes and reads exactly those arrays, and
 `params()`, which the optimizer and the gradient check walk, is the same
@@ -38,7 +40,6 @@ import numpy as np
 from .cells import (
     AALstmParams,
     ClassicLstmParams,
-    ConfigError,
     SequenceCache,
     aa_lstm_backward,
     classic_lstm_backward,
@@ -64,6 +65,7 @@ from .heads import (
     last_hidden_backward,
     last_hidden_head,
 )
+from .tensor import ConfigError
 from .train import dropout as apply_dropout
 
 TASKS = ("atsa", "acsa")
@@ -90,14 +92,15 @@ class InstanceCache:
 
 
 class SentimentModel:
+    """Embeddings, cell, optional attention head and classifier, stored as
+    given; `assemble_model` builds one from names and dims."""
+
     def __init__(self, task: str, embeddings: EmbeddingTable,
                  cell: Union[ClassicLstmParams, AALstmParams],
                  clf: ClassifierParams,
                  attn: Optional[AttentionParams] = None,
                  aspect_embeddings: Optional[AspectEmbeddingTable] = None,
                  train_embeddings: bool = True):
-        if task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
         self.task = task
         self.embeddings = embeddings
         self.aspect_embeddings = aspect_embeddings
@@ -105,31 +108,6 @@ class SentimentModel:
         self.attn = attn
         self.clf = clf
         self.train_embeddings = train_embeddings
-        if task == "acsa" and self.uses_aspect and aspect_embeddings is None:
-            raise ConfigError("acsa with an aspect-using model needs a category table")
-        dx = embeddings.dim
-        if cell.input_dim != dx:
-            raise ConfigError(
-                f"embedding dim {dx} != cell input dim {cell.input_dim}")
-        aspect_dim = None
-        if self.uses_aspect:
-            aspect_dim = aspect_embeddings.dim if task == "acsa" else dx
-        if self.cell_kind == "aa" and cell.aspect_dim != aspect_dim:
-            raise ConfigError(
-                f"cell aspect dim {cell.aspect_dim} != aspect vector dim {aspect_dim}")
-        if attn is not None:
-            if attn.hidden_dim != cell.hidden_dim:
-                raise ConfigError(
-                    f"attention hidden dim {attn.hidden_dim} != cell hidden "
-                    f"dim {cell.hidden_dim}")
-            if attn.aspect_dim != aspect_dim:
-                raise ConfigError(
-                    f"attention aspect dim {attn.aspect_dim} != aspect vector "
-                    f"dim {aspect_dim}")
-        if clf.W_s.shape[1] != cell.hidden_dim:
-            raise ConfigError(
-                f"classifier input dim {clf.W_s.shape[1]} != representation "
-                f"dim {cell.hidden_dim}")
 
     @property
     def cell_kind(self) -> str:
@@ -257,19 +235,26 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
                    make, train_embeddings: bool = True) -> SentimentModel:
     """The model the (task, cell, head) names describe, around `embeddings`.
 
-    `make(cls, *dims)` makes each part: its `init` for a new model, its
-    `empty` for one a checkpoint fills. `categories` None means no category
-    table. Aspect vectors have `category_dim` for acsa and the embedding dim
-    for atsa.
+    This is the one constructor of a `SentimentModel` and the one place that
+    checks the names and dims: every part is made from one set of dims, so
+    the parts fit together. `make(cls, *dims)` makes each part: its `init`
+    for a new model, its `empty` for one a checkpoint fills. `categories`
+    None means no category table. Aspect vectors have `category_dim` for
+    acsa and the embedding dim for atsa.
     """
-    if cell_kind not in CELLS:
-        raise ConfigError(f"cell must be one of {CELLS}, got {cell_kind!r}")
-    if head_kind not in HEADS:
-        raise ConfigError(f"head must be one of {HEADS}, got {head_kind!r}")
+    for kind, name, known in (("task", task, TASKS), ("cell", cell_kind, CELLS),
+                              ("head", head_kind, HEADS)):
+        if name not in known:
+            raise ConfigError(f"{kind} must be one of {known}, got {name!r}")
+    if task == "acsa" and categories is None and (cell_kind == "aa" or head_kind == "attention"):
+        raise ConfigError("acsa with an aspect-using model needs a category table")
     dx = embeddings.dim
     aspect_dim = category_dim if task == "acsa" else dx
-    if aspect_dim is None and head_kind == "attention":
-        raise ConfigError("acsa with an aspect-using model needs a category table")
+    if cell_kind == "aa" and aspect_dim != hidden_dim:
+        source = "category" if task == "acsa" else "embedding"
+        raise ConfigError(
+            f"aspect-aware cell needs aspect dim == hidden dim; {task} aspect vectors "
+            f"have the {source} dim {aspect_dim}, hidden is {hidden_dim}")
     cell = make(AALstmParams if cell_kind == "aa" else ClassicLstmParams, dx, hidden_dim)
     attn = make(AttentionParams, hidden_dim, aspect_dim) if head_kind == "attention" else None
     aspect_embeddings = (None if categories is None
@@ -290,12 +275,8 @@ def build_model(task: str, cell_kind: str, head_kind: str,
     in embedding space) and the hidden dimension for acsa (the category table
     is created here, when the model reads the aspect). The aspect-aware cell
     requires the aspect and hidden dimensions to match, so aa + atsa
-    additionally needs emb.dim == hidden.
+    additionally needs emb.dim == hidden; `assemble_model` checks it.
     """
-    if cell_kind == "aa" and task == "atsa" and embeddings.dim != hidden_dim:
-        raise ConfigError(
-            f"aspect-aware cell needs aspect dim == hidden dim; atsa aspect "
-            f"vectors have the embedding dim {embeddings.dim}, hidden is {hidden_dim}")
     uses_aspect = cell_kind == "aa" or head_kind == "attention"
     return assemble_model(
         task, cell_kind, head_kind, embeddings, hidden_dim,

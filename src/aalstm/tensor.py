@@ -4,7 +4,9 @@ Vectors are 1-D float64 numpy arrays, matrices are 2-D row-major (C-order)
 float64 arrays. All functions here are pure: they validate shapes, never
 mutate their inputs, and return freshly allocated arrays, so values can be
 shared read-only across threads. `ParamSet` is the base of the parameter
-sets.
+sets: `empty` or `init`, then a fill through `to_arrays()`, is the one way
+to make one. `ShapeError` and `ConfigError` are the errors every module
+shares.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ _TANH_HI = np.nextafter(1.0, 0.0)
 
 class ShapeError(ValueError):
     """Operands have incompatible shapes."""
+
+
+class ConfigError(ValueError):
+    """Inconsistent model configuration (e.g. aspect dim != hidden dim)."""
 
 
 def as_vector(data) -> np.ndarray:
@@ -101,10 +107,6 @@ class ParamSet:
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_arrays(cls, arrays):
-        return cls(**{f.name: arrays[f.name] for f in fields(cls)})
 
     @classmethod
     def empty(cls, *dims):

@@ -76,6 +76,13 @@ def clipped_tanh(v):
     return np.clip(np.tanh(v), -_OPEN_HI, _OPEN_HI)
 
 
+def filled(p, arrays):
+    """`p` with every array of its `to_arrays()` overwritten from `arrays`."""
+    for name, out in p.to_arrays().items():
+        out[...] = arrays[name]
+    return p
+
+
 def core(p):
     """The classic cell embedded in an aspect-aware one (shared core weights)."""
     from aalstm.cells import ClassicLstmParams
@@ -141,7 +148,7 @@ def per_gate_aa_backward(p, caches, dh_list):
     """Per-gate BPTT for the aspect-aware cell: (param grads, input grads,
     aspect grad)."""
     dx_in = p.input_dim
-    da = p.aspect_dim
+    da = p.hidden_dim  # the aspect-aware cell's aspect dim
     grads = {name: np.zeros_like(arr) for name, arr in p.to_arrays().items()}
     dxs = [None] * len(caches)
     d_aspect = np.zeros(da)

@@ -16,21 +16,19 @@ from aalstm.cells import (
 )
 from aalstm.tensor import ShapeError
 
-from helpers import core, params_as_lists, scalar_aa_step, scalar_classic_step
+from helpers import core, filled, params_as_lists, scalar_aa_step, scalar_classic_step
 
 
 def random_aa_params(rng, dx=3, dc=3, scale=0.5):
-    p = AALstmParams.init(dx, dc, seed=0)
-    arrays = p.to_arrays()
-    return AALstmParams.from_arrays(
-        {k: rng.normal(scale=scale, size=v.shape) for k, v in arrays.items()})
+    p = AALstmParams.empty(dx, dc)
+    return filled(p, {k: rng.normal(scale=scale, size=v.shape)
+                      for k, v in p.to_arrays().items()})
 
 
 def random_classic_params(rng, dx=3, dc=3, scale=0.5):
-    p = ClassicLstmParams.init(dx, dc, seed=0)
-    arrays = p.to_arrays()
-    return ClassicLstmParams.from_arrays(
-        {k: rng.normal(scale=scale, size=v.shape) for k, v in arrays.items()})
+    p = ClassicLstmParams.empty(dx, dc)
+    return filled(p, {k: rng.normal(scale=scale, size=v.shape)
+                      for k, v in p.to_arrays().items()})
 
 
 def random_state(rng, dc):
@@ -39,8 +37,8 @@ def random_state(rng, dc):
 
 class TestAAStep:
     def test_zero_everything_gives_half_gates(self):
-        p = AALstmParams.from_arrays(
-            {k: np.zeros_like(v) for k, v in AALstmParams.init(2, 2, seed=0).to_arrays().items()})
+        p = AALstmParams.empty(2, 2)
+        filled(p, dict.fromkeys(p.to_arrays(), 0.0))
         state, cache = aa_lstm_step(p, np.array([0.7, -0.3]), np.zeros(2), zero_state(2))
         for gate in (*cache.a_gates.reshape(3, -1), *cache.ifo.reshape(3, -1)):
             assert np.all(gate == 0.5)
@@ -112,8 +110,8 @@ class TestAAStep:
 
 class TestClassicStep:
     def test_zero_everything(self):
-        p = ClassicLstmParams.from_arrays(
-            {k: np.zeros_like(v) for k, v in ClassicLstmParams.init(2, 2, seed=0).to_arrays().items()})
+        p = ClassicLstmParams.empty(2, 2)
+        filled(p, dict.fromkeys(p.to_arrays(), 0.0))
         state, _ = classic_lstm_step(p, np.array([1.0, 2.0]), zero_state(2))
         assert np.all(state.h == 0.0)
 
@@ -142,8 +140,8 @@ class TestUnroll:
         np.testing.assert_array_equal(hs[0], state.h)
 
     def test_zero_params_give_zero_outputs(self):
-        p = ClassicLstmParams.from_arrays(
-            {k: np.zeros_like(v) for k, v in ClassicLstmParams.init(2, 3, seed=0).to_arrays().items()})
+        p = ClassicLstmParams.empty(2, 3)
+        filled(p, dict.fromkeys(p.to_arrays(), 0.0))
         hs, _ = unroll(p, [np.ones(2)] * 4)
         for h in hs:
             assert np.all(h == 0.0)
@@ -214,15 +212,14 @@ class TestParamPlumbing:
             arr += 0.25
             assert any(np.shares_memory(arr, buf) for buf in storage), name
         after, _ = aa_lstm_step(p, x, aspect, prev)
-        shifted = AALstmParams.from_arrays(
-            {k: v.copy() for k, v in p.to_arrays().items()})
+        shifted = filled(AALstmParams.empty(2, 3), p.to_arrays())
         expected, _ = aa_lstm_step(shifted, x, aspect, prev)
         assert not np.array_equal(before.h, after.h)
         np.testing.assert_array_equal(after.h, expected.h)
 
     def test_arrays_round_trip(self):
         p = AALstmParams.init(3, 4, seed=6)
-        q = AALstmParams.from_arrays(p.to_arrays())
+        q = filled(AALstmParams.empty(3, 4), p.to_arrays())
         for name, arr in p.to_arrays().items():
             assert np.array_equal(arr, q.to_arrays()[name])
 

@@ -1,18 +1,16 @@
 """Checkpoint round-trip and corruption handling."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aalstm.cells import ClassicLstmParams
 from aalstm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from aalstm.data import (AspectEmbeddingTable, CategoryId, EmbeddingTable, LabeledInstance,
-                         TermSpan, UNK_TOKEN)
-from aalstm.heads import AttentionParams, ClassifierParams
-from aalstm.model import CELLS, HEADS, TASKS, SentimentModel, build_model
+from aalstm.data import CategoryId, EmbeddingTable, LabeledInstance, TermSpan, UNK_TOKEN
+from aalstm.model import CELLS, HEADS, TASKS, assemble_model, build_model
 from aalstm.tensor import make_rng
 
 DIM = 5
@@ -299,7 +297,22 @@ def test_dim_mismatch_is_rejected(tmp_path):
     def shrink_embeddings(entries):
         entries["emb.words"] = entries["emb.words"][:, :-1]
     rewrite_npz(src, dst, shrink_embeddings)
-    with pytest.raises(CheckpointError, match="dim"):
+    with pytest.raises(CheckpointError, match=re.escape(
+            "array 'cell.W_i' has shape (5, 10), but the dims of its other arrays need (5, 9)")):
+        load_checkpoint(dst)
+
+
+def test_aa_aspect_dim_must_equal_hidden_dim(tmp_path):
+    # An acsa aa model may have emb dim != hidden dim; declared atsa, its
+    # aspect vectors would have the emb dim, which the cell cannot take.
+    model = build_model("acsa", "aa", "last", tiny_embeddings(), hidden_dim=4)
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(model, src)
+    rewrite_npz(src, dst, lambda e: (edit_meta(e, task="atsa", categories=None),
+                                     e.pop("emb.aspects")))
+    with pytest.raises(CheckpointError, match=re.escape(
+            "aspect-aware cell needs aspect dim == hidden dim; atsa aspect vectors "
+            "have the embedding dim 5, hidden is 4")):
         load_checkpoint(dst)
 
 
@@ -354,12 +367,8 @@ def test_round_trip_of_shapes_build_model_does_not_make(tmp_path, head_kind, cat
     # acsa classic+attention with a category dim other than the hidden dim,
     # and acsa classic+last holding a category table it does not use: the
     # loader must take every dim from the archive.
-    emb, hidden = tiny_embeddings(), 3
-    attn = AttentionParams.init(hidden, category_dim, seed=4) \
-        if head_kind == "attention" else None
-    model = SentimentModel(
-        "acsa", emb, ClassicLstmParams.init(DIM, hidden, seed=4), ClassifierParams.init(hidden),
-        attn=attn, aspect_embeddings=AspectEmbeddingTable.init(("food", "price"), category_dim),
-        train_embeddings=False)
+    model = assemble_model("acsa", "classic", head_kind, tiny_embeddings(), 3,
+                           ("food", "price"), category_dim,
+                           lambda cls, *dims: cls.init(*dims, seed=4), train_embeddings=False)
     assert_round_trip(model, tmp_path / "ckpt.npz",
                       LabeledInstance(("the", "soup", "is", "bad"), CategoryId(1), "negative"))

@@ -183,7 +183,8 @@ def test_eval_dim_mismatch_is_configuration_error(tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(bad), "--data", FIXTURE])
     err = capsys.readouterr().err
     assert code == 1
-    assert "dim" in err
+    assert "array 'cell.W_i' has shape (5, 10), but the dims of its other arrays " \
+        "need (5, 9)" in err
 
 
 def test_eval_whitespace_only_sentence_is_data_error(tmp_path, capsys):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aalstm.data import (
     AspectEmbeddingTable,
@@ -70,6 +72,22 @@ def test_char_range_outside_text_is_an_error():
     _, offsets = tokenize_with_offsets("short")
     with pytest.raises(DataFormatError, match="covers no token"):
         char_range_to_span(offsets, 40, 50)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(text=st.text(alphabet="ab1é_ .,'\t", max_size=16),
+       lo=st.integers(-2, 18), hi=st.integers(-2, 18))
+def test_char_range_to_span_property(text, lo, hi):
+    # A token overlaps [lo, hi) when they share a character; the span runs
+    # from the first overlapping token to the last, so none outside it does.
+    _, offsets = tokenize_with_offsets(text)
+    overlapping = [i for i, (s, e) in enumerate(offsets)
+                   if set(range(s, e)) & set(range(lo, hi))]
+    if not overlapping:
+        with pytest.raises(DataFormatError, match="covers no token"):
+            char_range_to_span(offsets, lo, hi)
+    else:
+        assert char_range_to_span(offsets, lo, hi) == TermSpan(overlapping[0], overlapping[-1])
 
 
 # --- XML fixture with hand-counted expectations ------------------------------

@@ -21,14 +21,13 @@ from aalstm.heads import (
     softmax,
 )
 
-from helpers import (fd_grad_of_array, loop_attention_backward, loop_attention_head,
+from helpers import (fd_grad_of_array, filled, loop_attention_backward, loop_attention_head,
                      worst_rel_err)
 
 
 def random_attention_params(rng, dc, da):
-    p = AttentionParams.init(dc, da, seed=0)
-    return AttentionParams.from_arrays(
-        {k: rng.normal(scale=0.5, size=v.shape) for k, v in p.to_arrays().items()})
+    p = AttentionParams.empty(dc, da)
+    return filled(p, {k: rng.normal(scale=0.5, size=v.shape) for k, v in p.to_arrays().items()})
 
 
 class TestLastHidden:
