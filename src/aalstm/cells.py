@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import ConfigError, ParamSet, ShapeError, as_matrix, sigmoid, tanh_v
+from .tensor import ParamSet, ShapeError, as_matrix, sigmoid, tanh_v
 
 
 # Row-block names of each stacked buffer, in row order. The three sigmoid
@@ -117,16 +117,6 @@ class _StackedParams(ParamSet):
         shapes = {"W_core": (4 * dc, input_dim + dc), "b_core": (4 * dc,),
                   "W_aspect": (3 * dc, 2 * dc), "b_aspect": (3 * dc,)}
         return {key: shapes[key] for key in cls._BLOCKS}
-
-    def __post_init__(self):
-        dc, width = np.shape(self.W_core)[0] // 4, np.shape(self.W_core)[-1]
-        if width <= dc:
-            raise ConfigError(f"core matrix width {width} leaves no input columns")
-        if "W_aspect" in self._BLOCKS and np.shape(self.W_aspect)[0] != 3 * dc:
-            raise ConfigError(
-                f"aspect dim {np.shape(self.W_aspect)[0] // 3} must equal hidden dim {dc}: "
-                "gated aspect terms are added to hidden-sized gate pre-activations")
-        self._coerce(width - dc, dc)
 
     @property
     def hidden_dim(self) -> int:

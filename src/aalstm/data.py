@@ -204,11 +204,6 @@ class AspectEmbeddingTable:
     categories: tuple[str, ...]
     matrix: np.ndarray
 
-    def __post_init__(self):
-        if len(self.categories) != self.matrix.shape[0]:
-            raise ValueError(
-                f"{len(self.categories)} categories != matrix rows {self.matrix.shape[0]}")
-
     @classmethod
     def empty(cls, categories: tuple[str, ...], dim: int) -> "AspectEmbeddingTable":
         return cls(tuple(categories), np.empty((len(categories), dim)))

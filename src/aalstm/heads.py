@@ -49,9 +49,6 @@ class AttentionParams(ParamSet):
         return {"W_h": (dc, dc), "W_v": (da, da), "w": (dc + da,),
                 "W_p": (dc, dc), "W_x": (dc, dc)}
 
-    def __post_init__(self):
-        self._coerce(np.shape(self.W_h)[0], np.shape(self.W_v)[0])
-
     @property
     def hidden_dim(self) -> int:
         return self.W_h.shape[0]
@@ -73,9 +70,6 @@ class ClassifierParams(ParamSet):
     @staticmethod
     def _shapes(repr_dim: int) -> dict[str, tuple[int, ...]]:
         return {"W_s": (N_CLASSES, repr_dim), "b_s": (N_CLASSES,)}
-
-    def __post_init__(self):
-        self._coerce(np.shape(self.W_s)[-1])
 
     @property
     def repr_dim(self) -> int:

@@ -8,12 +8,14 @@ the head is aspect-conditioned "attention" when the model has attention
 weights and the "last" hidden state otherwise. `assemble_model` is the one
 constructor: it picks the parts from the kinds by name, for `build_model`
 (fresh weights) and the checkpoint loader (empty storage it fills), and it
-owns the rules the names and dims must keep; the `SentimentModel`
-constructor only stores the parts. `SentimentModel.arrays()` is
-the one owner of the namespaced array names ("emb.words", "cell.W_i",
-"clf.b_s", ...): the checkpoint writes and reads exactly those arrays, and
-`params()`, which the optimizer and the gradient check walk, is the same
-dict minus the frozen or unused tables.
+owns the rules the names and dims must keep: known names, every dim at
+least 1, and a category table exactly for an acsa model that reads the
+aspect, so a model holds no array it does not read. The `SentimentModel`
+constructor only stores the parts. `SentimentModel.arrays()` is the one
+owner of the namespaced array names ("emb.words", "cell.W_i", "clf.b_s",
+...), and `backward` names its gradients the same way: the checkpoint
+writes and reads exactly those arrays, and `params()`, which the optimizer
+and the gradient check walk, is the same dict minus a frozen word table.
 
 A forward run gathers the (T, dx) input rows once, applies one dropout mask
 to all of them when the dropout rate is above 0, and keeps the cell's
@@ -73,6 +75,13 @@ CELLS = ("classic", "aa")
 HEADS = ("last", "attention")
 
 
+def _part_arrays(**parts: Optional[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """The parts' own arrays, in order, each named "<part>.<name>"; a part
+    that is None has none. `arrays()` and `backward` both name theirs here."""
+    return {f"{prefix}.{name}": arr for prefix, arrays in parts.items()
+            if arrays is not None for name, arr in arrays.items()}
+
+
 @dataclass
 class InstanceCache:
     """Everything the backward pass needs about one forward run.
@@ -127,21 +136,17 @@ class SentimentModel:
         out = {"emb.words": self.embeddings.matrix}
         if self.aspect_embeddings is not None:
             out["emb.aspects"] = self.aspect_embeddings.matrix
-        for prefix, part in (("cell", self.cell), ("attn", self.attn),
-                             ("clf", self.clf)):
-            if part is not None:
-                for name, arr in part.to_arrays().items():
-                    out[f"{prefix}.{name}"] = arr
+        out.update(_part_arrays(cell=self.cell.to_arrays(),
+                                attn=None if self.attn is None else self.attn.to_arrays(),
+                                clf=self.clf.to_arrays()))
         return out
 
     def params(self) -> dict[str, np.ndarray]:
-        """Trainable name -> live array: arrays() minus frozen or unused
-        tables. Mutating a value updates the model."""
+        """Trainable name -> live array: arrays() minus a frozen word table.
+        Mutating a value updates the model."""
         out = self.arrays()
         if not self.train_embeddings:
             del out["emb.words"]
-        if not self.uses_aspect:
-            out.pop("emb.aspects", None)
         return out
 
     def regularized(self) -> list[str]:
@@ -196,15 +201,7 @@ class SentimentModel:
         else:
             cell_grads, dX = classic_lstm_backward(self.cell, cache.cell_cache, dH)
 
-        grads: dict[str, np.ndarray] = {}
-        for name, g in cell_grads.items():
-            grads[f"cell.{name}"] = g
-        if attn_grads is not None:
-            for name, g in attn_grads.items():
-                grads[f"attn.{name}"] = g
-        for name, g in clf_grads.items():
-            grads[f"clf.{name}"] = g
-
+        grads = _part_arrays(cell=cell_grads, attn=attn_grads, clf=clf_grads)
         if self.train_embeddings:
             d_words = np.zeros_like(self.embeddings.matrix)
             if cache.x_mask is not None:
@@ -215,7 +212,7 @@ class SentimentModel:
                 np.add.at(d_words, cache.indices[span.start:span.end + 1],
                           d_aspect / (span.end - span.start + 1))
             grads["emb.words"] = d_words
-        if self.aspect_embeddings is not None and self.uses_aspect:
+        if self.aspect_embeddings is not None:
             d_cats = np.zeros_like(self.aspect_embeddings.matrix)
             if d_aspect is not None and not isinstance(inst.aspect, TermSpan):
                 d_cats[inst.aspect.index] += d_aspect
@@ -236,20 +233,31 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
     """The model the (task, cell, head) names describe, around `embeddings`.
 
     This is the one constructor of a `SentimentModel` and the one place that
-    checks the names and dims: every part is made from one set of dims, so
-    the parts fit together. `make(cls, *dims)` makes each part: its `init`
-    for a new model, its `empty` for one a checkpoint fills. `categories`
-    None means no category table. Aspect vectors have `category_dim` for
-    acsa and the embedding dim for atsa.
+    checks the names and dims: every part is made from one set of dims, each
+    at least 1, so the parts fit together and no array is empty.
+    `make(cls, *dims)` makes each part: its `init` for a new model, its
+    `empty` for one a checkpoint fills. Only an acsa model that reads the
+    aspect gets a category table, of `categories` with vectors of
+    `category_dim`; other models ignore both. atsa aspect vectors have the
+    embedding dim.
     """
     for kind, name, known in (("task", task, TASKS), ("cell", cell_kind, CELLS),
                               ("head", head_kind, HEADS)):
         if name not in known:
             raise ConfigError(f"{kind} must be one of {known}, got {name!r}")
-    if task == "acsa" and categories is None and (cell_kind == "aa" or head_kind == "attention"):
-        raise ConfigError("acsa with an aspect-using model needs a category table")
+    reads_aspect = cell_kind == "aa" or head_kind == "attention"
+    with_table = task == "acsa" and reads_aspect
+    if with_table and not categories:
+        raise ConfigError("acsa with an aspect-using model needs a category table "
+                          "with at least one category")
     dx = embeddings.dim
     aspect_dim = category_dim if task == "acsa" else dx
+    dims = {"embedding": dx, "hidden": hidden_dim}
+    if reads_aspect:
+        dims["aspect"] = aspect_dim
+    if min(dims.values()) < 1:
+        raise ConfigError("dims must be >= 1, got "
+                          + ", ".join(f"{name} {dim}" for name, dim in dims.items()))
     if cell_kind == "aa" and aspect_dim != hidden_dim:
         source = "category" if task == "acsa" else "embedding"
         raise ConfigError(
@@ -257,8 +265,8 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
             f"have the {source} dim {aspect_dim}, hidden is {hidden_dim}")
     cell = make(AALstmParams if cell_kind == "aa" else ClassicLstmParams, dx, hidden_dim)
     attn = make(AttentionParams, hidden_dim, aspect_dim) if head_kind == "attention" else None
-    aspect_embeddings = (None if categories is None
-                         else make(AspectEmbeddingTable, categories, category_dim))
+    aspect_embeddings = (make(AspectEmbeddingTable, categories, category_dim)
+                         if with_table else None)
     return SentimentModel(task, embeddings, cell, make(ClassifierParams, hidden_dim),
                           attn=attn, aspect_embeddings=aspect_embeddings,
                           train_embeddings=train_embeddings)
@@ -272,14 +280,13 @@ def build_model(task: str, cell_kind: str, head_kind: str,
     """Construct a model with freshly initialized weights.
 
     The aspect dimension is the embedding dimension for atsa (span means live
-    in embedding space) and the hidden dimension for acsa (the category table
-    is created here, when the model reads the aspect). The aspect-aware cell
-    requires the aspect and hidden dimensions to match, so aa + atsa
-    additionally needs emb.dim == hidden; `assemble_model` checks it.
+    in embedding space) and the hidden dimension for acsa (the category
+    table, which `assemble_model` makes when the model reads the aspect).
+    The aspect-aware cell requires the aspect and hidden dimensions to
+    match, so aa + atsa additionally needs emb.dim == hidden; `assemble_model`
+    checks it.
     """
-    uses_aspect = cell_kind == "aa" or head_kind == "attention"
     return assemble_model(
-        task, cell_kind, head_kind, embeddings, hidden_dim,
-        categories if task == "acsa" and uses_aspect else None, hidden_dim,
+        task, cell_kind, head_kind, embeddings, hidden_dim, categories, hidden_dim,
         lambda cls, *dims: cls.init(*dims, lo=init_low, hi=init_high, seed=seed),
         train_embeddings)

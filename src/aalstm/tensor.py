@@ -5,8 +5,9 @@ float64 arrays. All functions here are pure: they validate shapes, never
 mutate their inputs, and return freshly allocated arrays, so values can be
 shared read-only across threads. `ParamSet` is the base of the parameter
 sets: `empty` or `init`, then a fill through `to_arrays()`, is the one way
-to make one. `ShapeError` and `ConfigError` are the errors every module
-shares.
+to make one. A parameter set only declares its shapes; its constructor
+checks nothing, because `assemble_model` checks the dims every set is made
+from. `ShapeError` and `ConfigError` are the errors every module shares.
 """
 
 from __future__ import annotations
@@ -29,14 +30,6 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """Inconsistent model configuration (e.g. aspect dim != hidden dim)."""
-
-
-def as_vector(data) -> np.ndarray:
-    """Coerce to a 1-D float64 vector."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
 
 
 def as_matrix(data) -> np.ndarray:
@@ -93,17 +86,10 @@ class ParamSet:
     A subclass gives ``_shapes(*dims)`` (field -> shape) and ``_INIT_STREAM``
     (array name -> seed stream of each array drawn at init; the others start
     at zero). Its arrays are its fields unless it overrides ``to_arrays``.
+    The dataclass constructor stores what it is given and checks nothing.
     """
 
     _INIT_STREAM: dict[str, int]
-
-    def _coerce(self, *dims) -> None:
-        """Make every field a float64 array of the shape `dims` give."""
-        for name, want in self._shapes(*dims).items():
-            arr = (as_matrix if len(want) == 2 else as_vector)(getattr(self, name))
-            if arr.shape != want:
-                raise ShapeError(f"{name} shape {arr.shape} != {want}")
-            setattr(self, name, arr)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -22,6 +22,8 @@ _FD_EPS = 1e-5
 _FD_FLOOR = 1e-8
 # A gradient check passes when its worst relative error is below this.
 GRADCHECK_THRESHOLD = 1e-4
+# Adam's moment decay rates and denominator guard, the usual defaults.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -106,13 +108,11 @@ class Adam:
     gradient for every registered parameter and nothing else.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -124,8 +124,8 @@ class Adam:
             raise ValueError(f"gradient keys mismatch: missing {sorted(missing)}, "
                              f"unexpected {sorted(extra)}")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - _ADAM_BETA1 ** self.t
+        c2 = 1.0 - _ADAM_BETA2 ** self.t
         for name in sorted(self.params):
             g = grads[name]
             p = self.params[name]
@@ -133,11 +133,11 @@ class Adam:
                 raise ValueError(f"{name}: gradient shape {g.shape} != {p.shape}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
 
 @dataclass
@@ -153,16 +153,17 @@ class GradCheckReport:
 
 
 def grad_check(loss_fn: Callable[[], float], params: dict[str, np.ndarray],
-               analytic: dict[str, np.ndarray], eps: float = _FD_EPS,
+               analytic: dict[str, np.ndarray],
                floor: float = _FD_FLOOR) -> GradCheckReport:
     """Central-difference check of `analytic` against `loss_fn`.
 
-    Perturbs every entry of every array in `params` in place. Coordinates
-    where both sides are at or below `floor` are skipped: the quotient
-    (L(t+eps)-L(t-eps))/2eps carries about 1e-11 of roundoff when the loss is
-    O(1) in double precision, so relative agreement is unmeasurable for
-    near-zero coordinates. Callers certifying a relative tolerance should set
-    `floor` well above roundoff/tolerance (e.g. 1e-6 for 1e-4).
+    Perturbs every entry of every array in `params` in place, by
+    eps = `_FD_EPS` each way. Coordinates where both sides are at or below
+    `floor` are skipped: the quotient (L(t+eps)-L(t-eps))/2eps carries about
+    1e-11 of roundoff when the loss is O(1) in double precision, so relative
+    agreement is unmeasurable for near-zero coordinates. Callers certifying
+    a relative tolerance should set `floor` well above roundoff/tolerance
+    (e.g. 1e-6 for 1e-4).
     """
     worst = 0.0
     worst_name, worst_index = "", ()
@@ -176,12 +177,12 @@ def grad_check(loss_fn: Callable[[], float], params: dict[str, np.ndarray],
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
-            arr[idx] = orig + eps
+            arr[idx] = orig + _FD_EPS
             up = loss_fn()
-            arr[idx] = orig - eps
+            arr[idx] = orig - _FD_EPS
             down = loss_fn()
             arr[idx] = orig
-            numeric = (up - down) / (2.0 * eps)
+            numeric = (up - down) / (2.0 * _FD_EPS)
             if max(abs(numeric), abs(grad[idx])) <= floor:
                 continue
             rel = abs(grad[idx] - numeric) / max(abs(grad[idx]), abs(numeric))

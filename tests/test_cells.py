@@ -8,7 +8,6 @@ from aalstm.cells import (
     AALstmParams,
     CellState,
     ClassicLstmParams,
-    ConfigError,
     aa_lstm_step,
     classic_lstm_step,
     unroll,
@@ -101,11 +100,6 @@ class TestAAStep:
             aa_lstm_step(p, np.zeros(3), np.zeros(5), zero_state(4))
         with pytest.raises(ShapeError):
             aa_lstm_step(p, np.zeros(3), np.zeros(4), zero_state(3))
-
-    def test_aspect_dim_must_match_hidden(self):
-        with pytest.raises(ConfigError):
-            AALstmParams(W_aspect=np.zeros((15, 10)), b_aspect=np.zeros(15),
-                         W_core=np.zeros((16, 7)), b_core=np.zeros(16))
 
 
 class TestClassicStep:

@@ -252,16 +252,22 @@ def test_missing_parameter_array(tmp_path):
         load_checkpoint(dst)
 
 
-@pytest.mark.parametrize("change,unused", [
-    pytest.param({"cell": "classic"}, ["cell.W_ai", "cell.W_af", "cell.W_ao",
-                                       "cell.b_ai", "cell.b_af", "cell.b_ao"], id="cell-classic"),
-    pytest.param({"head": "last"}, ["attn.W_h", "attn.W_v", "attn.w", "attn.W_p", "attn.W_x"],
-                 id="head-last"),
+_ASPECT_GATE_KEYS = [key for key in _AA_CELL_KEYS if key not in _CLASSIC_CELL_KEYS]
+
+
+@pytest.mark.parametrize("args,change,unused", [
+    pytest.param(("atsa", "aa", "attention"), {"cell": "classic"}, _ASPECT_GATE_KEYS,
+                 id="cell-classic"),
+    pytest.param(("atsa", "aa", "attention"), {"head": "last"},
+                 ["attn.W_h", "attn.W_v", "attn.w", "attn.W_p", "attn.W_x"], id="head-last"),
+    # acsa classic+last does not read the aspect, so it holds no category table.
+    pytest.param(("acsa", "aa", "last"), {"cell": "classic"},
+                 ["emb.aspects"] + _ASPECT_GATE_KEYS, id="acsa-cell-classic"),
 ])
-def test_arrays_the_declared_model_does_not_use_are_rejected(tmp_path, change, unused):
-    # An aa+attention archive whose metadata names a smaller model must not
-    # load as that model with the extra arrays dropped.
-    model = make("atsa", "aa", "attention")
+def test_arrays_the_declared_model_does_not_use_are_rejected(tmp_path, args, change, unused):
+    # An archive whose metadata names a smaller model must not load as that
+    # model with the extra arrays dropped.
+    model = make(*args)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(model, src)
     rewrite_npz(src, dst, lambda e: edit_meta(e, **change))
@@ -365,10 +371,12 @@ def test_round_trip_property(tmp_path_factory, task, cell_kind, head_kind, dim, 
 @pytest.mark.parametrize("head_kind,category_dim", [("attention", 7), ("last", 2)])
 def test_round_trip_of_shapes_build_model_does_not_make(tmp_path, head_kind, category_dim):
     # acsa classic+attention with a category dim other than the hidden dim,
-    # and acsa classic+last holding a category table it does not use: the
-    # loader must take every dim from the archive.
+    # and acsa classic+last, which reads no aspect, so `assemble_model` gives
+    # it no category table whatever categories it is passed: the loader must
+    # take every dim from the archive.
     model = assemble_model("acsa", "classic", head_kind, tiny_embeddings(), 3,
                            ("food", "price"), category_dim,
                            lambda cls, *dims: cls.init(*dims, seed=4), train_embeddings=False)
+    assert (model.aspect_embeddings is None) == (head_kind == "last")
     assert_round_trip(model, tmp_path / "ckpt.npz",
                       LabeledInstance(("the", "soup", "is", "bad"), CategoryId(1), "negative"))

@@ -8,13 +8,15 @@ import re
 import numpy as np
 import pytest
 
-from aalstm.cells import ConfigError
 from aalstm.checkpoint import load_checkpoint, save_checkpoint
 from aalstm.cli import (CliError, _load_eval_instances, build_parser, main,
                         parse_config_file, pipeline_grad_report, resolve_config,
                         run_bench)
 from aalstm.data import CategoryId, build_vocab, random_embeddings
 from aalstm.model import build_model
+from aalstm.tensor import ConfigError
+
+from test_checkpoint import edit_meta, rewrite_npz
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "mini_reviews.xml")
 
@@ -185,6 +187,26 @@ def test_eval_dim_mismatch_is_configuration_error(tmp_path, capsys):
     assert code == 1
     assert "array 'cell.W_i' has shape (5, 10), but the dims of its other arrays " \
         "need (5, 9)" in err
+
+
+def test_eval_zero_size_checkpoint_is_one_error_line(tmp_path, capsys):
+    # An empty category list with a (0, d) table: no model has a zero-size
+    # array, so this is an inconsistent checkpoint, not a failed read.
+    emb = random_embeddings(build_vocab([]), dim=4)
+    src, bad = tmp_path / "acsa.npz", tmp_path / "bad.npz"
+    save_checkpoint(build_model("acsa", "aa", "last", emb, hidden_dim=4), src)
+
+    def empty_table(entries):
+        edit_meta(entries, categories=[])
+        entries["emb.aspects"] = entries["emb.aspects"][:0]
+    rewrite_npz(src, bad, empty_table)
+    data = tmp_path / "insts.tsv"
+    data.write_text("the soup is bad\tcategory:0\tnegative\n")
+    code = main(["eval", "--checkpoint", str(bad), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: inconsistent checkpoint {bad}:")
+    assert err.count("\n") == 1
 
 
 def test_eval_whitespace_only_sentence_is_data_error(tmp_path, capsys):

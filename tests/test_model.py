@@ -5,7 +5,6 @@ included) against central differences."""
 import numpy as np
 import pytest
 
-from aalstm.cells import ConfigError
 from aalstm.data import (
     CategoryId,
     EmbeddingTable,
@@ -14,7 +13,7 @@ from aalstm.data import (
     UNK_TOKEN,
 )
 from aalstm.model import SentimentModel, build_model
-from aalstm.tensor import make_rng
+from aalstm.tensor import ConfigError, make_rng
 from aalstm.train import cross_entropy, grad_check
 
 DIM = 4
@@ -90,6 +89,14 @@ def test_regularized_is_matrices_only():
 def test_aa_atsa_requires_matching_dims():
     with pytest.raises(ConfigError, match="hidden"):
         build_model("atsa", "aa", "last", tiny_embeddings(dim=3), hidden_dim=5)
+
+
+def test_empty_dims_and_category_lists_are_rejected():
+    # Either would build a model holding zero-size arrays.
+    with pytest.raises(ConfigError, match="dims must be >= 1, got embedding 4, hidden 0"):
+        build_model("atsa", "classic", "last", tiny_embeddings(), hidden_dim=0)
+    with pytest.raises(ConfigError, match="at least one category"):
+        build_model("acsa", "aa", "last", tiny_embeddings(), hidden_dim=DIM, categories=())
 
 
 def test_bad_switches_rejected():
