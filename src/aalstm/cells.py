@@ -36,17 +36,25 @@ load) reach the kernel, and checkpoints do not see the stacking. The
 buffers' shapes come from the dims in one place, ``_shapes``.
 
 One kernel runs ``unroll``, and ``classic_lstm_step``/``aa_lstm_step`` as
-one-step runs: per step one matvec and one sigmoid per gate group (i/f/o,
-and a_i/a_f/a_o) plus one tanh for the candidate. A run records one
-``SequenceCache`` of (T, .) arrays. The backward passes keep one stacked
-pre-activation gradient per step and take the recurrent gradient on h_prev
-with one transposed matvec per group; the input, aspect and weight
-gradients follow after the time loop, one matmul per group.
+one-step runs. It runs B sequences at once, sorted longest first so that the
+sequences still running at step t are the first rows of its (B, T, .)
+buffers. It projects the inputs once per call, over the real rows only, and
+the constant aspect once per sequence; per step it does one product of the
+running rows' h_prev with the recurrent block (W_core's h columns, with
+W_aspect's under them for the aspect-aware cell), one sigmoid per gate group
+(a_i/a_f/a_o, then i/f/o) and one tanh for the candidate, writing each gate
+activation over its pre-activation. Each sequence's ``SequenceCache`` holds
+(T, .) views of the run's arrays. The backward passes, one sequence at a
+time, keep one stacked pre-activation gradient per step and take the
+recurrent gradient on h_prev with one transposed matvec per group; the
+input, aspect and weight gradients follow after the time loop, one matmul
+per group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -174,38 +182,80 @@ class AALstmParams(_StackedParams):
               "b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")
 
 
-def _run(p, X: np.ndarray, prev: CellState, aspect: Optional[np.ndarray]) -> SequenceCache:
-    """The one kernel: run the cell over the rows of X; `aspect` None runs
-    the classic cell. `unroll` validates the inputs."""
-    n_steps, dc = X.shape[0], p.hidden_dim
-    W_core, b_core = p.W_core, p.b_core
-    H = np.empty((n_steps + 1, dc))
-    C = np.empty((n_steps + 1, dc))
-    H[0], C[0] = prev.h, prev.c
-    ifo = np.empty((n_steps, 3 * dc))
-    c_cand = np.empty((n_steps, dc))
-    tanh_c = np.empty((n_steps, dc))
-    a_gates = None
-    if aspect is not None:
-        W_aspect, b_aspect = p.W_aspect, p.b_aspect
-        a_gates = np.empty((n_steps, 3 * dc))
-        # The aspect once per aspect gate: all three injections a_* * A in
-        # one product.
-        aspect3 = np.tile(aspect, 3)
-    h = H[0]
-    for t, x in enumerate(X):
-        z = W_core @ np.concatenate((x, h))
-        if aspect is not None:
-            a = a_gates[t] = sigmoid(W_aspect @ np.concatenate((aspect, h)) + b_aspect)
-            z[:3 * dc] += a * aspect3
-        z += b_core
-        g = ifo[t] = sigmoid(z[:3 * dc])
-        cand = c_cand[t] = tanh_v(z[3 * dc:])
-        c = np.multiply(g[dc:2 * dc], C[t], out=C[t + 1])
-        c += g[:dc] * cand
-        tc = tanh_c[t] = tanh_v(c)
-        h = np.multiply(g[2 * dc:], tc, out=H[t + 1])
-    return SequenceCache(X, H, C, ifo, c_cand, tanh_c, aspect, a_gates)
+def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
+         prev: CellState) -> list[SequenceCache]:
+    """The one kernel: run the cell over B sequences whose rows lie one after
+    another in X, `lengths[b]` rows each, every one from state `prev`.
+    `aspects` holds one row per sequence, or is None for the classic cell.
+    Returns one cache per sequence, in input order. `unroll` validates.
+
+    The run works on (B, T, .) buffers, T the longest length, with the
+    sequences sorted longest first, so at step t the sequences still running
+    are the first n_t rows and padding is never computed. When every
+    sequence has length T, as at B = 1, the buffers are the input
+    projection itself and nothing is sorted or copied.
+    """
+    dx, dc, n_seq = p.input_dim, p.hidden_dim, len(lengths)
+    aware = aspects is not None
+    W_core = p.W_core
+    # The input projection, over the real rows, and the recurrent block, which
+    # is formed per call: a cached copy would miss in-place weight updates.
+    Z = X @ W_core[:, :dx].T
+    Z += p.b_core
+    W_hT = np.vstack((W_core[:, dx:], p.W_aspect[:, dc:]) if aware
+                     else (W_core[:, dx:],)).T
+    n_steps = max(lengths)
+    starts = [0, *accumulate(lengths[:-1])]
+    if X.shape[0] == n_seq * n_steps:
+        order = range(n_seq)
+        Z = Z.reshape(n_seq, n_steps, 4 * dc)
+    else:
+        order = sorted(range(n_seq), key=lengths.__getitem__, reverse=True)
+        packed, Z = Z, np.empty((n_seq, n_steps, 4 * dc))
+        for row, b in enumerate(order):
+            Z[row, :lengths[b]] = packed[starts[b]:starts[b] + lengths[b]]
+        if aware:
+            aspects = aspects[order]
+    if aware:
+        # The constant aspect's part of the aspect gates, once per sequence,
+        # and the aspect once per gate for the injections a_* * A.
+        Z_aspect = aspects @ p.W_aspect[:, :dc].T
+        Z_aspect += p.b_aspect
+        aspect3 = np.tile(aspects, 3)
+        a_gates = np.empty((n_seq, n_steps, 3 * dc))
+    H = np.empty((n_seq, n_steps + 1, dc))
+    C = np.empty((n_seq, n_steps + 1, dc))
+    H[:, 0], C[:, 0] = prev.h, prev.c
+    tanh_c = np.empty((n_seq, n_steps, dc))
+    ends = [lengths[b] for b in order]
+    n = n_seq
+    for t in range(n_steps):
+        while ends[n - 1] <= t:
+            n -= 1
+        # One product over the recurrent block; the gate activations then
+        # overwrite their pre-activations in Z.
+        rec = H[:n, t] @ W_hT
+        z = Z[:n, t]
+        if aware:
+            z += rec[:, :4 * dc]
+            a = np.add(rec[:, 4 * dc:], Z_aspect[:n], out=a_gates[:n, t])
+            z[:, :3 * dc] += sigmoid(a, out=a) * aspect3[:n]
+        else:
+            z += rec
+        g = sigmoid(z[:, :3 * dc], out=z[:, :3 * dc])
+        cand = tanh_v(z[:, 3 * dc:], out=z[:, 3 * dc:])
+        c = np.multiply(g[:, dc:2 * dc], C[:n, t], out=C[:n, t + 1])
+        c += g[:, :dc] * cand
+        tc = tanh_v(c, out=tanh_c[:n, t])
+        np.multiply(g[:, 2 * dc:], tc, out=H[:n, t + 1])
+    caches = [None] * n_seq
+    for row, b in enumerate(order):
+        end = lengths[b]
+        caches[b] = SequenceCache(
+            X[starts[b]:starts[b] + end], H[row, :end + 1], C[row, :end + 1],
+            Z[row, :end, :3 * dc], Z[row, :end, 3 * dc:], tanh_c[row, :end],
+            aspects[row] if aware else None, a_gates[row, :end] if aware else None)
+    return caches
 
 
 def classic_lstm_step(p: ClassicLstmParams, x: np.ndarray,
@@ -223,14 +273,23 @@ def aa_lstm_step(p: AALstmParams, x: np.ndarray, aspect: np.ndarray,
 
 
 def unroll(params, xs, aspect: Optional[np.ndarray] = None,
-           init: Optional[CellState] = None) -> tuple[np.ndarray, SequenceCache]:
+           init: Optional[CellState] = None, lengths: Optional[list[int]] = None):
     """Run the cell over a sequence, threading state; init defaults to zeros.
 
     `params` selects the cell: AALstmParams requires `aspect`, ClassicLstmParams
     forbids it. `xs` holds one input per step, as a (T, dx) array or a list
     of vectors. Returns the (T, dc) hidden states and the run's cache.
+
+    With `lengths`, one call runs B sequences: `xs` holds their rows one
+    after another, `lengths[b]` rows for sequence b, `aspect` holds one row
+    per sequence, and every sequence starts from `init`. The call then
+    returns a list of B (T_b, dc) hidden-state arrays and a list of B
+    caches, each a view of the run's arrays.
     """
-    if len(xs) == 0:
+    batched = lengths is not None
+    if not batched:
+        lengths = [len(xs)]
+    if min(lengths, default=0) < 1:
         raise ValueError("unroll: empty input sequence")
     aware = isinstance(params, AALstmParams)
     if aware and aspect is None:
@@ -241,12 +300,19 @@ def unroll(params, xs, aspect: Optional[np.ndarray] = None,
     X, dc = as_matrix(xs), params.hidden_dim
     if X.shape[1] != params.input_dim:
         raise ShapeError(f"input shape {X.shape[1:]} != ({params.input_dim},)")
+    if X.shape[0] != sum(lengths):
+        raise ShapeError(f"{X.shape[0]} input rows, but the lengths add up to {sum(lengths)}")
     if state.h.shape != (dc,) or state.c.shape != (dc,):
         raise ShapeError(f"state shapes {state.h.shape}/{state.c.shape} != ({dc},)")
-    if aware and aspect.shape != (dc,):
-        raise ShapeError(f"aspect shape {aspect.shape} != ({dc},)")
-    cache = _run(params, X, state, aspect)
-    return cache.H[1:], cache
+    if aware:
+        aspects = as_matrix(aspect) if batched else aspect[None]
+        if aspects.shape != (len(lengths), dc):
+            raise ShapeError(f"aspect shape {np.shape(aspect)} != "
+                             f"{(len(lengths), dc) if batched else (dc,)}")
+    caches = _run(params, X, list(lengths), aspects if aware else None, state)
+    if batched:
+        return [cache.H[1:] for cache in caches], caches
+    return caches[0].H[1:], caches[0]
 
 
 def _bptt(p, cache: SequenceCache, dH):

@@ -7,10 +7,12 @@ the vocabulary in row order, which rows were randomly initialized, and the
 category list. Frozen tables are stored too: inference needs them.
 
 Loading mirrors saving. The .npy headers of "emb.words", "cell.b_i" and,
-with categories, "emb.aspects" give the dims; the model the switches name is
-built around them with uninitialized storage; the archive's keys must equal
-`__meta__` plus its `arrays()`; and each array is read straight into its
-live view, whose shape it must have. NaN or inf is rejected.
+for a model with a category table, "emb.aspects" give the dims; the model
+the switches name is built around them with uninitialized storage; the
+archive's keys must equal `__meta__` plus its `arrays()`, and its metadata
+lists categories exactly for a model with a table; and each array is read
+straight into its live view, whose shape it must have. NaN or inf is
+rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import zipfile
 import numpy as np
 
 from .data import EmbeddingTable
-from .model import SentimentModel, assemble_model
+from .model import SentimentModel, assemble_model, has_category_table
 
 FORMAT_NAME = "aalstm-checkpoint"
 FORMAT_VERSION = 1
@@ -141,7 +143,9 @@ def _read_model(path, archive) -> SentimentModel:
         n_words, dx = _shape(path, archive, "emb.words", 2)
         (hidden_dim,) = _shape(path, archive, "cell.b_i", 1)
         categories = meta["categories"]
-        category_dim = None if categories is None else _shape(path, archive, "emb.aspects", 2)[1]
+        with_table = categories is not None and has_category_table(
+            meta["task"], meta["cell"], meta["head"])
+        category_dim = _shape(path, archive, "emb.aspects", 2)[1] if with_table else None
         embeddings = EmbeddingTable({token: i for i, token in enumerate(meta["vocab"])},
                                     np.empty((n_words, dx)), frozenset(meta["oov_tokens"]))
         model = assemble_model(meta["task"], meta["cell"], meta["head"], embeddings,
@@ -156,6 +160,8 @@ def _read_model(path, archive) -> SentimentModel:
     stored = set(archive.files) - {_META_KEY}
     mismatch = ([f"missing array {key!r}" for key in arrays if key not in stored]
                 + [f"unused array {key!r}" for key in sorted(stored.difference(arrays))])
+    if categories is not None and model.aspect_embeddings is None:
+        mismatch.insert(0, f"categories {categories!r}, but it has no category table")
     if mismatch:
         raise CheckpointError(
             f"checkpoint {path} does not fit the {meta['task']} {meta['cell']}+"

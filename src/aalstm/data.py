@@ -265,12 +265,12 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
     """
     found: dict[int, np.ndarray] = {}
     for lineno, line in _numbered_lines(path):
-        parts = line.rstrip("\n").split()
-        if not parts:
+        # Most lines of a real file are outside the vocabulary: split off only
+        # the token, and the numbers only for vocabulary tokens.
+        fields = line.split(maxsplit=1)
+        if not fields or fields[0] not in vocab:
             continue
-        token, values = parts[0], parts[1:]
-        if token not in vocab:
-            continue
+        token, values = fields[0], fields[1].split() if len(fields) > 1 else []
         if len(values) > dim and not all(map(_is_number, values[:-dim])):
             continue
         if len(values) != dim:

@@ -17,10 +17,13 @@ owner of the namespaced array names ("emb.words", "cell.W_i", "clf.b_s",
 writes and reads exactly those arrays, and `params()`, which the optimizer
 and the gradient check walk, is the same dict minus a frozen word table.
 
-A forward run gathers the (T, dx) input rows once, applies one dropout mask
-to all of them when the dropout rate is above 0, and keeps the cell's
-`SequenceCache`; the backward pass scatters the (T, dx) input gradient back
-into the embedding rows.
+A forward run takes a list of instances (`forward` is the one-instance
+case): it gathers their input rows once, applies one dropout mask to all of
+them when the dropout rate is above 0, runs the cell over all of them in one
+`unroll` call, and runs the head and classifier on each instance's (T, dc)
+hidden states. Each instance keeps its own `SequenceCache`, a view of the
+run's arrays; the backward pass, one instance at a time, scatters the
+(T, dx) input gradient back into the embedding rows.
 
 Gradient routing notes, since they are easy to get wrong:
   - input gradients pass back through the dropout mask before
@@ -157,24 +160,39 @@ class SentimentModel:
     def forward(self, inst: LabeledInstance, dropout: float = 0.0,
                 rng=None) -> InstanceCache:
         """Run one instance; `dropout` above 0 drops inputs and representation."""
-        indices = [self.embeddings.index(t) for t in inst.tokens]
-        X, x_mask = apply_dropout(self.embeddings.matrix[indices], dropout, rng)
-        aspect = None
+        return self.forward_batch([inst], dropout, rng)[0]
+
+    def forward_batch(self, insts: list[LabeledInstance], dropout: float = 0.0,
+                      rng=None) -> list[InstanceCache]:
+        """Run instances through one cell call, then the head and classifier
+        on each. Dropout draws the input masks of all instances, in order,
+        then each instance's representation mask."""
+        indices = [[self.embeddings.index(t) for t in inst.tokens] for inst in insts]
+        lengths = [len(ix) for ix in indices]
+        X, x_mask = apply_dropout(
+            self.embeddings.matrix[[i for ix in indices for i in ix]], dropout, rng)
+        aspects = [None] * len(insts)
         if self.uses_aspect:
-            aspect = build_aspect_vector(inst, self.embeddings, self.aspect_embeddings)
-        cell_aspect = aspect if self.cell_kind == "aa" else None
-        hs, cell_cache = unroll(self.cell, X, aspect=cell_aspect)
-        head_cache = None
-        if self.attn is not None:
-            rep, _, head_cache = attention_head(hs, aspect, self.attn)
-        else:
-            rep = last_hidden_head(hs)
-        rep, rep_mask = apply_dropout(rep, dropout, rng)
-        probs, clf_cache = classify_with_cache(rep, self.clf)
-        return InstanceCache(inst=inst, indices=indices, x_mask=x_mask,
-                             cell_cache=cell_cache,
-                             head_cache=head_cache, rep_mask=rep_mask,
-                             clf_cache=clf_cache, probs=probs)
+            aspects = [build_aspect_vector(inst, self.embeddings, self.aspect_embeddings)
+                       for inst in insts]
+        cell_aspects = aspects if self.cell_kind == "aa" else None
+        hs, cell_caches = unroll(self.cell, X, aspect=cell_aspects, lengths=lengths)
+        caches, start = [], 0
+        for inst, ix, h, cell_cache, aspect in zip(insts, indices, hs, cell_caches, aspects):
+            head_cache = None
+            if self.attn is not None:
+                rep, _, head_cache = attention_head(h, aspect, self.attn)
+            else:
+                rep = last_hidden_head(h)
+            rep, rep_mask = apply_dropout(rep, dropout, rng)
+            probs, clf_cache = classify_with_cache(rep, self.clf)
+            caches.append(InstanceCache(
+                inst=inst, indices=ix,
+                x_mask=None if x_mask is None else x_mask[start:start + len(ix)],
+                cell_cache=cell_cache, head_cache=head_cache, rep_mask=rep_mask,
+                clf_cache=clf_cache, probs=probs))
+            start += len(ix)
+        return caches
 
     def backward(self, cache: InstanceCache) -> dict[str, np.ndarray]:
         """Cross-entropy gradient for one instance, keyed like params()."""
@@ -226,6 +244,12 @@ class SentimentModel:
         return int(np.argmax(self.predict_probs(inst)))
 
 
+def has_category_table(task: str, cell_kind: str, head_kind: str) -> bool:
+    """Whether the named model has a category table: exactly an acsa model
+    that reads the aspect."""
+    return task == "acsa" and (cell_kind == "aa" or head_kind == "attention")
+
+
 def assemble_model(task: str, cell_kind: str, head_kind: str,
                    embeddings: EmbeddingTable, hidden_dim: int,
                    categories: Optional[tuple[str, ...]], category_dim: Optional[int],
@@ -246,7 +270,7 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
         if name not in known:
             raise ConfigError(f"{kind} must be one of {known}, got {name!r}")
     reads_aspect = cell_kind == "aa" or head_kind == "attention"
-    with_table = task == "acsa" and reads_aspect
+    with_table = has_category_table(task, cell_kind, head_kind)
     if with_table and not categories:
         raise ConfigError("acsa with an aspect-using model needs a category table "
                           "with at least one category")

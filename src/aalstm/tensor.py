@@ -3,7 +3,8 @@
 Vectors are 1-D float64 numpy arrays, matrices are 2-D row-major (C-order)
 float64 arrays. All functions here are pure: they validate shapes, never
 mutate their inputs, and return freshly allocated arrays, so values can be
-shared read-only across threads. `ParamSet` is the base of the parameter
+shared read-only across threads. The one exception is an activation given
+an `out` array, which it writes and returns; `out` may be its input. `ParamSet` is the base of the parameter
 sets: `empty` or `init`, then a fill through `to_arrays()`, is the one way
 to make one. A parameter set only declares its shapes; its constructor
 checks nothing, because `assemble_model` checks the dims every set is made
@@ -18,10 +19,13 @@ import numpy as np
 
 # Nearest doubles inside the open intervals (0, 1) and (-1, 1). Saturating
 # activations are clamped to these so gate/probability range invariants hold
-# for arbitrarily large finite inputs.
-_SIGMOID_LO = np.nextafter(0.0, 1.0)
-_SIGMOID_HI = np.nextafter(1.0, 0.0)
-_TANH_HI = np.nextafter(1.0, 0.0)
+# for arbitrarily large finite inputs. The constants are 0-d arrays: as ufunc
+# operands they cost less per call than Python or numpy scalars.
+_SIGMOID_LO = np.array(np.nextafter(0.0, 1.0))
+_SIGMOID_HI = np.array(np.nextafter(1.0, 0.0))
+_TANH_HI = np.array(np.nextafter(1.0, 0.0))
+_TANH_LO = np.array(-np.nextafter(1.0, 0.0))
+_ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
 
 
 class ShapeError(ValueError):
@@ -40,27 +44,30 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
+def sigmoid(v: np.ndarray, out=None) -> np.ndarray:
     """Logistic function, stable for large |x| and clamped into open (0, 1).
 
     With e = exp(-|x|) it is 1/(1+e) for x >= 0 and e/(1+e) for x < 0, the
-    two-branch form in one expression: no exponent is positive, so there is
-    no overflow; deep saturation that would round to exactly 0.0 or 1.0 is
+    two-branch form in one expression, exp(min(x, 0))/(1+e): no exponent is
+    positive, so there is no overflow; deep saturation that would round to exactly 0.0 or 1.0 is
     clamped to the nearest representable interior double instead.
     """
     v = np.asarray(v, dtype=np.float64)
-    e = np.exp(np.copysign(v, -1.0))
-    out = np.where(v >= 0, 1.0, e)
-    out /= 1.0 + e
+    e = np.exp(np.copysign(v, _MINUS_ONE))
+    e += _ONE
+    # exp(min(x, 0)) is 1 for x >= 0 and exp(x) = e for x < 0: the numerator.
+    out = np.minimum(v, _ZERO, out=np.empty_like(v) if out is None else out)
+    np.exp(out, out=out)
+    out /= e
     np.maximum(out, _SIGMOID_LO, out=out)
     return np.minimum(out, _SIGMOID_HI, out=out)
 
 
-def tanh_v(v: np.ndarray) -> np.ndarray:
+def tanh_v(v: np.ndarray, out=None) -> np.ndarray:
     """Hyperbolic tangent clamped into open (-1, 1)."""
     v = np.asarray(v, dtype=np.float64)
-    out = np.tanh(v, out=np.empty_like(v))
-    np.maximum(out, -_TANH_HI, out=out)
+    out = np.tanh(v, out=np.empty_like(v) if out is None else out)
+    np.maximum(out, _TANH_LO, out=out)
     return np.minimum(out, _TANH_HI, out=out)
 
 

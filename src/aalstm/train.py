@@ -22,6 +22,9 @@ _FD_EPS = 1e-5
 _FD_FLOOR = 1e-8
 # A gradient check passes when its worst relative error is below this.
 GRADCHECK_THRESHOLD = 1e-4
+# Instances per batched forward in `evaluate`: bounds the run's transient
+# buffers, which grow with the chunk's instances times its longest length.
+EVAL_CHUNK = 16
 # Adam's moment decay rates and denominator guard, the usual defaults.
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -216,7 +219,14 @@ class TrainResult:
 
 
 def evaluate(model, instances) -> EvalReport:
-    preds = [model.predict(inst) for inst in instances]
+    """Score the instances in length order, EVAL_CHUNK per batched forward,
+    so each chunk's run holds little padding."""
+    order = sorted(range(len(instances)), key=lambda i: len(instances[i].tokens))
+    preds = [0] * len(instances)
+    for start in range(0, len(order), EVAL_CHUNK):
+        chunk = order[start:start + EVAL_CHUNK]
+        for i, cache in zip(chunk, model.forward_batch([instances[i] for i in chunk])):
+            preds[i] = int(np.argmax(cache.probs))
     golds = [inst.label for inst in instances]
     return EvalReport.from_predictions(preds, golds)
 

@@ -2,10 +2,10 @@
 
 The scalar implementations below use plain Python floats, lists, and
 math.exp only, no numpy, so they are an independent oracle for the
-vectorized cell code. The per-gate backward passes and the two-branch
-activations are the earlier numpy forms of the fused kernels, and the
-per-step attention forward and backward the earlier form of the (T, dc)
-array head, kept as oracles for them.
+vectorized cell code. The per-step cell run, the per-gate backward passes
+and the two-branch activations are the earlier numpy forms of the batched
+and fused kernels, and the per-step attention forward and backward the
+earlier form of the (T, dc) array head, kept as oracles for them.
 """
 
 import math
@@ -87,6 +87,34 @@ def core(p):
     """The classic cell embedded in an aspect-aware one (shared core weights)."""
     from aalstm.cells import ClassicLstmParams
     return ClassicLstmParams(p.W_core, p.b_core)
+
+
+def loop_run(p, X, prev, aspect=None):
+    """Per-step run of one sequence, two matvecs a step over [x_t, h_prev]
+    and [A, h_prev]: the SequenceCache the batched kernel must match.
+    `aspect` None runs the classic cell."""
+    from aalstm.cells import SequenceCache
+    from aalstm.tensor import sigmoid, tanh_v
+    n_steps, dc = X.shape[0], p.hidden_dim
+    H = np.empty((n_steps + 1, dc))
+    C = np.empty((n_steps + 1, dc))
+    H[0], C[0] = prev.h, prev.c
+    ifo = np.empty((n_steps, 3 * dc))
+    c_cand = np.empty((n_steps, dc))
+    tanh_c = np.empty((n_steps, dc))
+    a_gates = None if aspect is None else np.empty((n_steps, 3 * dc))
+    for t, x in enumerate(X):
+        z = p.W_core @ np.concatenate((x, H[t]))
+        if aspect is not None:
+            a = a_gates[t] = sigmoid(p.W_aspect @ np.concatenate((aspect, H[t])) + p.b_aspect)
+            z[:3 * dc] += a * np.tile(aspect, 3)
+        z += p.b_core
+        g = ifo[t] = sigmoid(z[:3 * dc])
+        c_cand[t] = tanh_v(z[3 * dc:])
+        C[t + 1] = g[dc:2 * dc] * C[t] + g[:dc] * c_cand[t]
+        tanh_c[t] = tanh_v(C[t + 1])
+        H[t + 1] = g[2 * dc:] * tanh_c[t]
+    return SequenceCache(X, H, C, ifo, c_cand, tanh_c, aspect, a_gates)
 
 
 def _step_view(cache, t):

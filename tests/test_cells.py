@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aalstm import tensor
 from aalstm.cells import (
     AALstmParams,
     CellState,
     ClassicLstmParams,
+    _bptt,
     aa_lstm_step,
     classic_lstm_step,
     unroll,
@@ -15,7 +18,14 @@ from aalstm.cells import (
 )
 from aalstm.tensor import ShapeError
 
-from helpers import core, filled, params_as_lists, scalar_aa_step, scalar_classic_step
+from helpers import (
+    core,
+    filled,
+    loop_run,
+    params_as_lists,
+    scalar_aa_step,
+    scalar_classic_step,
+)
 
 
 def random_aa_params(rng, dx=3, dc=3, scale=0.5):
@@ -147,9 +157,10 @@ class TestUnroll:
         aspect = rng.normal(size=4)
         hs, _ = unroll(p, xs, aspect)
         state = zero_state(4)
+        # A T-row input projection rounds differently from T one-row ones.
         for t, x in enumerate(xs):
             state, _ = aa_lstm_step(p, x, aspect, state)
-            np.testing.assert_array_equal(hs[t], state.h)
+            np.testing.assert_allclose(hs[t], state.h, atol=1e-12, rtol=0)
 
     def test_classic_matches_manual_composition_from_init(self):
         rng = tensor.make_rng(18)
@@ -160,8 +171,8 @@ class TestUnroll:
         state = init
         for t, x in enumerate(xs):
             state, _ = classic_lstm_step(p, x, state)
-            np.testing.assert_array_equal(hs[t], state.h)
-            np.testing.assert_array_equal(caches.C[t + 1], state.c)
+            np.testing.assert_allclose(hs[t], state.h, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(caches.C[t + 1], state.c, atol=1e-12, rtol=0)
 
     def test_empty_sequence_rejected(self):
         p = ClassicLstmParams.init(2, 2, seed=0)
@@ -186,6 +197,61 @@ class TestUnroll:
             return np.stack(hs)
 
         assert np.array_equal(run(), run())
+
+
+class TestBatchedRun:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           dx=st.integers(1, 6), dc=st.integers(1, 6), aware=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_per_sequence_loop_oracle(self, lengths, dx, dc, aware, seed):
+        # Each sequence of a batched run, its hidden states, cell memory and
+        # every gate, and BPTT over its cache view, match a per-step run of
+        # that sequence alone.
+        rng = tensor.make_rng(seed)
+        make = random_aa_params if aware else random_classic_params
+        p = make(rng, dx=dx, dc=dc)
+        X = rng.normal(size=(sum(lengths), dx))
+        aspects = rng.normal(size=(len(lengths), dc)) if aware else None
+        hs, caches = unroll(p, X, aspects, lengths=lengths)
+        assert len(hs) == len(caches) == len(lengths)
+        start = 0
+        for b, n in enumerate(lengths):
+            got = caches[b]
+            want = loop_run(p, X[start:start + n], zero_state(dc),
+                            aspects[b] if aware else None)
+            start += n
+            np.testing.assert_array_equal(got.X, want.X)
+            np.testing.assert_array_equal(hs[b], got.H[1:])
+            for field in ("H", "C", "ifo", "c_cand", "tanh_c", "a_gates"):
+                a, w = getattr(got, field), getattr(want, field)
+                if w is None:
+                    assert a is None, field
+                else:
+                    np.testing.assert_allclose(a, w, atol=1e-12, rtol=0, err_msg=field)
+            dH = rng.normal(size=(n, dc))
+            got_grads, got_dX, got_dA = _bptt(p, got, dH)
+            want_grads, want_dX, want_dA = _bptt(p, want, dH)
+            for name in want_grads:
+                np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                           atol=1e-12, rtol=0, err_msg=name)
+            np.testing.assert_allclose(got_dX, want_dX, atol=1e-12, rtol=0)
+            if aware:
+                np.testing.assert_allclose(got_dA, want_dA, atol=1e-12, rtol=0)
+            else:
+                assert got_dA is None and want_dA is None
+
+    def test_lengths_must_cover_the_rows(self):
+        p = ClassicLstmParams.init(2, 2, seed=0)
+        with pytest.raises(ShapeError, match="lengths add up to 4"):
+            unroll(p, np.zeros((5, 2)), lengths=[1, 3])
+        with pytest.raises(ValueError, match="empty"):
+            unroll(p, np.zeros((3, 2)), lengths=[3, 0])
+
+    def test_one_aspect_row_per_sequence(self):
+        p = AALstmParams.init(2, 2, seed=0)
+        with pytest.raises(ShapeError, match=r"\(2, 2\)"):
+            unroll(p, np.zeros((3, 2)), np.zeros((3, 2)), lengths=[1, 2])
 
 
 class TestParamPlumbing:

@@ -286,6 +286,19 @@ def test_missing_aspect_table(tmp_path):
         load_checkpoint(dst)
 
 
+def test_categories_for_a_model_without_a_table_are_rejected(tmp_path):
+    # acsa classic+last reads no aspect, so no category table: metadata that
+    # lists categories for it is the fault, not the absent table.
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(make("acsa", "classic", "last"), src)
+    rewrite_npz(src, dst, lambda e: edit_meta(e, categories=["food"]))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(dst)
+    assert str(info.value) == (
+        f"checkpoint {dst} does not fit the acsa classic+last model its metadata "
+        f"declares: categories ['food'], but it has no category table")
+
+
 @pytest.mark.parametrize("cell_kind,head_kind", [("classic", "attention"), ("aa", "last")])
 def test_acsa_aspect_model_without_categories_is_rejected(tmp_path, cell_kind, head_kind):
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"

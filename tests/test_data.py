@@ -225,6 +225,17 @@ def test_load_embeddings_rejects_too_many_numbers(tmp_path):
         load_embeddings(f, vocab, dim=3, seed=0)
 
 
+def test_load_embeddings_skips_malformed_lines_outside_vocab(tmp_path):
+    # Only vocabulary tokens have their numbers read: a line of any other
+    # token is skipped whatever follows it.
+    f = tmp_path / "vec.txt"
+    f.write_text("other 1.0 abc\nshort 1.0\nlone\neuro 1.0 2.0\n")
+    vocab = {UNK_TOKEN: 0, "euro": 1}
+    table = load_embeddings(f, vocab, dim=2, seed=0)
+    assert np.array_equal(table.matrix[1], [1.0, 2.0])
+    assert table.oov_tokens == {UNK_TOKEN}
+
+
 def test_load_embeddings_non_number_names_line(tmp_path):
     f = tmp_path / "vec.txt"
     f.write_text("euro 1.0 2.0\nthe 0.1 abc\n")

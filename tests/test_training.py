@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from aalstm.data import LabeledInstance, TermSpan
+from aalstm.data import POLARITIES, LabeledInstance, TermSpan
 from aalstm.model import build_model
 from aalstm.tensor import make_rng
 from aalstm.train import (
+    EVAL_CHUNK,
     Adam,
     TSV_HEADER,
     TrainConfig,
@@ -241,6 +242,29 @@ def _toy_data(n=12, seed=77):
 def _toy_model(seed=78):
     return build_model("atsa", "aa", "last", tiny_embeddings(seed=seed, dim=6),
                        hidden_dim=6, seed=seed)
+
+
+@pytest.mark.parametrize("cell_kind,head_kind", [("aa", "attention"), ("classic", "last")])
+def test_evaluate_matches_per_instance_predict(cell_kind, head_kind):
+    # Mixed lengths over more than one chunk, so the batched runs sort and
+    # pad: each instance still gets its one-instance probabilities. Gold
+    # labels set to the one-instance predictions make evaluate's accuracy 1
+    # exactly when every batched prediction agrees.
+    rng = make_rng(79)
+    words = ("the", "soup", "salad", "is", "good", "bad", ".")
+    model = build_model("atsa", cell_kind, head_kind, tiny_embeddings(seed=80, dim=6),
+                        hidden_dim=6, seed=80)
+    insts = []
+    for _ in range(2 * EVAL_CHUNK + 5):
+        tokens = tuple(words[i] for i in rng.integers(len(words), size=int(rng.integers(1, 10))))
+        start = int(rng.integers(len(tokens)))
+        insts.append(LabeledInstance(tokens, TermSpan(start, start), "neutral"))
+    probs = [model.predict_probs(inst) for inst in insts]
+    for p, cache in zip(probs, model.forward_batch(insts)):
+        np.testing.assert_allclose(cache.probs, p, atol=1e-12, rtol=0)
+    labelled = [LabeledInstance(inst.tokens, inst.aspect, POLARITIES[int(np.argmax(p))])
+                for inst, p in zip(insts, probs)]
+    assert evaluate(model, labelled).accuracy == 1.0
 
 
 def test_train_memorizes_one_instance():
