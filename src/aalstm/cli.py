@@ -241,7 +241,7 @@ def pipeline_grad_report(cell_kind: str, head_kind: str, dx: int, dc: int,
         model.aspect_embeddings.matrix[0] = aspect
     inst = LabeledInstance(tokens, CategoryId(0), POLARITIES[gold])
 
-    analytic = model.backward(model.forward(inst))
+    analytic = model.backward(model.forward([inst]))
     if corrupt is not None:
         if corrupt not in analytic:
             raise CliError(f"--corrupt: no parameter named {corrupt!r} "

@@ -260,8 +260,8 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
     vocabulary order from a single seeded stream so the result is
     deterministic for a fixed (vocab, seed). A token with spaces in it
     (GloVe has `. . .`) is skipped: `tokenize` never emits one. A vocabulary
-    token followed by more or fewer than `dim` numbers, or by a non-number,
-    is a DataFormatError, as is invalid UTF-8.
+    token followed by more or fewer than `dim` numbers, or by a non-number or
+    a non-finite one, is a DataFormatError, as is invalid UTF-8.
     """
     found: dict[int, np.ndarray] = {}
     for lineno, line in _numbered_lines(path):
@@ -277,7 +277,9 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
             raise DataFormatError(
                 f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(values)}")
         try:
-            found[vocab[token]] = np.array([float(v) for v in values])
+            found[vocab[token]] = row = np.array([float(v) for v in values])
+            if not np.isfinite(row).all():
+                raise ValueError("values must be finite")
         except ValueError as e:
             raise DataFormatError(f"{path}:{lineno}: {token!r}: {e}") from None
     matrix = np.zeros((len(vocab), dim))

@@ -17,13 +17,13 @@ owner of the namespaced array names ("emb.words", "cell.W_i", "clf.b_s",
 writes and reads exactly those arrays, and `params()`, which the optimizer
 and the gradient check walk, is the same dict minus a frozen word table.
 
-A forward run takes a list of instances (`forward` is the one-instance
-case): it gathers their input rows once, applies one dropout mask to all of
-them when the dropout rate is above 0, runs the cell over all of them in one
-`unroll` call, and runs the head and classifier on each instance's (T, dc)
-hidden states. Each instance keeps its own `SequenceCache`, a view of the
-run's arrays; the backward pass, one instance at a time, scatters the
-(T, dx) input gradient back into the embedding rows.
+One run is the only way the model is driven: `forward` takes a minibatch,
+an evaluation chunk or one instance to predict. It gathers their input rows,
+draws any dropout masks, runs the cell over all of them in one `unroll`
+call, and runs the head and classifier on each instance's (T, dc) hidden
+states, whose `SequenceCache` is a view of the run's arrays. `backward`
+returns the run's gradient summed over its instances: head and cell run
+backward per instance, each scattering into the run's one table gradient.
 
 Gradient routing notes, since they are easy to get wrong:
   - input gradients pass back through the dropout mask before
@@ -71,7 +71,7 @@ from .heads import (
     last_hidden_head,
 )
 from .tensor import ConfigError
-from .train import dropout as apply_dropout
+from .train import dropout_mask
 
 TASKS = ("atsa", "acsa")
 CELLS = ("classic", "aa")
@@ -86,20 +86,20 @@ def _part_arrays(**parts: Optional[dict[str, np.ndarray]]) -> dict[str, np.ndarr
 
 
 @dataclass
-class InstanceCache:
-    """Everything the backward pass needs about one forward run.
+class RunCache:
+    """Everything the backward pass needs about one forward run: the token
+    rows of every instance, one instance after another, the (B, 3) class
+    probabilities, and per instance its cell, head (None for the last-hidden
+    head) and classifier caches and its (T, dx) input and (dc,)
+    representation dropout multipliers (None at rate 0)."""
 
-    ``x_mask`` is the (T, dx) dropout multiplier of the gathered inputs, or
-    None; the inputs themselves live in ``cell_cache.X``.
-    """
-
-    inst: LabeledInstance
+    insts: list[LabeledInstance]
     indices: list[int]
-    x_mask: Optional[np.ndarray]
-    cell_cache: SequenceCache
-    head_cache: Optional[AttentionCache]
-    rep_mask: Optional[np.ndarray]
-    clf_cache: ClassifierCache
+    cell_caches: list[SequenceCache]
+    head_caches: list[Optional[AttentionCache]]
+    clf_caches: list[ClassifierCache]
+    x_masks: list[Optional[np.ndarray]]
+    rep_masks: list[Optional[np.ndarray]]
     probs: np.ndarray
 
 
@@ -129,11 +129,6 @@ class SentimentModel:
     def head_kind(self) -> str:
         return "last" if self.attn is None else "attention"
 
-    @property
-    def uses_aspect(self) -> bool:
-        """The aspect-aware cell and the attention head both read the aspect."""
-        return isinstance(self.cell, AALstmParams) or self.attn is not None
-
     def arrays(self) -> dict[str, np.ndarray]:
         """Name -> live array for every array inference needs."""
         out = {"emb.words": self.embeddings.matrix}
@@ -157,97 +152,100 @@ class SentimentModel:
         return sorted(name for name, arr in self.params().items()
                       if not name.startswith("emb.") and arr.ndim == 2)
 
-    def forward(self, inst: LabeledInstance, dropout: float = 0.0,
-                rng=None) -> InstanceCache:
-        """Run one instance; `dropout` above 0 drops inputs and representation."""
-        return self.forward_batch([inst], dropout, rng)[0]
-
-    def forward_batch(self, insts: list[LabeledInstance], dropout: float = 0.0,
-                      rng=None) -> list[InstanceCache]:
+    def forward(self, insts: list[LabeledInstance], dropout: float = 0.0,
+                rng=None) -> RunCache:
         """Run instances through one cell call, then the head and classifier
-        on each. Dropout draws the input masks of all instances, in order,
-        then each instance's representation mask."""
-        indices = [[self.embeddings.index(t) for t in inst.tokens] for inst in insts]
-        lengths = [len(ix) for ix in indices]
-        X, x_mask = apply_dropout(
-            self.embeddings.matrix[[i for ix in indices for i in ix]], dropout, rng)
+        on each. With `dropout` above 0 the masks are drawn first, instance
+        by instance: its input mask, then its representation mask."""
+        lengths = [len(inst.tokens) for inst in insts]
+        indices = [self.embeddings.index(t) for inst in insts for t in inst.tokens]
+        X = self.embeddings.matrix[indices]
+        x_masks, rep_masks = [None] * len(insts), [None] * len(insts)
+        if dropout:
+            for b, n in enumerate(lengths):
+                x_masks[b] = dropout_mask((n, self.embeddings.dim), dropout, rng)
+                rep_masks[b] = dropout_mask((self.clf.repr_dim,), dropout, rng)
+            X *= np.concatenate(x_masks)
         aspects = [None] * len(insts)
-        if self.uses_aspect:
+        if reads_aspect(self.cell_kind, self.head_kind):
             aspects = [build_aspect_vector(inst, self.embeddings, self.aspect_embeddings)
                        for inst in insts]
         cell_aspects = aspects if self.cell_kind == "aa" else None
         hs, cell_caches = unroll(self.cell, X, aspect=cell_aspects, lengths=lengths)
-        caches, start = [], 0
-        for inst, ix, h, cell_cache, aspect in zip(insts, indices, hs, cell_caches, aspects):
+        head_caches, clf_caches = [], []
+        for h, aspect, rep_mask in zip(hs, aspects, rep_masks):
             head_cache = None
             if self.attn is not None:
                 rep, _, head_cache = attention_head(h, aspect, self.attn)
             else:
                 rep = last_hidden_head(h)
-            rep, rep_mask = apply_dropout(rep, dropout, rng)
-            probs, clf_cache = classify_with_cache(rep, self.clf)
-            caches.append(InstanceCache(
-                inst=inst, indices=ix,
-                x_mask=None if x_mask is None else x_mask[start:start + len(ix)],
-                cell_cache=cell_cache, head_cache=head_cache, rep_mask=rep_mask,
-                clf_cache=clf_cache, probs=probs))
+            if rep_mask is not None:
+                rep = rep * rep_mask
+            head_caches.append(head_cache)
+            clf_caches.append(classify_with_cache(rep, self.clf)[1])
+        return RunCache(insts, indices, cell_caches, head_caches, clf_caches, x_masks,
+                        rep_masks, np.array([c.probs for c in clf_caches]))
+
+    def backward(self, cache: RunCache) -> dict[str, np.ndarray]:
+        """Cross-entropy gradient of the run, summed over its instances and
+        keyed like params(). Each instance's word gradient is scattered
+        straight into the run's one embedding-table gradient."""
+        grads = {k: np.zeros_like(v) for k, v in self.params().items()}
+        start = 0
+        for inst, cell_cache, head_cache, clf_cache, x_mask, rep_mask in zip(
+                cache.insts, cache.cell_caches, cache.head_caches, cache.clf_caches,
+                cache.x_masks, cache.rep_masks):
+            d_logits = clf_cache.probs.copy()
+            d_logits[inst.label] -= 1.0
+            clf_grads, d_rep = classifier_backward(self.clf, clf_cache, d_logits)
+            if rep_mask is not None:
+                d_rep = d_rep * rep_mask
+
+            d_aspect = None
+            if self.attn is not None:
+                attn_grads, dH, d_aspect = attention_backward(self.attn, head_cache, d_rep)
+            else:
+                attn_grads = None
+                dH = last_hidden_backward(d_rep, len(cell_cache))
+
+            if self.cell_kind == "aa":
+                cell_grads, dX, d_aspect_cell = aa_lstm_backward(self.cell, cell_cache, dH)
+                d_aspect = d_aspect_cell if d_aspect is None else d_aspect + d_aspect_cell
+            else:
+                cell_grads, dX = classic_lstm_backward(self.cell, cell_cache, dH)
+
+            for k, g in _part_arrays(cell=cell_grads, attn=attn_grads, clf=clf_grads).items():
+                grads[k] += g
+            ix = cache.indices[start:start + len(cell_cache)]
             start += len(ix)
-        return caches
-
-    def backward(self, cache: InstanceCache) -> dict[str, np.ndarray]:
-        """Cross-entropy gradient for one instance, keyed like params()."""
-        inst = cache.inst
-        d_logits = cache.probs.copy()
-        d_logits[inst.label] -= 1.0
-
-        clf_grads, d_rep = classifier_backward(self.clf, cache.clf_cache, d_logits)
-        if cache.rep_mask is not None:
-            d_rep = d_rep * cache.rep_mask
-
-        d_aspect = None
-        if self.attn is not None:
-            attn_grads, dH, d_aspect = attention_backward(
-                self.attn, cache.head_cache, d_rep)
-        else:
-            attn_grads = None
-            dH = last_hidden_backward(d_rep, len(cache.cell_cache))
-
-        if self.cell_kind == "aa":
-            cell_grads, dX, d_aspect_cell = aa_lstm_backward(
-                self.cell, cache.cell_cache, dH)
-            d_aspect = d_aspect_cell if d_aspect is None else d_aspect + d_aspect_cell
-        else:
-            cell_grads, dX = classic_lstm_backward(self.cell, cache.cell_cache, dH)
-
-        grads = _part_arrays(cell=cell_grads, attn=attn_grads, clf=clf_grads)
-        if self.train_embeddings:
-            d_words = np.zeros_like(self.embeddings.matrix)
-            if cache.x_mask is not None:
-                dX = dX * cache.x_mask
-            np.add.at(d_words, cache.indices, dX)
-            if d_aspect is not None and isinstance(inst.aspect, TermSpan):
-                span = inst.aspect
-                np.add.at(d_words, cache.indices[span.start:span.end + 1],
-                          d_aspect / (span.end - span.start + 1))
-            grads["emb.words"] = d_words
-        if self.aspect_embeddings is not None:
-            d_cats = np.zeros_like(self.aspect_embeddings.matrix)
-            if d_aspect is not None and not isinstance(inst.aspect, TermSpan):
-                d_cats[inst.aspect.index] += d_aspect
-            grads["emb.aspects"] = d_cats
+            if self.train_embeddings:
+                if x_mask is not None:
+                    dX *= x_mask
+                np.add.at(grads["emb.words"], ix, dX)
+                if d_aspect is not None and isinstance(inst.aspect, TermSpan):
+                    span = inst.aspect
+                    np.add.at(grads["emb.words"], ix[span.start:span.end + 1],
+                              d_aspect / (span.end - span.start + 1))
+            if self.aspect_embeddings is not None and not isinstance(inst.aspect, TermSpan):
+                grads["emb.aspects"][inst.aspect.index] += d_aspect
         return grads
 
     def predict_probs(self, inst: LabeledInstance) -> np.ndarray:
-        return self.forward(inst).probs
+        return self.forward([inst]).probs[0]
 
     def predict(self, inst: LabeledInstance) -> int:
         return int(np.argmax(self.predict_probs(inst)))
 
 
+def reads_aspect(cell_kind: str, head_kind: str) -> bool:
+    """The aspect-aware cell and the attention head both read the aspect."""
+    return cell_kind == "aa" or head_kind == "attention"
+
+
 def has_category_table(task: str, cell_kind: str, head_kind: str) -> bool:
     """Whether the named model has a category table: exactly an acsa model
     that reads the aspect."""
-    return task == "acsa" and (cell_kind == "aa" or head_kind == "attention")
+    return task == "acsa" and reads_aspect(cell_kind, head_kind)
 
 
 def assemble_model(task: str, cell_kind: str, head_kind: str,
@@ -269,7 +267,6 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
                               ("head", head_kind, HEADS)):
         if name not in known:
             raise ConfigError(f"{kind} must be one of {known}, got {name!r}")
-    reads_aspect = cell_kind == "aa" or head_kind == "attention"
     with_table = has_category_table(task, cell_kind, head_kind)
     if with_table and not categories:
         raise ConfigError("acsa with an aspect-using model needs a category table "
@@ -277,7 +274,7 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
     dx = embeddings.dim
     aspect_dim = category_dim if task == "acsa" else dx
     dims = {"embedding": dx, "hidden": hidden_dim}
-    if reads_aspect:
+    if reads_aspect(cell_kind, head_kind):
         dims["aspect"] = aspect_dim
     if min(dims.values()) < 1:
         raise ConfigError("dims must be >= 1, got "

@@ -1,4 +1,4 @@
-"""Training: config, loss, dropout, Adam, gradient checking, and the loop.
+"""Training: config, loss, dropout masks, Adam, gradient checking, and the loop.
 
 The loop is deterministic for a fixed seed: shuffling and dropout draw from
 counter-based streams keyed off the config seed, batches are visited in
@@ -66,24 +66,18 @@ class TrainConfig:
                 f"init_low must be below init_high, got [{self.init_low}, {self.init_high}]")
 
 
-def dropout(v: np.ndarray, rate: float, rng=None) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Inverted dropout: zero entries with probability `rate`, scale the
-    survivors by 1/(1-rate) so the expectation is unchanged.
-
-    Returns (output, multiplier mask). Dropout is on exactly when `rate` is
-    above 0; rate 0, as in evaluation, passes the array through with mask
-    None. Reusing the mask is exactly multiplying by it, which is what the
-    backward pass does.
-    """
+def dropout_mask(shape, rate: float, rng=None) -> Optional[np.ndarray]:
+    """Inverted dropout multiplier of `shape`: 0 with probability `rate`,
+    else 1/(1-rate), keeping the expectation; the forward pass multiplies by
+    it and so does the backward. Rate 0, as in evaluation, gives None."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return v, None
+        return None
     if rng is None:
         raise ValueError("dropout at a rate above 0 needs an rng")
     keep = 1.0 - rate
-    mask = (rng.random(v.shape) < keep) / keep
-    return v * mask, mask
+    return (rng.random(shape) < keep) / keep
 
 
 def cross_entropy(probs: np.ndarray, gold: int) -> float:
@@ -225,8 +219,8 @@ def evaluate(model, instances) -> EvalReport:
     preds = [0] * len(instances)
     for start in range(0, len(order), EVAL_CHUNK):
         chunk = order[start:start + EVAL_CHUNK]
-        for i, cache in zip(chunk, model.forward_batch([instances[i] for i in chunk])):
-            preds[i] = int(np.argmax(cache.probs))
+        for i, probs in zip(chunk, model.forward([instances[i] for i in chunk]).probs):
+            preds[i] = int(np.argmax(probs))
     golds = [inst.label for inst in instances]
     return EvalReport.from_predictions(preds, golds)
 
@@ -234,8 +228,9 @@ def evaluate(model, instances) -> EvalReport:
 def train(model, train_insts, dev_insts, cfg: TrainConfig, log_stream=None) -> TrainResult:
     """Minibatch Adam with early stopping on dev macro F1.
 
-    Per batch the objective is mean cross-entropy plus the L2 penalty on the
-    model's regularized weights. The parameters giving the best dev macro F1
+    Each minibatch is one model run, one `forward` and one `backward`; its
+    objective is mean cross-entropy plus the L2 penalty on the model's
+    regularized weights. The parameters giving the best dev macro F1
     are restored into the model before returning. When `log_stream` is given,
     one TSV row per epoch is written and flushed as it happens.
     """
@@ -260,13 +255,10 @@ def train(model, train_insts, dev_insts, cfg: TrainConfig, log_stream=None) -> T
         loss_sum = 0.0
         for b0 in range(0, n, cfg.batch_size):
             batch = [train_insts[i] for i in order[b0:b0 + cfg.batch_size]]
-            grads = {k: np.zeros_like(v) for k, v in params.items()}
-            ce_sum = 0.0
-            for inst in batch:
-                cache = model.forward(inst, dropout=cfg.dropout, rng=dropout_rng)
-                ce_sum += cross_entropy(cache.probs, inst.label)
-                for k, g in model.backward(cache).items():
-                    grads[k] += g
+            cache = model.forward(batch, dropout=cfg.dropout, rng=dropout_rng)
+            ce_sum = sum(cross_entropy(p, inst.label) for p, inst in zip(cache.probs, batch))
+            grads = model.backward(cache)
+            del cache  # the run's buffers, so the next run does not overlap them
             scale = 1.0 / len(batch)
             for k in grads:
                 grads[k] *= scale

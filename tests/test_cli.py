@@ -316,6 +316,19 @@ def test_train_on_one_usable_instance_is_cli_error(tmp_path, capsys):
     assert "1 atsa instances found in" in err and "one.xml" in err
 
 
+def test_train_non_finite_embedding_is_one_error_line(tmp_path, capsys):
+    # Caught at ingestion, naming the file and line, before any training.
+    glove = tmp_path / "vectors.txt"
+    glove.write_text("the 0.1 nan\n")
+    out_dir = tmp_path / "o"
+    code = main(["train", "--data", FIXTURE, "--emb", str(glove), "--dim", "2",
+                 "--hidden", "2", "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: {glove}:1: 'the': values must be finite"]
+    assert not out_dir.exists()
+
+
 # --- usage and file errors ----------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

@@ -244,6 +244,15 @@ def test_load_embeddings_non_number_names_line(tmp_path):
         load_embeddings(f, vocab, dim=2, seed=0)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_embeddings_non_finite_names_line(tmp_path, value):
+    f = tmp_path / "vec.txt"
+    f.write_text(f"euro 1.0 2.0\nthe 0.1 {value}\n")
+    vocab = {UNK_TOKEN: 0, "euro": 1, "the": 2}
+    with pytest.raises(DataFormatError, match=r"vec.txt:2: 'the': values must be finite"):
+        load_embeddings(f, vocab, dim=2, seed=0)
+
+
 @pytest.mark.parametrize("load", [
     lambda path: load_embeddings(path, {UNK_TOKEN: 0, "euro": 1}, dim=2, seed=0),
     load_instances,

@@ -4,8 +4,12 @@ included) against central differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aalstm.data import (
+    POLARITIES,
+    RESTAURANT_CATEGORIES,
     CategoryId,
     EmbeddingTable,
     LabeledInstance,
@@ -129,7 +133,7 @@ def test_forward_eval_deterministic():
 def test_train_mode_dropout_changes_output():
     m = make("atsa", "aa", "last")
     rng = make_rng(62)
-    dropped = m.forward(atsa_instance(), dropout=0.5, rng=rng).probs
+    dropped = m.forward([atsa_instance()], dropout=0.5, rng=rng).probs[0]
     clean = m.predict_probs(atsa_instance())
     assert not np.array_equal(dropped, clean)
 
@@ -138,8 +142,7 @@ def test_backward_keys_match_params():
     for task, inst in (("atsa", atsa_instance()), ("acsa", acsa_instance())):
         for cell_kind, head_kind in ALL_COMBOS:
             m = make(task, cell_kind, head_kind)
-            cache = m.forward(inst)
-            grads = m.backward(cache)
+            grads = m.backward(m.forward([inst]))
             assert set(grads) == set(m.params())
             for k, g in grads.items():
                 assert g.shape == m.params()[k].shape
@@ -149,13 +152,79 @@ def test_backward_keys_match_params():
 def test_train_mode_backward_respects_masks():
     m = make("atsa", "classic", "last")
     rng = make_rng(63)
-    cache = m.forward(atsa_instance(), dropout=0.5, rng=rng)
+    cache = m.forward([atsa_instance()], dropout=0.5, rng=rng)
     grads = m.backward(cache)
     assert set(grads) == set(m.params())
     # a fully dropped token contributes nothing through the input path
-    for t, mask in enumerate(cache.x_mask):
+    for t, mask in enumerate(cache.x_masks[0]):
         if np.all(mask == 0.0) and t not in (1,):  # skip the span token
             assert np.allclose(grads["emb.words"][cache.indices[t]], 0.0)
+
+
+def test_dropout_masks_are_the_multipliers():
+    # The cell reads each instance's gathered rows times its input mask, and
+    # the classifier the head's output times its representation mask.
+    m = make("atsa", "classic", "last")
+    insts = [atsa_instance(), atsa_multi_span_instance()]
+    cache = m.forward(insts, dropout=0.3, rng=make_rng(72))
+    for inst, cell_cache, clf_cache, x_mask, rep_mask in zip(
+            insts, cache.cell_caches, cache.clf_caches, cache.x_masks, cache.rep_masks):
+        rows = m.embeddings.matrix[[m.embeddings.index(t) for t in inst.tokens]]
+        assert np.array_equal(cell_cache.X, rows * x_mask)
+        assert np.array_equal(clf_cache.rep, cell_cache.H[-1] * rep_mask)
+        for mask in (x_mask, rep_mask):
+            assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
+
+
+# --- one run against one-instance runs ---------------------------------------
+
+# "pasta" is not in the vocabulary, so runs also read the unknown-token row.
+RUN_WORDS = ("the", "soup", "salad", "is", "good", "bad", ".", "pasta")
+
+
+@st.composite
+def runs(draw, task):
+    insts = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 12))
+        tokens = tuple(draw(st.lists(st.sampled_from(RUN_WORDS), min_size=n, max_size=n)))
+        if task == "atsa":
+            start = draw(st.integers(0, n - 1))
+            aspect = TermSpan(start, draw(st.integers(start, n - 1)))
+        else:
+            aspect = CategoryId(draw(st.integers(0, len(RESTAURANT_CATEGORIES) - 1)))
+        insts.append(LabeledInstance(tokens, aspect, draw(st.sampled_from(POLARITIES))))
+    return insts
+
+
+@pytest.mark.parametrize("task", ["atsa", "acsa"])
+@pytest.mark.parametrize("cell_kind,head_kind", ALL_COMBOS)
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data(), rate=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2 ** 16))
+def test_run_matches_one_instance_runs(task, cell_kind, head_kind, data, rate, seed):
+    # One run over a list of instances is the one-instance runs made in
+    # sequence from an identically seeded rng: the same masks, drawn in the
+    # same order, the same probabilities, and the sum of their gradients.
+    m = make(task, cell_kind, head_kind)
+    insts = data.draw(runs(task))
+    run = m.forward(insts, dropout=rate, rng=make_rng(seed))
+    rng = make_rng(seed)
+    singles = [m.forward([inst], dropout=rate, rng=rng) for inst in insts]
+    summed = {k: np.zeros_like(v) for k, v in m.params().items()}
+    for b, single in enumerate(singles):
+        np.testing.assert_allclose(run.probs[b], single.probs[0], atol=1e-12, rtol=0)
+        for masks, single_masks in ((run.x_masks, single.x_masks),
+                                    (run.rep_masks, single.rep_masks)):
+            if rate == 0.0:
+                assert masks[b] is None and single_masks[0] is None
+            else:
+                assert np.array_equal(masks[b], single_masks[0])
+        for k, g in m.backward(single).items():
+            summed[k] += g
+    grads = m.backward(run)
+    assert set(grads) == set(summed)
+    for k, g in grads.items():
+        np.testing.assert_allclose(g, summed[k], atol=1e-12, rtol=0, err_msg=k)
 
 
 # --- full-pipeline gradient checks -------------------------------------------
@@ -164,10 +233,7 @@ def _pipeline_grad_report(task, cell_kind, head_kind, insts, seed,
                           train_embeddings=True):
     m = make(task, cell_kind, head_kind, seed=seed, train_embeddings=train_embeddings)
     params = m.params()
-    analytic = {k: np.zeros_like(v) for k, v in params.items()}
-    for inst in insts:
-        for k, g in m.backward(m.forward(inst)).items():
-            analytic[k] += g
+    analytic = m.backward(m.forward(insts))
 
     def loss():
         return sum(cross_entropy(m.predict_probs(inst), inst.label)

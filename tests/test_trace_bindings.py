@@ -1,10 +1,11 @@
-"""The benchmark tracer's bindings must all resolve.
+"""The benchmark tracer's bindings must all resolve, and its hooks must count.
 
 `perfbench/tracing.py` wraps aalstm's functions at every module attribute
 that holds them and silently skips a binding that no longer exists, so a
 rename or a dropped import in `src/` would turn its per-layer metrics into
-"absent" without failing anything. The tracer is loaded by path, as a file
-outside the package.
+"absent" without failing anything. A hook that reads a call's arguments
+and raises is swallowed the same way. The tracer is loaded by path, as a
+file outside the package.
 """
 
 import importlib.util
@@ -30,3 +31,26 @@ tracing = _load_tracing()
 def test_binding_resolves(binding):
     _, _, value = tracing._resolve(binding)
     assert callable(getattr(value, "__func__", value)), binding
+
+
+def test_hooks_count_a_tiny_train_evaluate_and_predict():
+    # A hook that raises is swallowed and leaves its counters absent, so run
+    # the pipeline under the tracer and check that every hook counted.
+    from aalstm.model import build_model
+    from aalstm.train import TrainConfig, evaluate, train
+    from tests.test_model import atsa_instance, atsa_multi_span_instance, tiny_embeddings
+
+    insts = [atsa_instance(), atsa_multi_span_instance()]
+    model = build_model("atsa", "aa", "attention", tiny_embeddings(), hidden_dim=4)
+    cfg = TrainConfig(batch_size=2, max_epochs=2, emb_dim=4, hidden_dim=4)
+    tracer = tracing.Tracer(enabled=True)
+    with tracer.unit("cycle", True):
+        train(model, insts, insts, cfg)
+        evaluate(model, insts)
+        model.predict(insts[0])
+    metrics, _ = tracer.metrics()
+    assert tracer.broken_counters == set()
+    for name in ("cells.steps", "model.emb_grad_bytes",
+                 "model.emb_grad_rows_touched_frac", "train.adam_elems"):
+        assert name in metrics, name
+    assert metrics["model.emb_grad_rows_touched_frac"] > 0

@@ -1,4 +1,4 @@
-"""Tests for loss, dropout, Adam, the gradient checker, and the train loop."""
+"""Tests for loss, dropout masks, Adam, the gradient checker, and the train loop."""
 
 import io
 import math
@@ -16,7 +16,7 @@ from aalstm.train import (
     TrainConfig,
     TrainingDiverged,
     cross_entropy,
-    dropout,
+    dropout_mask,
     evaluate,
     grad_check,
     l2_grad,
@@ -50,43 +50,33 @@ def test_config_rejects_bad_values(kwargs):
 
 # --- dropout -----------------------------------------------------------------
 
-def test_dropout_eval_and_zero_rate_are_identity():
-    # Evaluation runs at rate 0, with or without an rng.
-    v = np.array([1.0, -2.0, 3.0])
-    out, mask = dropout(v, 0.0)
-    assert out is v and mask is None
-    out, mask = dropout(v, 0.0, make_rng(70))
-    assert out is v and mask is None
+def test_dropout_mask_is_none_at_rate_zero():
+    # Evaluation runs at rate 0, with or without an rng, and draws nothing.
+    assert dropout_mask((3,), 0.0) is None
+    rng = make_rng(70)
+    assert dropout_mask((3,), 0.0, rng) is None
+    assert rng.random() == make_rng(70).random()
 
 
 def test_dropout_survivor_stats():
-    rng = make_rng(71)
-    v = np.ones(100_000)
-    out, mask = dropout(v, 0.5, rng)
-    survivors = np.count_nonzero(mask) / v.size
+    mask = dropout_mask((100_000,), 0.5, make_rng(71))
+    survivors = np.count_nonzero(mask) / mask.size
     assert abs(survivors - 0.5) < 0.01
+    assert set(np.unique(mask)) == {0.0, 2.0}
     # inverted scaling preserves the expectation
-    assert abs(out.mean() - 1.0) < 0.02
-
-
-def test_dropout_mask_is_the_multiplier():
-    rng = make_rng(72)
-    v = make_rng(73).uniform(-1, 1, 50)
-    out, mask = dropout(v, 0.3, rng)
-    assert np.array_equal(out, v * mask)
-    assert set(np.unique(mask)).issubset({0.0, 1.0 / 0.7})
+    assert abs(mask.mean() - 1.0) < 0.02
 
 
 def test_dropout_needs_rng_in_train_mode():
     with pytest.raises(ValueError, match="rng"):
-        dropout(np.ones(3), 0.5)
+        dropout_mask((3,), 0.5)
 
 
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ValueError):
-        dropout(np.ones(3), 1.0, make_rng(0))
+        dropout_mask((3,), 1.0, make_rng(0))
     with pytest.raises(ValueError):
-        dropout(np.ones(3), -0.1, make_rng(0))
+        dropout_mask((3,), -0.1, make_rng(0))
 
 
 # --- losses ------------------------------------------------------------------
@@ -260,8 +250,8 @@ def test_evaluate_matches_per_instance_predict(cell_kind, head_kind):
         start = int(rng.integers(len(tokens)))
         insts.append(LabeledInstance(tokens, TermSpan(start, start), "neutral"))
     probs = [model.predict_probs(inst) for inst in insts]
-    for p, cache in zip(probs, model.forward_batch(insts)):
-        np.testing.assert_allclose(cache.probs, p, atol=1e-12, rtol=0)
+    for p, run_p in zip(probs, model.forward(insts).probs):
+        np.testing.assert_allclose(run_p, p, atol=1e-12, rtol=0)
     labelled = [LabeledInstance(inst.tokens, inst.aspect, POLARITIES[int(np.argmax(p))])
                 for inst, p in zip(insts, probs)]
     assert evaluate(model, labelled).accuracy == 1.0
