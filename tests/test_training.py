@@ -50,8 +50,9 @@ def test_config_rejects_bad_values(kwargs):
 
 # --- dropout -----------------------------------------------------------------
 
-def test_dropout_mask_is_none_at_rate_zero():
-    # Evaluation runs at rate 0, with or without an rng, and draws nothing.
+def test_dropout_eval_and_zero_rate_are_identity():
+    # Evaluation runs at rate 0, with or without an rng: no mask, so the
+    # model leaves its arrays as they are, and nothing is drawn.
     assert dropout_mask((3,), 0.0) is None
     rng = make_rng(70)
     assert dropout_mask((3,), 0.0, rng) is None
@@ -65,6 +66,19 @@ def test_dropout_survivor_stats():
     assert set(np.unique(mask)) == {0.0, 2.0}
     # inverted scaling preserves the expectation
     assert abs(mask.mean() - 1.0) < 0.02
+
+
+def test_dropout_mask_is_the_multiplier():
+    # Each entry keeps with probability 1 - rate, drawn from the rng in one
+    # call, and is then scaled by 1/(1 - rate).
+    v = make_rng(73).uniform(-1, 1, (5, 10))
+    mask = dropout_mask(v.shape, 0.3, make_rng(72))
+    assert mask.shape == v.shape
+    assert set(np.unique(mask)).issubset({0.0, 1.0 / 0.7})
+    assert np.array_equal(mask, (make_rng(72).random(v.shape) < 0.7) / 0.7)
+    kept = mask != 0.0
+    assert np.array_equal((v * mask)[kept], v[kept] * (1.0 / 0.7))
+    assert not (v * mask)[~kept].any()
 
 
 def test_dropout_needs_rng_in_train_mode():
