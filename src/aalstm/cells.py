@@ -21,9 +21,9 @@ without the aspect gates, so a parameter set's class is its cell kind: code
 that needs to know the kind asks ``isinstance(p, AALstmParams)``.
 
 Backward passes are hand-derived backpropagation through time with weight
-gradients accumulated across steps (weights are tied over time). The
-aspect-aware backward always returns the aspect gradient, summed over every
-step the aspect feeds.
+gradients accumulated across steps and sequences (weights are tied over
+time). The aspect-aware backward always returns each sequence's aspect
+gradient, summed over every step the aspect feeds.
 
 Storage. A parameter set's only fields are its row-stacked buffers: the
 core gates in ``W_core`` (4*dc, dx+dc) and ``b_core`` (4*dc,) in the order
@@ -43,23 +43,22 @@ the constant aspect once per sequence; per step it does one product of the
 running rows' h_prev with the recurrent block (W_core's h columns, with
 W_aspect's under them for the aspect-aware cell), one sigmoid per gate group
 (a_i/a_f/a_o, then i/f/o) and one tanh for the candidate, writing each gate
-activation over its pre-activation. Each sequence's ``SequenceCache`` holds
-(T, .) views of the run's arrays. The backward passes, one sequence at a
-time, keep one stacked pre-activation gradient per step and take the
-recurrent gradient on h_prev with one transposed matvec per group; the
-input, aspect and weight gradients follow after the time loop, one matmul
-per group.
+activation over its pre-activation. The run's ``CellCache`` is those
+buffers. The backward pass runs once per run over them: per step it writes
+the running rows' gate pre-activation gradients over their activations and
+takes the recurrent gradient on h_prev with one product over the same
+stacked block; after the time loop the weight, input and aspect gradients
+are one matmul each over the run's real rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .tensor import ParamSet, ShapeError, as_matrix, sigmoid, tanh_v
+from .tensor import ParamSet, ShapeError, sigmoid, tanh_v
 
 
 # Row-block names of each stacked buffer, in row order. The three sigmoid
@@ -82,28 +81,41 @@ def zero_state(hidden_dim: int) -> CellState:
 
 
 @dataclass
-class SequenceCache:
-    """Everything one run over T steps produced, kept for the backward pass.
+class CellCache:
+    """One run over B sequences, kept for its backward pass.
 
-    ``X`` holds the (T, dx) inputs. ``H`` and ``C`` hold T+1 rows of hidden
-    state and cell memory; row 0 is the initial state, row t+1 the state
-    after step t. Per step ``ifo`` holds the post-sigmoid i, f, o gates
-    stacked, ``c_cand`` the post-tanh candidate and ``tanh_c`` tanh(c_t).
-    For aspect-aware runs ``a_gates`` holds the post-sigmoid a_i, a_f, a_o
-    stacked; it is None, like ``aspect``, for classic runs.
+    ``X`` holds the N = sum(lengths) input rows, one sequence after another.
+    The others are the run's (B, T, .) buffers, row r holding sequence
+    ``order[r]``, longest first. ``H`` and ``C`` hold T+1 steps of hidden
+    state and cell memory, step 0 the initial state. Per step ``Z`` stacks
+    the post-sigmoid i, f, o, the post-tanh candidate and, for the
+    aspect-aware cell, the post-sigmoid a_i, a_f, a_o; ``tanh_c`` holds
+    tanh(c_t), ``aspects`` each row's aspect (None for the classic cell).
+    Entries past a sequence's length are never written. The backward pass
+    writes over ``Z`` and drops it, so a cache serves one backward pass.
     """
 
     X: np.ndarray
+    lengths: list[int]
+    order: list[int]
     H: np.ndarray
     C: np.ndarray
-    ifo: np.ndarray
-    c_cand: np.ndarray
+    Z: Optional[np.ndarray]
     tanh_c: np.ndarray
-    aspect: Optional[np.ndarray] = None
-    a_gates: Optional[np.ndarray] = None
+    aspects: Optional[np.ndarray]
 
-    def __len__(self) -> int:
-        return self.X.shape[0]
+    @property
+    def ifo(self) -> np.ndarray:
+        return self.Z[..., :3 * self.H.shape[2]]
+
+    @property
+    def c_cand(self) -> np.ndarray:
+        dc = self.H.shape[2]
+        return self.Z[..., 3 * dc:4 * dc]
+
+    @property
+    def a_gates(self) -> Optional[np.ndarray]:
+        return None if self.aspects is None else self.Z[..., 4 * self.H.shape[2]:]
 
 
 class _StackedParams(ParamSet):
@@ -183,46 +195,44 @@ class AALstmParams(_StackedParams):
 
 
 def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
-         prev: CellState) -> list[SequenceCache]:
+         prev: CellState) -> CellCache:
     """The one kernel: run the cell over B sequences whose rows lie one after
     another in X, `lengths[b]` rows each, every one from state `prev`.
     `aspects` holds one row per sequence, or is None for the classic cell.
-    Returns one cache per sequence, in input order. `unroll` validates.
+    `unroll` validates.
 
     The run works on (B, T, .) buffers, T the longest length, with the
     sequences sorted longest first, so at step t the sequences still running
     are the first n_t rows and padding is never computed. When every
-    sequence has length T, as at B = 1, the buffers are the input
-    projection itself and nothing is sorted or copied.
+    sequence has length T, as at B = 1, the input projection is written
+    straight into the buffer and nothing is sorted or copied.
     """
     dx, dc, n_seq = p.input_dim, p.hidden_dim, len(lengths)
     aware = aspects is not None
     W_core = p.W_core
+    n_steps = max(lengths)
+    order = sorted(range(n_seq), key=lengths.__getitem__, reverse=True)
+    Z = np.empty((n_seq, n_steps, 7 * dc if aware else 4 * dc))
     # The input projection, over the real rows, and the recurrent block, which
     # is formed per call: a cached copy would miss in-place weight updates.
-    Z = X @ W_core[:, :dx].T
-    Z += p.b_core
-    W_hT = np.vstack((W_core[:, dx:], p.W_aspect[:, dc:]) if aware
-                     else (W_core[:, dx:],)).T
-    n_steps = max(lengths)
-    starts = [0, *accumulate(lengths[:-1])]
-    if X.shape[0] == n_seq * n_steps:
-        order = range(n_seq)
-        Z = Z.reshape(n_seq, n_steps, 4 * dc)
-    else:
-        order = sorted(range(n_seq), key=lengths.__getitem__, reverse=True)
-        packed, Z = Z, np.empty((n_seq, n_steps, 4 * dc))
+    uniform = len(X) == n_seq * n_steps
+    proj = Z.reshape(len(X), -1)[:, :4 * dc] if uniform else np.empty((len(X), 4 * dc))
+    np.matmul(X, W_core[:, :dx].T, out=proj)
+    proj += p.b_core
+    if not uniform:
+        blocks = np.split(proj, np.cumsum(lengths[:-1]))
         for row, b in enumerate(order):
-            Z[row, :lengths[b]] = packed[starts[b]:starts[b] + lengths[b]]
+            Z[row, :lengths[b], :4 * dc] = blocks[b]
         if aware:
             aspects = aspects[order]
+    W_hT = np.vstack((W_core[:, dx:], p.W_aspect[:, dc:]) if aware
+                     else (W_core[:, dx:],)).T
     if aware:
         # The constant aspect's part of the aspect gates, once per sequence,
         # and the aspect once per gate for the injections a_* * A.
         Z_aspect = aspects @ p.W_aspect[:, :dc].T
         Z_aspect += p.b_aspect
         aspect3 = np.tile(aspects, 3)
-        a_gates = np.empty((n_seq, n_steps, 3 * dc))
     H = np.empty((n_seq, n_steps + 1, dc))
     C = np.empty((n_seq, n_steps + 1, dc))
     H[:, 0], C[:, 0] = prev.h, prev.c
@@ -235,10 +245,10 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
         # One product over the recurrent block; the gate activations then
         # overwrite their pre-activations in Z.
         rec = H[:n, t] @ W_hT
-        z = Z[:n, t]
+        z = Z[:n, t, :4 * dc]
         if aware:
             z += rec[:, :4 * dc]
-            a = np.add(rec[:, 4 * dc:], Z_aspect[:n], out=a_gates[:n, t])
+            a = np.add(rec[:, 4 * dc:], Z_aspect[:n], out=Z[:n, t, 4 * dc:])
             z[:, :3 * dc] += sigmoid(a, out=a) * aspect3[:n]
         else:
             z += rec
@@ -248,47 +258,36 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
         c += g[:, :dc] * cand
         tc = tanh_v(c, out=tanh_c[:n, t])
         np.multiply(g[:, 2 * dc:], tc, out=H[:n, t + 1])
-    caches = [None] * n_seq
-    for row, b in enumerate(order):
-        end = lengths[b]
-        caches[b] = SequenceCache(
-            X[starts[b]:starts[b] + end], H[row, :end + 1], C[row, :end + 1],
-            Z[row, :end, :3 * dc], Z[row, :end, 3 * dc:], tanh_c[row, :end],
-            aspects[row] if aware else None, a_gates[row, :end] if aware else None)
-    return caches
+    return CellCache(X, lengths, order, H, C, Z, tanh_c, aspects)
 
 
 def classic_lstm_step(p: ClassicLstmParams, x: np.ndarray,
-                      prev: CellState) -> tuple[CellState, SequenceCache]:
+                      prev: CellState) -> tuple[CellState, CellCache]:
     """One classic LSTM step: a one-step unroll."""
-    _, cache = unroll(p, [x], init=prev)
-    return CellState(h=cache.H[1], c=cache.C[1]), cache
+    _, cache = unroll(p, x[None], init=prev)
+    return CellState(h=cache.H[0, 1], c=cache.C[0, 1]), cache
 
 
 def aa_lstm_step(p: AALstmParams, x: np.ndarray, aspect: np.ndarray,
-                 prev: CellState) -> tuple[CellState, SequenceCache]:
+                 prev: CellState) -> tuple[CellState, CellCache]:
     """One aspect-aware LSTM step (see module docstring for the update rule)."""
-    _, cache = unroll(p, [x], aspect, init=prev)
-    return CellState(h=cache.H[1], c=cache.C[1]), cache
+    _, cache = unroll(p, x[None], aspect[None], init=prev)
+    return CellState(h=cache.H[0, 1], c=cache.C[0, 1]), cache
 
 
-def unroll(params, xs, aspect: Optional[np.ndarray] = None,
+def unroll(params, xs: np.ndarray, aspect: Optional[np.ndarray] = None,
            init: Optional[CellState] = None, lengths: Optional[list[int]] = None):
-    """Run the cell over a sequence, threading state; init defaults to zeros.
+    """Run the cell over B sequences, threading state; init defaults to zeros.
 
-    `params` selects the cell: AALstmParams requires `aspect`, ClassicLstmParams
-    forbids it. `xs` holds one input per step, as a (T, dx) array or a list
-    of vectors. Returns the (T, dc) hidden states and the run's cache.
-
-    With `lengths`, one call runs B sequences: `xs` holds their rows one
-    after another, `lengths[b]` rows for sequence b, `aspect` holds one row
-    per sequence, and every sequence starts from `init`. The call then
-    returns a list of B (T_b, dc) hidden-state arrays and a list of B
-    caches, each a view of the run's arrays.
+    `xs` is an (N, dx) array holding the sequences' rows one after another,
+    `lengths[b]` rows for sequence b; without `lengths` it is one sequence.
+    `params` selects the cell: AALstmParams requires `aspect`, a (B, dc)
+    array of one row per sequence, and ClassicLstmParams forbids it. Every
+    sequence starts from `init`. Returns the B (T_b, dc) hidden-state
+    arrays, views of the run's buffers, and the run's cache.
     """
-    batched = lengths is not None
-    if not batched:
-        lengths = [len(xs)]
+    X, dc = np.asarray(xs, dtype=np.float64), params.hidden_dim
+    lengths = [len(X)] if lengths is None else list(lengths)
     if min(lengths, default=0) < 1:
         raise ValueError("unroll: empty input sequence")
     aware = isinstance(params, AALstmParams)
@@ -296,102 +295,106 @@ def unroll(params, xs, aspect: Optional[np.ndarray] = None,
         raise ValueError("unroll: aspect vector required for the aspect-aware cell")
     if not aware and aspect is not None:
         raise ValueError("unroll: classic cell takes no aspect vector")
-    state = zero_state(params.hidden_dim) if init is None else init
-    X, dc = as_matrix(xs), params.hidden_dim
-    if X.shape[1] != params.input_dim:
-        raise ShapeError(f"input shape {X.shape[1:]} != ({params.input_dim},)")
+    state = zero_state(dc) if init is None else init
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise ShapeError(f"input shape {X.shape} != (N, {params.input_dim})")
     if X.shape[0] != sum(lengths):
         raise ShapeError(f"{X.shape[0]} input rows, but the lengths add up to {sum(lengths)}")
     if state.h.shape != (dc,) or state.c.shape != (dc,):
         raise ShapeError(f"state shapes {state.h.shape}/{state.c.shape} != ({dc},)")
-    if aware:
-        aspects = as_matrix(aspect) if batched else aspect[None]
-        if aspects.shape != (len(lengths), dc):
-            raise ShapeError(f"aspect shape {np.shape(aspect)} != "
-                             f"{(len(lengths), dc) if batched else (dc,)}")
-    caches = _run(params, X, list(lengths), aspects if aware else None, state)
-    if batched:
-        return [cache.H[1:] for cache in caches], caches
-    return caches[0].H[1:], caches[0]
+    if aware and np.shape(aspect) != (len(lengths), dc):
+        raise ShapeError(f"aspect shape {np.shape(aspect)} != {(len(lengths), dc)}")
+    cache = _run(params, X, lengths, aspect, state)
+    rows = sorted(range(len(lengths)), key=cache.order.__getitem__)
+    return [cache.H[r, 1:n + 1] for r, n in zip(rows, lengths)], cache
 
 
-def _bptt(p, cache: SequenceCache, dH):
-    """BPTT shared by both cells; returns (param grads, input grads, aspect grad).
+def _bptt(p, cache: CellCache, dH: np.ndarray):
+    """BPTT shared by both cells over one run; returns (param grads summed
+    over the run's sequences, (N, dx) input grads, (B, dc) aspect grads).
 
-    dH holds the (T, dc) gradients on the hidden states (a list of T vectors
-    also works). dZ[t] is the stacked pre-activation gradient of the core
-    gates at step t and dZa[t] that of the aspect gates (aspect-aware cell
-    only). Only the recurrent gradients on h and c need the time loop: the
-    per-step factors are formed for all steps before it, and the input,
-    aspect and weight gradients after it, one matmul per gate group.
+    dH holds the (N, dc) gradients on the hidden states, laid out like the
+    run's input rows. Only the recurrent gradients on h and c need the time
+    loop. It walks the run's sorted rows backwards and writes each running
+    row's stacked gate pre-activation gradients over its activations in Z:
+    sigmoid' * [dc_t * cand, dc_t * c_prev, dh_t * tanh(c_t)] for i, f, o
+    and tanh' * dc_t * i for the candidate, dc_t being the total gradient on
+    c_t. z_* gained the term a_* * A, so dz_* also reaches the aspect gate
+    a_* (times A) and the aspect itself (times a_*). The weight, input and
+    aspect gradients follow the loop, one matmul each over the real rows.
     """
-    if len(cache) != len(dH):
-        raise ValueError(f"got {len(cache)} cached steps but {len(dH)} hidden gradients")
+    if cache.Z is None:
+        raise ValueError("this run's cache was already used by a backward pass")
+    if len(dH) != len(cache.X):
+        raise ValueError(f"got {len(cache.X)} cached steps but {len(dH)} hidden gradients")
     aware = isinstance(p, AALstmParams)
-    n_steps, dx, dc = len(cache), p.input_dim, p.hidden_dim
-    ifo = cache.ifo.reshape(n_steps, 3, dc)
-    c_cand, tanh_c = cache.c_cand, cache.tanh_c
-    # dz = G * [dc_t, dc_t, dh_t, dc_t] blockwise, dc_t being the total
-    # gradient on c_t: G holds d(c_t)/d(i, f, cand) and d(h_t)/d(o), each
-    # times its gate's activation derivative.
-    G = np.empty((n_steps, 4, dc))
-    G[:, 0] = c_cand
-    G[:, 1] = cache.C[:-1]
-    G[:, 2] = tanh_c
-    G[:, :3] *= ifo
-    G[:, :3] *= 1.0 - ifo
-    G[:, 3] = ifo[:, 0] * (1.0 - c_cand ** 2)
-    dh_to_dc = ifo[:, 2] * (1.0 - tanh_c ** 2)
-    forget = ifo[:, 1]
-    W_h = p.W_core[:, dx:]
-    dZ = np.empty((n_steps, 4 * dc))
-    dZ4 = dZ.reshape(n_steps, 4, dc)
+    dx, dc = p.input_dim, p.hidden_dim
+    Z, C, tanh_c = cache.Z, cache.C, cache.tanh_c
+    n_seq, n_steps = Z.shape[:2]
+    lengths, order = np.array(cache.lengths), np.array(cache.order)
+    starts, row_of = np.cumsum(lengths) - lengths, np.argsort(order)
+    row_starts, ends = starts[order], lengths[order]
+    W_h = (np.vstack((p.W_core[:, dx:], p.W_aspect[:, dc:])) if aware
+           else p.W_core[:, dx:])
+    dh_rec = np.zeros((n_seq, dc))
+    dc_rec = np.zeros((n_seq, dc))
     if aware:
-        # z_* gained the term a_* * A, so dz_* splits into a gate part
-        # (times A) and a direct aspect part (times a_*).
-        a_gates = cache.a_gates
-        G_a = np.tile(cache.aspect, 3) * a_gates
-        G_a *= 1.0 - a_gates
-        W_ah = p.W_aspect[:, dc:]
-        dZa = np.empty((n_steps, 3 * dc))
-    dh_rec = np.zeros(dc)
-    dc_rec = np.zeros(dc)
+        aspect3 = np.tile(cache.aspects, 3)
+        d_direct = np.zeros((n_seq, 3 * dc))
+    n = 0
     for t in reversed(range(n_steps)):
-        dh = dH[t] + dh_rec
-        d_cell = dh * dh_to_dc[t]
-        d_cell += dc_rec
-        np.multiply(G[t], d_cell, out=dZ4[t])
-        np.multiply(G[t, 2], dh, out=dZ4[t, 2])
-        dc_rec = d_cell * forget[t]
-        dh_rec = W_h.T @ dZ[t]
+        while n < n_seq and ends[n] > t:
+            n += 1
+        z = Z[:n, t]
+        ifo, cand, tc = z[:, :3 * dc], z[:, 3 * dc:4 * dc], tanh_c[:n, t]
+        dh = dH[row_starts[:n] + t]
+        dh += dh_rec[:n]
+        d_cell = dh * ifo[:, 2 * dc:] * (1.0 - tc * tc)
+        d_cell += dc_rec[:n]
+        np.multiply(d_cell, ifo[:, dc:2 * dc], out=dc_rec[:n])
+        dz_cand = d_cell * ifo[:, :dc] * (1.0 - cand * cand)
+        ifo *= 1.0 - ifo
+        ifo[:, :dc] *= d_cell * cand
+        ifo[:, dc:2 * dc] *= d_cell * C[:n, t]
+        ifo[:, 2 * dc:] *= dh * tc
+        cand[...] = dz_cand
         if aware:
-            np.multiply(dZ[t, :3 * dc], G_a[t], out=dZa[t])
-            dh_rec += W_ah.T @ dZa[t]
-    H_prev = cache.H[:-1]
-    grads = {"W_core": dZ.T @ np.hstack((cache.X, H_prev)), "b_core": dZ.sum(axis=0)}
+            a = z[:, 4 * dc:]
+            d_direct[:n] += ifo * a
+            a *= (1.0 - a) * ifo * aspect3[:n]
+        np.matmul(z, W_h, out=dh_rec[:n])
+    # Each real row's gate gradients, in input order. Dropping Z, its views
+    # and the stacked block frees them before the weight-gradient matmuls.
+    at = (np.repeat(row_of, lengths), np.arange(len(dH)) - np.repeat(starts, lengths))
+    dZ, H_prev = Z[at], cache.H[at]
+    cache.Z = Z = z = ifo = cand = a = W_h = None
+    grads = {"W_core": dZ[:, :4 * dc].T @ np.hstack((cache.X, H_prev)),
+             "b_core": dZ[:, :4 * dc].sum(axis=0)}
     d_aspect = None
     if aware:
-        AH = np.hstack((np.tile(cache.aspect, (n_steps, 1)), H_prev))
-        grads["W_aspect"] = dZa.T @ AH
+        dZa = dZ[:, 4 * dc:]
+        grads["W_aspect"] = dZa.T @ np.hstack((cache.aspects[at[0]], H_prev))
         grads["b_aspect"] = dZa.sum(axis=0)
-        d_aspect = (dZ[:, :3 * dc] * a_gates).reshape(-1, dc).sum(axis=0)
-        d_aspect += p.W_aspect[:, :dc].T @ grads["b_aspect"]
-    return p._named(grads), dZ @ p.W_core[:, :dx], d_aspect
+        d_aspect = d_direct[row_of].reshape(-1, 3, dc).sum(axis=1)
+        d_aspect += np.add.reduceat(dZa, starts, axis=0) @ p.W_aspect[:, :dc]
+    return p._named(grads), dZ[:, :4 * dc] @ p.W_core[:, :dx], d_aspect
 
 
-def classic_lstm_backward(p: ClassicLstmParams, cache: SequenceCache,
-                          dH) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """BPTT for the classic cell: per-parameter grads and (T, dx) input grads."""
+def classic_lstm_backward(p: ClassicLstmParams, cache: CellCache,
+                          dH: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """BPTT for the classic cell over one run: per-parameter grads summed over
+    its sequences and (N, dx) input grads."""
     grads, dX, _ = _bptt(p, cache, dH)
     return grads, dX
 
 
-def aa_lstm_backward(p: AALstmParams, cache: SequenceCache,
-                     dH) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """BPTT for the aspect-aware cell.
+def aa_lstm_backward(p: AALstmParams, cache: CellCache, dH: np.ndarray,
+                     ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """BPTT for the aspect-aware cell over one run.
 
-    Returns (param grads, (T, dx) input grads, aspect grad). The aspect feeds
-    every step through all three aspect gates and the three gated injections,
-    so its gradient is summed over the whole sequence.
+    Returns (param grads summed over its sequences, (N, dx) input grads,
+    (B, dc) aspect grads). A sequence's aspect feeds every step through all
+    three aspect gates and the three gated injections, so its gradient is
+    summed over the whole sequence.
     """
     return _bptt(p, cache, dH)

@@ -1,7 +1,7 @@
 """Sentiment heads: turn hidden-state sequences into class probabilities.
 
-Both heads take the cell's hidden states as one (T, dc) array H (a list of
-T vectors also works) and hand their gradient back as one (T, dc) array.
+Both heads take the cell's hidden states as one (T, dc) array H and hand
+their gradient back as one (T, dc) array.
 The last-hidden head simply takes h_T as the final sentiment
 representation. The attention head follows the concat-score design
 of the cited aspect-attention architecture: each hidden state is scored
@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import N_CLASSES
-from .tensor import ParamSet, ShapeError, as_matrix, tanh_v
+from .tensor import ParamSet, ShapeError, tanh_v
 
 # Smallest normal double: probability floor keeping softmax outputs strictly
-# positive even for wildly separated logits.
-_PROB_FLOOR = np.finfo(np.float64).tiny
+# positive even for wildly separated logits, and the cross-entropy finite.
+PROB_FLOOR = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -80,15 +80,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
     """Stable softmax: max-subtracted, floored to keep entries in open (0,1)."""
     e = np.exp(z - np.max(z))
     p = e / e.sum()
-    p = np.maximum(p, _PROB_FLOOR)
+    p = np.maximum(p, PROB_FLOOR)
     return p / p.sum()
 
 
-def last_hidden_head(hs) -> np.ndarray:
+def last_hidden_head(H: np.ndarray) -> np.ndarray:
     """The final hidden state h_T, unmodified: the last row of (T, dc) states."""
-    if len(hs) == 0:
+    if len(H) == 0:
         raise ValueError("last_hidden_head: empty hidden-state sequence")
-    return hs[-1]
+    return H[-1]
 
 
 def last_hidden_backward(d_repr: np.ndarray, length: int) -> np.ndarray:
@@ -109,29 +109,27 @@ class AttentionCache:
     repr: np.ndarray          # (dc,)
 
 
-def attention_scores(hs, aspect: np.ndarray,
+def attention_scores(H: np.ndarray, aspect: np.ndarray,
                      p: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
     """Scores w . tanh([W_h h_t, W_v A]) of (T, dc) states: the (T,) scores
     and the (T, dc + da) tanh'd features U."""
-    H = as_matrix(hs)
     va = np.broadcast_to(p.W_v @ aspect, (H.shape[0], p.aspect_dim))
     U = tanh_v(np.hstack((H @ p.W_h.T, va)))
     return U @ p.w, U
 
 
-def attention_head(hs, aspect: np.ndarray,
+def attention_head(H: np.ndarray, aspect: np.ndarray,
                    p: AttentionParams) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-    """Aspect-conditioned attention over (T, dc) hidden states (an array, or
-    a list of T vectors) and a (da,) aspect.
+    """Aspect-conditioned attention over (T, dc) hidden states and a (da,)
+    aspect.
 
     Returns the (dc,) representation, the (T,) attention weights, a
     probability distribution over the positions, and the backward cache.
     """
-    if len(hs) == 0:
+    if len(H) == 0:
         raise ValueError("attention_head: empty hidden-state sequence")
     if aspect.shape != (p.aspect_dim,):
         raise ShapeError(f"aspect shape {aspect.shape} != ({p.aspect_dim},)")
-    H = as_matrix(hs)
     if H.shape[1] != p.hidden_dim:
         raise ShapeError(f"hidden state shape {H.shape[1:]} != ({p.hidden_dim},)")
     scores, U = attention_scores(H, aspect, p)

@@ -21,9 +21,11 @@ One run is the only way the model is driven: `forward` takes a minibatch,
 an evaluation chunk or one instance to predict. It gathers their input rows,
 draws any dropout masks, runs the cell over all of them in one `unroll`
 call, and runs the head and classifier on each instance's (T, dc) hidden
-states, whose `SequenceCache` is a view of the run's arrays. `backward`
-returns the run's gradient summed over its instances: head and cell run
-backward per instance, each scattering into the run's one table gradient.
+states, views of the run's buffers. `backward` returns the run's gradient
+summed over its instances: the head and classifier run backward per
+instance into one (N, dc) hidden-state gradient laid out like the run's
+token rows, the cell runs backward once over the run, and its (N, dx)
+input gradient goes into the word-table gradient in one scatter.
 
 Gradient routing notes, since they are easy to get wrong:
   - input gradients pass back through the dropout mask before
@@ -44,8 +46,8 @@ import numpy as np
 
 from .cells import (
     AALstmParams,
+    CellCache,
     ClassicLstmParams,
-    SequenceCache,
     aa_lstm_backward,
     classic_lstm_backward,
     unroll,
@@ -88,14 +90,14 @@ def _part_arrays(**parts: Optional[dict[str, np.ndarray]]) -> dict[str, np.ndarr
 @dataclass
 class RunCache:
     """Everything the backward pass needs about one forward run: the token
-    rows of every instance, one instance after another, the (B, 3) class
-    probabilities, and per instance its cell, head (None for the last-hidden
-    head) and classifier caches and its (T, dx) input and (dc,)
-    representation dropout multipliers (None at rate 0)."""
+    rows of every instance, one instance after another, the cell's cache of
+    the run, the (B, 3) class probabilities, and per instance its head (None
+    for the last-hidden head) and classifier caches and its (T, dx) input
+    and (dc,) representation dropout multipliers (None at rate 0)."""
 
     insts: list[LabeledInstance]
     indices: list[int]
-    cell_caches: list[SequenceCache]
+    cell: CellCache
     head_caches: list[Optional[AttentionCache]]
     clf_caches: list[ClassifierCache]
     x_masks: list[Optional[np.ndarray]]
@@ -170,8 +172,8 @@ class SentimentModel:
         if reads_aspect(self.cell_kind, self.head_kind):
             aspects = [build_aspect_vector(inst, self.embeddings, self.aspect_embeddings)
                        for inst in insts]
-        cell_aspects = aspects if self.cell_kind == "aa" else None
-        hs, cell_caches = unroll(self.cell, X, aspect=cell_aspects, lengths=lengths)
+        cell_aspects = np.array(aspects) if self.cell_kind == "aa" else None
+        hs, cell_cache = unroll(self.cell, X, aspect=cell_aspects, lengths=lengths)
         head_caches, clf_caches = [], []
         for h, aspect, rep_mask in zip(hs, aspects, rep_masks):
             head_cache = None
@@ -183,51 +185,56 @@ class SentimentModel:
                 rep = rep * rep_mask
             head_caches.append(head_cache)
             clf_caches.append(classify_with_cache(rep, self.clf)[1])
-        return RunCache(insts, indices, cell_caches, head_caches, clf_caches, x_masks,
+        return RunCache(insts, indices, cell_cache, head_caches, clf_caches, x_masks,
                         rep_masks, np.array([c.probs for c in clf_caches]))
 
     def backward(self, cache: RunCache) -> dict[str, np.ndarray]:
         """Cross-entropy gradient of the run, summed over its instances and
-        keyed like params(). Each instance's word gradient is scattered
-        straight into the run's one embedding-table gradient."""
-        grads = {k: np.zeros_like(v) for k, v in self.params().items()}
+        keyed like params(). The cell runs backward once over the run; the
+        head, classifier and aspect gradients accumulate per instance."""
+        grads = {k: np.zeros_like(v) for k, v in self.params().items()
+                 if not k.startswith("cell.")}
+        dH = np.empty((len(cache.indices), self.cell.hidden_dim))
+        d_aspects = [None] * len(cache.insts)
         start = 0
-        for inst, cell_cache, head_cache, clf_cache, x_mask, rep_mask in zip(
-                cache.insts, cache.cell_caches, cache.head_caches, cache.clf_caches,
-                cache.x_masks, cache.rep_masks):
+        for b, (inst, head_cache, clf_cache, rep_mask) in enumerate(zip(
+                cache.insts, cache.head_caches, cache.clf_caches, cache.rep_masks)):
+            end = start + len(inst.tokens)
             d_logits = clf_cache.probs.copy()
             d_logits[inst.label] -= 1.0
             clf_grads, d_rep = classifier_backward(self.clf, clf_cache, d_logits)
             if rep_mask is not None:
                 d_rep = d_rep * rep_mask
-
-            d_aspect = None
+            attn_grads = None
             if self.attn is not None:
-                attn_grads, dH, d_aspect = attention_backward(self.attn, head_cache, d_rep)
+                attn_grads, dH[start:end], d_aspects[b] = attention_backward(
+                    self.attn, head_cache, d_rep)
             else:
-                attn_grads = None
-                dH = last_hidden_backward(d_rep, len(cell_cache))
-
-            if self.cell_kind == "aa":
-                cell_grads, dX, d_aspect_cell = aa_lstm_backward(self.cell, cell_cache, dH)
-                d_aspect = d_aspect_cell if d_aspect is None else d_aspect + d_aspect_cell
-            else:
-                cell_grads, dX = classic_lstm_backward(self.cell, cell_cache, dH)
-
-            for k, g in _part_arrays(cell=cell_grads, attn=attn_grads, clf=clf_grads).items():
+                dH[start:end] = last_hidden_backward(d_rep, end - start)
+            for k, g in _part_arrays(attn=attn_grads, clf=clf_grads).items():
                 grads[k] += g
-            ix = cache.indices[start:start + len(cell_cache)]
-            start += len(ix)
-            if self.train_embeddings:
-                if x_mask is not None:
-                    dX *= x_mask
-                np.add.at(grads["emb.words"], ix, dX)
-                if d_aspect is not None and isinstance(inst.aspect, TermSpan):
-                    span = inst.aspect
-                    np.add.at(grads["emb.words"], ix[span.start:span.end + 1],
-                              d_aspect / (span.end - span.start + 1))
-            if self.aspect_embeddings is not None and not isinstance(inst.aspect, TermSpan):
-                grads["emb.aspects"][inst.aspect.index] += d_aspect
+            start = end
+
+        if self.cell_kind == "aa":
+            cell_grads, dX, d_cell = aa_lstm_backward(self.cell, cache.cell, dH)
+            d_aspects = [d if d_head is None else d + d_head
+                         for d, d_head in zip(d_cell, d_aspects)]
+        else:
+            cell_grads, dX = classic_lstm_backward(self.cell, cache.cell, dH)
+        grads.update(_part_arrays(cell=cell_grads))
+        if self.train_embeddings:
+            if cache.x_masks[0] is not None:
+                dX *= np.concatenate(cache.x_masks)
+            np.add.at(grads["emb.words"], cache.indices, dX)
+        start = 0
+        for inst, d_aspect in zip(cache.insts, d_aspects):
+            aspect = inst.aspect
+            if isinstance(aspect, TermSpan) and d_aspect is not None and self.train_embeddings:
+                span = cache.indices[start + aspect.start:start + aspect.end + 1]
+                np.add.at(grads["emb.words"], span, d_aspect / len(span))
+            elif self.aspect_embeddings is not None and not isinstance(aspect, TermSpan):
+                grads["emb.aspects"][aspect.index] += d_aspect
+            start += len(inst.tokens)
         return grads
 
     def predict_probs(self, inst: LabeledInstance) -> np.ndarray:

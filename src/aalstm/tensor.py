@@ -36,14 +36,6 @@ class ConfigError(ValueError):
     """Inconsistent model configuration (e.g. aspect dim != hidden dim)."""
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce to a 2-D row-major float64 matrix."""
-    m = np.ascontiguousarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
 def sigmoid(v: np.ndarray, out=None) -> np.ndarray:
     """Logistic function, stable for large |x| and clamped into open (0, 1).
 

@@ -14,10 +14,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .heads import PROB_FLOOR
 from .metrics import EvalReport
 from .tensor import make_rng
 
-_PROB_FLOOR = 1e-12
 _FD_EPS = 1e-5
 _FD_FLOOR = 1e-8
 # A gradient check passes when its worst relative error is below this.
@@ -84,7 +84,7 @@ def cross_entropy(probs: np.ndarray, gold: int) -> float:
     """Negative log-probability of the gold class, floored for safety."""
     if not 0 <= gold < probs.shape[0]:
         raise ValueError(f"gold label {gold} outside 0..{probs.shape[0] - 1}")
-    return float(-np.log(max(float(probs[gold]), _PROB_FLOOR)))
+    return float(-np.log(max(float(probs[gold]), PROB_FLOOR)))
 
 
 def l2_penalty(arrays, coeff: float) -> float:

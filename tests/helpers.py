@@ -2,9 +2,9 @@
 
 The scalar implementations below use plain Python floats, lists, and
 math.exp only, no numpy, so they are an independent oracle for the
-vectorized cell code. The per-step cell run, the per-gate backward passes
-and the two-branch activations are the earlier numpy forms of the batched
-and fused kernels, and the per-step attention forward and backward the
+vectorized cell code. The per-step cell run, the per-sequence BPTT, the
+per-gate backward passes and the two-branch activations are the earlier
+numpy forms of the batched and fused kernels, and the per-step attention forward and backward the
 earlier form of the (T, dc) array head, kept as oracles for them.
 """
 
@@ -91,9 +91,8 @@ def core(p):
 
 def loop_run(p, X, prev, aspect=None):
     """Per-step run of one sequence, two matvecs a step over [x_t, h_prev]
-    and [A, h_prev]: the SequenceCache the batched kernel must match.
-    `aspect` None runs the classic cell."""
-    from aalstm.cells import SequenceCache
+    and [A, h_prev]: the per-sequence cache each sequence of a batched run
+    must match. `aspect` None runs the classic cell."""
     from aalstm.tensor import sigmoid, tanh_v
     n_steps, dc = X.shape[0], p.hidden_dim
     H = np.empty((n_steps + 1, dc))
@@ -114,11 +113,83 @@ def loop_run(p, X, prev, aspect=None):
         C[t + 1] = g[dc:2 * dc] * C[t] + g[:dc] * c_cand[t]
         tanh_c[t] = tanh_v(C[t + 1])
         H[t + 1] = g[2 * dc:] * tanh_c[t]
-    return SequenceCache(X, H, C, ifo, c_cand, tanh_c, aspect, a_gates)
+    return SimpleNamespace(X=X, H=H, C=C, ifo=ifo, c_cand=c_cand, tanh_c=tanh_c,
+                           aspect=aspect, a_gates=a_gates)
+
+
+def sequence_view(cache, b):
+    """Sequence b of a run's CellCache as a per-sequence cache like
+    loop_run's, copied, so a later backward pass over the run leaves it be."""
+    start, n, r = sum(cache.lengths[:b]), cache.lengths[b], cache.order.index(b)
+    aware = cache.aspects is not None
+    return SimpleNamespace(
+        X=cache.X[start:start + n].copy(), H=cache.H[r, :n + 1].copy(),
+        C=cache.C[r, :n + 1].copy(), ifo=cache.ifo[r, :n].copy(),
+        c_cand=cache.c_cand[r, :n].copy(), tanh_c=cache.tanh_c[r, :n].copy(),
+        aspect=cache.aspects[r].copy() if aware else None,
+        a_gates=cache.a_gates[r, :n].copy() if aware else None)
+
+
+def sequence_bptt(p, cache, dH):
+    """BPTT over one per-sequence cache, the fused per-sequence form the
+    batched backward replaced: (param grads, (T, dx) input grads, aspect
+    grad or None). dZ[t] is the stacked pre-activation gradient of the core
+    gates at step t and dZa[t] that of the aspect gates."""
+    from aalstm.cells import AALstmParams
+    aware = isinstance(p, AALstmParams)
+    n_steps, dx, dc = cache.X.shape[0], p.input_dim, p.hidden_dim
+    ifo = cache.ifo.reshape(n_steps, 3, dc)
+    c_cand, tanh_c = cache.c_cand, cache.tanh_c
+    # dz = G * [dc_t, dc_t, dh_t, dc_t] blockwise, dc_t being the total
+    # gradient on c_t: G holds d(c_t)/d(i, f, cand) and d(h_t)/d(o), each
+    # times its gate's activation derivative.
+    G = np.empty((n_steps, 4, dc))
+    G[:, 0] = c_cand
+    G[:, 1] = cache.C[:-1]
+    G[:, 2] = tanh_c
+    G[:, :3] *= ifo
+    G[:, :3] *= 1.0 - ifo
+    G[:, 3] = ifo[:, 0] * (1.0 - c_cand ** 2)
+    dh_to_dc = ifo[:, 2] * (1.0 - tanh_c ** 2)
+    forget = ifo[:, 1]
+    W_h = p.W_core[:, dx:]
+    dZ = np.empty((n_steps, 4 * dc))
+    dZ4 = dZ.reshape(n_steps, 4, dc)
+    if aware:
+        # z_* gained the term a_* * A, so dz_* splits into a gate part
+        # (times A) and a direct aspect part (times a_*).
+        a_gates = cache.a_gates
+        G_a = np.tile(cache.aspect, 3) * a_gates
+        G_a *= 1.0 - a_gates
+        W_ah = p.W_aspect[:, dc:]
+        dZa = np.empty((n_steps, 3 * dc))
+    dh_rec = np.zeros(dc)
+    dc_rec = np.zeros(dc)
+    for t in reversed(range(n_steps)):
+        dh = dH[t] + dh_rec
+        d_cell = dh * dh_to_dc[t]
+        d_cell += dc_rec
+        np.multiply(G[t], d_cell, out=dZ4[t])
+        np.multiply(G[t, 2], dh, out=dZ4[t, 2])
+        dc_rec = d_cell * forget[t]
+        dh_rec = W_h.T @ dZ[t]
+        if aware:
+            np.multiply(dZ[t, :3 * dc], G_a[t], out=dZa[t])
+            dh_rec += W_ah.T @ dZa[t]
+    H_prev = cache.H[:-1]
+    grads = {"W_core": dZ.T @ np.hstack((cache.X, H_prev)), "b_core": dZ.sum(axis=0)}
+    d_aspect = None
+    if aware:
+        AH = np.hstack((np.tile(cache.aspect, (n_steps, 1)), H_prev))
+        grads["W_aspect"] = dZa.T @ AH
+        grads["b_aspect"] = dZa.sum(axis=0)
+        d_aspect = (dZ[:, :3 * dc] * a_gates).reshape(-1, dc).sum(axis=0)
+        d_aspect += p.W_aspect[:, :dc].T @ grads["b_aspect"]
+    return p._named(grads), dZ @ p.W_core[:, :dx], d_aspect
 
 
 def _step_view(cache, t):
-    """Step t of a SequenceCache, under the per-gate names the oracles read."""
+    """Step t of a per-sequence cache, under the per-gate names the oracles read."""
     dc = cache.H.shape[1]
     view = SimpleNamespace(x=cache.X[t], h_prev=cache.H[t], c_prev=cache.C[t],
                            c_cand=cache.c_cand[t], tanh_c=cache.tanh_c[t],
@@ -161,10 +232,10 @@ def per_gate_classic_backward(p, caches, dh_list):
     """Per-gate BPTT for the classic cell: (param grads, input grads)."""
     dx_in = p.input_dim
     grads = {name: np.zeros_like(arr) for name, arr in p.to_arrays().items()}
-    dxs = [None] * len(caches)
+    dxs = [None] * len(caches.X)
     dh_rec = np.zeros(p.hidden_dim)
     dc_rec = np.zeros(p.hidden_dim)
-    for t in reversed(range(len(caches))):
+    for t in reversed(range(len(caches.X))):
         dxh, _, _, _, dc_rec = _per_gate_core_backward_step(
             p, _step_view(caches, t), dh_list[t] + dh_rec, dc_rec, grads)
         dxs[t] = dxh[:dx_in]
@@ -178,11 +249,11 @@ def per_gate_aa_backward(p, caches, dh_list):
     dx_in = p.input_dim
     da = p.hidden_dim  # the aspect-aware cell's aspect dim
     grads = {name: np.zeros_like(arr) for name, arr in p.to_arrays().items()}
-    dxs = [None] * len(caches)
+    dxs = [None] * len(caches.X)
     d_aspect = np.zeros(da)
     dh_rec = np.zeros(p.hidden_dim)
     dc_rec = np.zeros(p.hidden_dim)
-    for t in reversed(range(len(caches))):
+    for t in reversed(range(len(caches.X))):
         cache = _step_view(caches, t)
         dxh, dz_i, dz_f, dz_o, dc_rec = _per_gate_core_backward_step(
             p, cache, dh_list[t] + dh_rec, dc_rec, grads)

@@ -6,31 +6,31 @@ from aalstm import tensor
 from aalstm.cells import aa_lstm_backward, classic_lstm_backward, unroll
 
 from helpers import (fd_grad_of_array, per_gate_aa_backward, per_gate_classic_backward,
-                     worst_rel_err)
+                     sequence_view, worst_rel_err)
 from test_cells import random_aa_params, random_classic_params, random_state
 
 EPS = 1e-5
 TOL = 1e-4
 
 
-def sum_loss_aa(p, xs, aspect):
-    hs, _ = unroll(p, xs, aspect)
-    return float(np.sum(hs[-1]))
+def sum_loss_aa(p, X, aspect):
+    (H,), _ = unroll(p, X, aspect[None])
+    return float(np.sum(H[-1]))
 
 
-def sum_loss_classic(p, xs):
-    hs, _ = unroll(p, xs)
-    return float(np.sum(hs[-1]))
+def sum_loss_classic(p, X):
+    (H,), _ = unroll(p, X)
+    return float(np.sum(H[-1]))
 
 
 class TestAABackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = tensor.make_rng(20)
         p = random_aa_params(rng, dx=3, dc=3)
-        xs = [rng.normal(size=3) for _ in range(4)]
+        xs = rng.normal(size=(4, 3))
         aspect = rng.normal(size=3)
-        _, caches = unroll(p, xs, aspect)
-        grads, dxs, d_aspect = aa_lstm_backward(p, caches, [np.zeros(3)] * 4)
+        _, caches = unroll(p, xs, aspect[None])
+        grads, dxs, d_aspect = aa_lstm_backward(p, caches, np.zeros((4, 3)))
         for g in grads.values():
             assert np.all(g == 0.0)
         for dx in dxs:
@@ -40,10 +40,11 @@ class TestAABackward:
     def test_param_grads_match_finite_differences(self):
         rng = tensor.make_rng(21)
         p = random_aa_params(rng, dx=3, dc=3)
-        xs = [rng.normal(size=3) for _ in range(4)]
+        xs = rng.normal(size=(4, 3))
         aspect = rng.normal(size=3)
-        _, caches = unroll(p, xs, aspect)
-        dh = [np.zeros(3)] * 3 + [np.ones(3)]
+        _, caches = unroll(p, xs, aspect[None])
+        dh = np.zeros((4, 3))
+        dh[-1] = 1.0
         grads, _, _ = aa_lstm_backward(p, caches, dh)
         for name, arr in p.to_arrays().items():
             numeric = fd_grad_of_array(lambda: sum_loss_aa(p, xs, aspect), arr, EPS)
@@ -52,10 +53,11 @@ class TestAABackward:
     def test_input_and_aspect_grads_match_finite_differences(self):
         rng = tensor.make_rng(22)
         p = random_aa_params(rng, dx=2, dc=4)
-        xs = [rng.normal(size=2) for _ in range(5)]
+        xs = rng.normal(size=(5, 2))
         aspect = rng.normal(size=4)
-        _, caches = unroll(p, xs, aspect)
-        dh = [np.zeros(4)] * 4 + [np.ones(4)]
+        _, caches = unroll(p, xs, aspect[None])
+        dh = np.zeros((5, 4))
+        dh[-1] = 1.0
         _, dxs, d_aspect = aa_lstm_backward(p, caches, dh)
         for t, x in enumerate(xs):
             numeric = fd_grad_of_array(lambda: sum_loss_aa(p, xs, aspect), x, EPS)
@@ -67,10 +69,11 @@ class TestAABackward:
         # The aspect-gate paths read A directly, so dL/dA survives A = 0.
         rng = tensor.make_rng(23)
         p = random_aa_params(rng, dx=3, dc=3)
-        xs = [rng.normal(size=3) for _ in range(3)]
+        xs = rng.normal(size=(3, 3))
         aspect = np.zeros(3)
-        _, caches = unroll(p, xs, aspect)
-        dh = [np.zeros(3)] * 2 + [np.ones(3)]
+        _, caches = unroll(p, xs, aspect[None])
+        dh = np.zeros((3, 3))
+        dh[-1] = 1.0
         _, _, d_aspect = aa_lstm_backward(p, caches, dh)
         numeric = fd_grad_of_array(lambda: sum_loss_aa(p, xs, aspect), aspect, EPS)
         assert worst_rel_err(d_aspect, numeric) < TOL
@@ -80,15 +83,15 @@ class TestAABackward:
         # Gradients flowing in at every time step, not just the last.
         rng = tensor.make_rng(24)
         p = random_aa_params(rng, dx=3, dc=3)
-        xs = [rng.normal(size=3) for _ in range(4)]
+        xs = rng.normal(size=(4, 3))
         aspect = rng.normal(size=3)
-        _, caches = unroll(p, xs, aspect)
-        weights = [rng.normal(size=3) for _ in range(4)]
+        _, caches = unroll(p, xs, aspect[None])
+        weights = rng.normal(size=(4, 3))
         grads, _, d_aspect = aa_lstm_backward(p, caches, weights)
 
         def loss():
-            hs, _ = unroll(p, xs, aspect)
-            return float(sum(np.dot(w, h) for w, h in zip(weights, hs)))
+            (H,), _ = unroll(p, xs, aspect[None])
+            return float(np.sum(weights * H))
 
         for name, arr in p.to_arrays().items():
             numeric = fd_grad_of_array(loss, arr, EPS)
@@ -101,9 +104,10 @@ class TestClassicBackward:
     def test_param_and_input_grads_match_finite_differences(self):
         rng = tensor.make_rng(26)
         p = random_classic_params(rng, dx=2, dc=3)
-        xs = [rng.normal(size=2) for _ in range(4)]
+        xs = rng.normal(size=(4, 2))
         _, caches = unroll(p, xs)
-        dh = [np.zeros(3)] * 3 + [np.ones(3)]
+        dh = np.zeros((4, 3))
+        dh[-1] = 1.0
         grads, dxs = classic_lstm_backward(p, caches, dh)
         for name, arr in p.to_arrays().items():
             numeric = fd_grad_of_array(lambda: sum_loss_classic(p, xs), arr, EPS)
@@ -115,9 +119,9 @@ class TestClassicBackward:
     def test_length_mismatch_rejected(self):
         rng = tensor.make_rng(27)
         p = random_classic_params(rng, dx=2, dc=3)
-        _, caches = unroll(p, [rng.normal(size=2) for _ in range(3)])
+        _, caches = unroll(p, rng.normal(size=(3, 2)))
         try:
-            classic_lstm_backward(p, caches, [np.zeros(3)] * 2)
+            classic_lstm_backward(p, caches, np.zeros((2, 3)))
         except ValueError as e:
             assert "3" in str(e) and "2" in str(e)
         else:
@@ -156,20 +160,20 @@ class TestFusedMatchesPerGateOracle:
     def test_aa(self):
         for rng, dx, dc, n_steps, init in self.cases(40):
             p = random_aa_params(rng, dx=dx, dc=dc)
-            xs = [rng.normal(size=dx) for _ in range(n_steps)]
+            xs = rng.normal(size=(n_steps, dx))
             aspect = rng.normal(size=dc)
-            _, caches = unroll(p, xs, aspect, init=init)
-            dh = [rng.normal(size=dc) for _ in range(n_steps)]
+            _, caches = unroll(p, xs, aspect[None], init=init)
+            dh = rng.normal(size=(n_steps, dc))
+            want = per_gate_aa_backward(p, sequence_view(caches, 0), dh)
             got = aa_lstm_backward(p, caches, dh)
-            want = per_gate_aa_backward(p, caches, dh)
             assert_grads_close(got, want)
-            np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[2][0], want[2], rtol=0, atol=1e-12)
 
     def test_classic(self):
         for rng, dx, dc, n_steps, init in self.cases(42):
             p = random_classic_params(rng, dx=dx, dc=dc)
-            xs = [rng.normal(size=dx) for _ in range(n_steps)]
+            xs = rng.normal(size=(n_steps, dx))
             _, caches = unroll(p, xs, init=init)
-            dh = [rng.normal(size=dc) for _ in range(n_steps)]
-            assert_grads_close(classic_lstm_backward(p, caches, dh),
-                               per_gate_classic_backward(p, caches, dh))
+            dh = rng.normal(size=(n_steps, dc))
+            want = per_gate_classic_backward(p, sequence_view(caches, 0), dh)
+            assert_grads_close(classic_lstm_backward(p, caches, dh), want)

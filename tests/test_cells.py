@@ -25,6 +25,8 @@ from helpers import (
     params_as_lists,
     scalar_aa_step,
     scalar_classic_step,
+    sequence_bptt,
+    sequence_view,
 )
 
 
@@ -138,90 +140,101 @@ class TestUnroll:
         p = random_aa_params(rng)
         x = rng.normal(size=3)
         aspect = rng.normal(size=3)
-        hs, caches = unroll(p, [x], aspect)
+        hs, cache = unroll(p, x[None], aspect[None])
         state, _ = aa_lstm_step(p, x, aspect, zero_state(3))
-        assert len(hs) == 1 and len(caches) == 1
-        np.testing.assert_array_equal(hs[0], state.h)
+        assert len(hs) == 1 and hs[0].shape == (1, 3) and cache.Z.shape[:2] == (1, 1)
+        np.testing.assert_array_equal(hs[0][0], state.h)
 
     def test_zero_params_give_zero_outputs(self):
         p = ClassicLstmParams.empty(2, 3)
         filled(p, dict.fromkeys(p.to_arrays(), 0.0))
-        hs, _ = unroll(p, [np.ones(2)] * 4)
-        for h in hs:
-            assert np.all(h == 0.0)
+        (H,), _ = unroll(p, np.ones((4, 2)))
+        assert np.all(H == 0.0)
 
     def test_matches_manual_composition(self):
         rng = tensor.make_rng(16)
         p = random_aa_params(rng, dx=2, dc=4)
-        xs = [rng.normal(size=2) for _ in range(5)]
+        X = rng.normal(size=(5, 2))
         aspect = rng.normal(size=4)
-        hs, _ = unroll(p, xs, aspect)
+        (H,), _ = unroll(p, X, aspect[None])
         state = zero_state(4)
         # A T-row input projection rounds differently from T one-row ones.
-        for t, x in enumerate(xs):
+        for t, x in enumerate(X):
             state, _ = aa_lstm_step(p, x, aspect, state)
-            np.testing.assert_allclose(hs[t], state.h, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(H[t], state.h, atol=1e-12, rtol=0)
 
     def test_classic_matches_manual_composition_from_init(self):
         rng = tensor.make_rng(18)
         p = random_classic_params(rng, dx=3, dc=2)
-        xs = [rng.normal(size=3) for _ in range(5)]
+        X = rng.normal(size=(5, 3))
         init = random_state(rng, 2)
-        hs, caches = unroll(p, xs, init=init)
+        (H,), cache = unroll(p, X, init=init)
         state = init
-        for t, x in enumerate(xs):
+        for t, x in enumerate(X):
             state, _ = classic_lstm_step(p, x, state)
-            np.testing.assert_allclose(hs[t], state.h, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(caches.C[t + 1], state.c, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(H[t], state.h, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(cache.C[0, t + 1], state.c, atol=1e-12, rtol=0)
 
     def test_empty_sequence_rejected(self):
         p = ClassicLstmParams.init(2, 2, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            unroll(p, [])
+            unroll(p, np.zeros((0, 2)))
 
     def test_aspect_presence_enforced(self):
         aa = AALstmParams.init(2, 2, seed=0)
         cl = ClassicLstmParams.init(2, 2, seed=0)
         with pytest.raises(ValueError):
-            unroll(aa, [np.zeros(2)])
+            unroll(aa, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            unroll(cl, [np.zeros(2)], aspect=np.zeros(2))
+            unroll(cl, np.zeros((1, 2)), aspect=np.zeros((1, 2)))
 
     def test_deterministic(self):
         def run():
             rng = tensor.make_rng(17)
             p = random_aa_params(rng, dx=3, dc=3)
-            xs = [rng.normal(size=3) for _ in range(6)]
-            aspect = rng.normal(size=3)
-            hs, _ = unroll(p, xs, aspect)
-            return np.stack(hs)
+            X = rng.normal(size=(6, 3))
+            aspect = rng.normal(size=(1, 3))
+            (H,), _ = unroll(p, X, aspect)
+            return H
 
         assert np.array_equal(run(), run())
 
 
+def _random_run(rng, lengths, dx, dc, aware):
+    """Random weights of the chosen cell, inputs of the given lengths one
+    after another, one aspect row per sequence (None for the classic cell)
+    and (N, dc) hidden-state gradients."""
+    p = (random_aa_params if aware else random_classic_params)(rng, dx=dx, dc=dc)
+    X = rng.normal(size=(sum(lengths), dx))
+    aspects = rng.normal(size=(len(lengths), dc)) if aware else None
+    return p, X, aspects, rng.normal(size=(sum(lengths), dc))
+
+
+RUNS = dict(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+            dx=st.integers(1, 6), dc=st.integers(1, 6), aware=st.booleans(),
+            seed=st.integers(0, 2 ** 16))
+
+
 class TestBatchedRun:
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
-           dx=st.integers(1, 6), dc=st.integers(1, 6), aware=st.booleans(),
-           seed=st.integers(0, 2 ** 16))
+    @given(**RUNS)
     def test_matches_per_sequence_loop_oracle(self, lengths, dx, dc, aware, seed):
         # Each sequence of a batched run, its hidden states, cell memory and
-        # every gate, and BPTT over its cache view, match a per-step run of
-        # that sequence alone.
-        rng = tensor.make_rng(seed)
-        make = random_aa_params if aware else random_classic_params
-        p = make(rng, dx=dx, dc=dc)
-        X = rng.normal(size=(sum(lengths), dx))
-        aspects = rng.normal(size=(len(lengths), dc)) if aware else None
-        hs, caches = unroll(p, X, aspects, lengths=lengths)
-        assert len(hs) == len(caches) == len(lengths)
-        start = 0
-        for b, n in enumerate(lengths):
-            got = caches[b]
+        # every gate, matches a per-step run of that sequence alone; one
+        # backward pass over the run matches per-sequence BPTT: the weight
+        # gradients summed over the sequences, dX and the aspect gradient
+        # sequence by sequence.
+        p, X, aspects, dH = _random_run(tensor.make_rng(seed), lengths, dx, dc, aware)
+        hs, cache = unroll(p, X, aspects, lengths=lengths)
+        assert len(hs) == len(lengths)
+        np.testing.assert_array_equal(cache.X, X)
+        views = [sequence_view(cache, b) for b in range(len(lengths))]
+        grads, dX, d_aspect = _bptt(p, cache, dH)
+        summed = {name: np.zeros_like(g) for name, g in grads.items()}
+        starts = np.cumsum(lengths) - lengths
+        for b, (start, n, got) in enumerate(zip(starts, lengths, views)):
             want = loop_run(p, X[start:start + n], zero_state(dc),
                             aspects[b] if aware else None)
-            start += n
-            np.testing.assert_array_equal(got.X, want.X)
             np.testing.assert_array_equal(hs[b], got.H[1:])
             for field in ("H", "C", "ifo", "c_cand", "tanh_c", "a_gates"):
                 a, w = getattr(got, field), getattr(want, field)
@@ -229,17 +242,53 @@ class TestBatchedRun:
                     assert a is None, field
                 else:
                     np.testing.assert_allclose(a, w, atol=1e-12, rtol=0, err_msg=field)
-            dH = rng.normal(size=(n, dc))
-            got_grads, got_dX, got_dA = _bptt(p, got, dH)
-            want_grads, want_dX, want_dA = _bptt(p, want, dH)
-            for name in want_grads:
-                np.testing.assert_allclose(got_grads[name], want_grads[name],
-                                           atol=1e-12, rtol=0, err_msg=name)
-            np.testing.assert_allclose(got_dX, want_dX, atol=1e-12, rtol=0)
+            want_grads, want_dX, want_dA = sequence_bptt(p, want, dH[start:start + n])
+            for name, g in want_grads.items():
+                summed[name] += g
+            np.testing.assert_allclose(dX[start:start + n], want_dX, atol=1e-12, rtol=0)
             if aware:
-                np.testing.assert_allclose(got_dA, want_dA, atol=1e-12, rtol=0)
-            else:
-                assert got_dA is None and want_dA is None
+                np.testing.assert_allclose(d_aspect[b], want_dA, atol=1e-12, rtol=0)
+        assert d_aspect is None or d_aspect.shape == (len(lengths), dc)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, summed[name], atol=1e-12, rtol=0, err_msg=name)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(**RUNS, extra=st.integers(1, 4), where=st.integers(0, 6))
+    def test_a_longer_sequence_moves_no_other(self, lengths, dx, dc, aware, seed, extra,
+                                              where):
+        # Adding a sequence longer than every other one changes the run's
+        # padding and sort order, but no other sequence's hidden states,
+        # input gradients or aspect gradient.
+        rng = tensor.make_rng(seed)
+        p, X, aspects, dH = _random_run(rng, lengths, dx, dc, aware)
+        hs, cache = unroll(p, X, aspects, lengths=lengths)
+        _, dX, d_aspect = _bptt(p, cache, dH)
+        where = min(where, len(lengths))
+        n_new = max(lengths) + extra
+        cut = sum(lengths[:where])
+        X2 = np.insert(X, [cut] * n_new, rng.normal(size=(n_new, dx)), axis=0)
+        dH2 = np.insert(dH, [cut] * n_new, rng.normal(size=(n_new, dc)), axis=0)
+        lengths2 = lengths[:where] + [n_new] + lengths[where:]
+        aspects2 = np.insert(aspects, where, rng.normal(size=dc), axis=0) if aware else None
+        hs2, cache2 = unroll(p, X2, aspects2, lengths=lengths2)
+        _, dX2, d_aspect2 = _bptt(p, cache2, dH2)
+        del hs2[where]
+        keep = np.r_[0:cut, cut + n_new:len(X2)]
+        for h, h2 in zip(hs, hs2):
+            np.testing.assert_allclose(h2, h, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(dX2[keep], dX, atol=1e-12, rtol=0)
+        if aware:
+            np.testing.assert_allclose(np.delete(d_aspect2, where, axis=0), d_aspect,
+                                       atol=1e-12, rtol=0)
+
+    def test_a_cache_serves_one_backward_pass(self):
+        # The backward pass writes its gradients over the run's gate buffer.
+        rng = tensor.make_rng(19)
+        p, X, aspects, dH = _random_run(rng, [3, 1, 2], 2, 3, True)
+        _, cache = unroll(p, X, aspects, lengths=[3, 1, 2])
+        _bptt(p, cache, dH)
+        with pytest.raises(ValueError, match="already used by a backward pass"):
+            _bptt(p, cache, dH)
 
     def test_lengths_must_cover_the_rows(self):
         p = ClassicLstmParams.init(2, 2, seed=0)

@@ -58,7 +58,7 @@ class TestAttention:
         p = random_attention_params(rng, dc=3, da=3)
         h = rng.normal(size=3)
         aspect = rng.normal(size=3)
-        rep, weights, cache = attention_head([h], aspect, p)
+        rep, weights, cache = attention_head(h[None], aspect, p)
         assert weights.shape == (1,)
         assert weights[0] == 1.0
         np.testing.assert_array_equal(cache.r, h)
@@ -67,14 +67,14 @@ class TestAttention:
         rng = tensor.make_rng(31)
         p = random_attention_params(rng, dc=3, da=3)
         p.w[:] = 0.0
-        hs = [rng.normal(size=3) for _ in range(5)]
+        hs = rng.normal(size=(5, 3))
         _, weights, _ = attention_head(hs, rng.normal(size=3), p)
         np.testing.assert_allclose(weights, 0.2, rtol=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = tensor.make_rng(32)
         p = random_attention_params(rng, dc=2, da=2)
-        hs = [rng.normal(size=2) for _ in range(3)]
+        hs = rng.normal(size=(3, 2))
         aspect = rng.normal(size=2)
         rep, weights, _ = attention_head(hs, aspect, p)
 
@@ -103,7 +103,7 @@ class TestAttention:
         for _ in range(50):
             t = int(rng.integers(1, 9))
             p = random_attention_params(rng, dc=4, da=4)
-            hs = [rng.normal(size=4) for _ in range(t)]
+            hs = rng.normal(size=(t, 4))
             _, weights, _ = attention_head(hs, rng.normal(size=4), p)
             assert np.all((weights > 0.0) & (weights < 1.0)) or t == 1
             assert abs(weights.sum() - 1.0) < 1e-12
@@ -111,17 +111,17 @@ class TestAttention:
     def test_scores_permute_with_states(self):
         rng = tensor.make_rng(34)
         p = random_attention_params(rng, dc=3, da=3)
-        hs = [rng.normal(size=3) for _ in range(5)]
+        hs = rng.normal(size=(5, 3))
         aspect = rng.normal(size=3)
         scores, _ = attention_scores(hs, aspect, p)
         perm = [3, 0, 4, 1, 2]
-        permuted_scores, _ = attention_scores([hs[i] for i in perm], aspect, p)
+        permuted_scores, _ = attention_scores(hs[perm], aspect, p)
         np.testing.assert_array_equal(permuted_scores, scores[perm])
 
     def test_backward_matches_finite_differences(self):
         rng = tensor.make_rng(35)
         p = random_attention_params(rng, dc=3, da=3)
-        hs = [rng.normal(size=3) for _ in range(4)]
+        hs = rng.normal(size=(4, 3))
         aspect = rng.normal(size=3)
         d_repr = rng.normal(size=3)
 
@@ -143,7 +143,7 @@ class TestAttention:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = tensor.make_rng(36)
         p = random_attention_params(rng, dc=3, da=3)
-        hs = [rng.normal(size=3) for _ in range(3)]
+        hs = rng.normal(size=(3, 3))
         _, _, cache = attention_head(hs, rng.normal(size=3), p)
         grads, dhs, d_aspect = attention_backward(p, cache, np.zeros(3))
         for g in grads.values():

@@ -38,6 +38,10 @@ def atsa_multi_span_instance():
     return LabeledInstance(("soup", "salad", "is", "bad", "."), TermSpan(0, 1), "negative")
 
 
+def two_token_instance():
+    return LabeledInstance(("salad", "bad"), TermSpan(0, 0), "negative")
+
+
 def acsa_instance():
     return LabeledInstance(("the", "salad", "is", "bad"), CategoryId(2), "negative")
 
@@ -167,13 +171,34 @@ def test_dropout_masks_are_the_multipliers():
     m = make("atsa", "classic", "last")
     insts = [atsa_instance(), atsa_multi_span_instance()]
     cache = m.forward(insts, dropout=0.3, rng=make_rng(72))
-    for inst, cell_cache, clf_cache, x_mask, rep_mask in zip(
-            insts, cache.cell_caches, cache.clf_caches, cache.x_masks, cache.rep_masks):
-        rows = m.embeddings.matrix[[m.embeddings.index(t) for t in inst.tokens]]
-        assert np.array_equal(cell_cache.X, rows * x_mask)
-        assert np.array_equal(clf_cache.rep, cell_cache.H[-1] * rep_mask)
+    rows = m.embeddings.matrix[cache.indices]
+    assert np.array_equal(cache.cell.X, rows * np.concatenate(cache.x_masks))
+    for b, (inst, clf_cache, x_mask, rep_mask) in enumerate(zip(
+            insts, cache.clf_caches, cache.x_masks, cache.rep_masks)):
+        h_last = cache.cell.H[cache.cell.order.index(b), len(inst.tokens)]
+        assert np.array_equal(clf_cache.rep, h_last * rep_mask)
         for mask in (x_mask, rep_mask):
             assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
+
+
+@pytest.mark.parametrize("cell_kind", ["classic", "aa"])
+def test_one_cell_backward_per_run(monkeypatch, cell_kind):
+    # The cell runs backward once over the whole run, not once per instance.
+    import aalstm.model
+    calls = []
+
+    def counted(backward):
+        def call(*args):
+            calls.append(backward.__name__)
+            return backward(*args)
+        return call
+
+    for name in ("aa_lstm_backward", "classic_lstm_backward"):
+        monkeypatch.setattr(aalstm.model, name, counted(getattr(aalstm.model, name)))
+    m = make("atsa", cell_kind, "attention")
+    insts = [atsa_instance(), atsa_multi_span_instance(), two_token_instance()]
+    m.backward(m.forward(insts))
+    assert calls == [f"{cell_kind}_lstm_backward"]
 
 
 # --- one run against one-instance runs ---------------------------------------
@@ -244,7 +269,9 @@ def _pipeline_grad_report(task, cell_kind, head_kind, insts, seed,
 
 @pytest.mark.parametrize("cell_kind,head_kind", ALL_COMBOS)
 def test_full_pipeline_gradients_atsa(cell_kind, head_kind):
-    insts = [atsa_instance(), atsa_multi_span_instance()]
+    # Three instances of lengths 4, 5 and 2: the run sorts them longest
+    # first, which permutes them.
+    insts = [atsa_instance(), atsa_multi_span_instance(), two_token_instance()]
     report = _pipeline_grad_report("atsa", cell_kind, head_kind, insts, seed=64)
     assert report.n_checked > 100
     assert report.worst_rel_err < 1e-4, (

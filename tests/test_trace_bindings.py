@@ -54,3 +54,8 @@ def test_hooks_count_a_tiny_train_evaluate_and_predict():
                  "model.emb_grad_rows_touched_frac", "train.adam_elems"):
         assert name in metrics, name
     assert metrics["model.emb_grad_rows_touched_frac"] > 0
+    # `cells.steps` counts the token rows of every `unroll` call: per epoch
+    # one training run and one dev evaluation over both instances (4 + 5
+    # rows each), then one evaluation and one 4-token predict.
+    rows = sum(len(inst.tokens) for inst in insts)
+    assert metrics["cells.steps"] == cfg.max_epochs * 2 * rows + rows + len(insts[0].tokens)
