@@ -91,8 +91,11 @@ class CellCache:
     the post-sigmoid i, f, o, the post-tanh candidate and, for the
     aspect-aware cell, the post-sigmoid a_i, a_f, a_o; ``tanh_c`` holds
     tanh(c_t), ``aspects`` each row's aspect (None for the classic cell).
-    Entries past a sequence's length are never written. The backward pass
-    writes over ``Z`` and drops it, so a cache serves one backward pass.
+    Entries past a sequence's length are never written. ``W_rec`` is the
+    forward's stacked recurrent block, which the backward pass reuses: a
+    copy, valid because training consumes each run's cache before the
+    optimizer updates the weights in place. The backward pass writes over
+    ``Z`` and drops it and ``W_rec``, so a cache serves one backward pass.
     """
 
     X: np.ndarray
@@ -103,6 +106,7 @@ class CellCache:
     Z: Optional[np.ndarray]
     tanh_c: np.ndarray
     aspects: Optional[np.ndarray]
+    W_rec: Optional[np.ndarray]
 
     @property
     def ifo(self) -> np.ndarray:
@@ -214,7 +218,7 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
     order = sorted(range(n_seq), key=lengths.__getitem__, reverse=True)
     Z = np.empty((n_seq, n_steps, 7 * dc if aware else 4 * dc))
     # The input projection, over the real rows, and the recurrent block, which
-    # is formed per call: a cached copy would miss in-place weight updates.
+    # is formed per run: a copy kept longer would miss in-place weight updates.
     uniform = len(X) == n_seq * n_steps
     proj = Z.reshape(len(X), -1)[:, :4 * dc] if uniform else np.empty((len(X), 4 * dc))
     np.matmul(X, W_core[:, :dx].T, out=proj)
@@ -225,8 +229,9 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
             Z[row, :lengths[b], :4 * dc] = blocks[b]
         if aware:
             aspects = aspects[order]
-    W_hT = np.vstack((W_core[:, dx:], p.W_aspect[:, dc:]) if aware
-                     else (W_core[:, dx:],)).T
+    W_rec = np.vstack((W_core[:, dx:], p.W_aspect[:, dc:]) if aware
+                      else (W_core[:, dx:],))
+    W_hT = W_rec.T
     if aware:
         # The constant aspect's part of the aspect gates, once per sequence,
         # and the aspect once per gate for the injections a_* * A.
@@ -258,7 +263,7 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
         c += g[:, :dc] * cand
         tc = tanh_v(c, out=tanh_c[:n, t])
         np.multiply(g[:, 2 * dc:], tc, out=H[:n, t + 1])
-    return CellCache(X, lengths, order, H, C, Z, tanh_c, aspects)
+    return CellCache(X, lengths, order, H, C, Z, tanh_c, aspects, W_rec)
 
 
 def classic_lstm_step(p: ClassicLstmParams, x: np.ndarray,
@@ -283,8 +288,9 @@ def unroll(params, xs: np.ndarray, aspect: Optional[np.ndarray] = None,
     `lengths[b]` rows for sequence b; without `lengths` it is one sequence.
     `params` selects the cell: AALstmParams requires `aspect`, a (B, dc)
     array of one row per sequence, and ClassicLstmParams forbids it. Every
-    sequence starts from `init`. Returns the B (T_b, dc) hidden-state
-    arrays, views of the run's buffers, and the run's cache.
+    sequence starts from `init`. Returns the (N, dc) hidden states, laid
+    out like `xs` (for one sequence a view of the run's buffer), and the
+    run's cache.
     """
     X, dc = np.asarray(xs, dtype=np.float64), params.hidden_dim
     lengths = [len(X)] if lengths is None else list(lengths)
@@ -305,8 +311,18 @@ def unroll(params, xs: np.ndarray, aspect: Optional[np.ndarray] = None,
     if aware and np.shape(aspect) != (len(lengths), dc):
         raise ShapeError(f"aspect shape {np.shape(aspect)} != {(len(lengths), dc)}")
     cache = _run(params, X, lengths, aspect, state)
-    rows = sorted(range(len(lengths)), key=cache.order.__getitem__)
-    return [cache.H[r, 1:n + 1] for r, n in zip(rows, lengths)], cache
+    if len(lengths) == 1:
+        return cache.H[0, 1:], cache
+    rows, steps = _packed(cache)
+    return cache.H[rows, steps + 1], cache
+
+
+def _packed(cache: CellCache) -> tuple[np.ndarray, np.ndarray]:
+    """The buffer row and the step of each of the run's N input rows."""
+    lengths = np.array(cache.lengths)
+    starts = np.cumsum(lengths) - lengths
+    return (np.repeat(np.argsort(cache.order), lengths),
+            np.arange(len(cache.X)) - np.repeat(starts, lengths))
 
 
 def _bptt(p, cache: CellCache, dH: np.ndarray):
@@ -334,8 +350,6 @@ def _bptt(p, cache: CellCache, dH: np.ndarray):
     lengths, order = np.array(cache.lengths), np.array(cache.order)
     starts, row_of = np.cumsum(lengths) - lengths, np.argsort(order)
     row_starts, ends = starts[order], lengths[order]
-    W_h = (np.vstack((p.W_core[:, dx:], p.W_aspect[:, dc:])) if aware
-           else p.W_core[:, dx:])
     dh_rec = np.zeros((n_seq, dc))
     dc_rec = np.zeros((n_seq, dc))
     if aware:
@@ -362,12 +376,12 @@ def _bptt(p, cache: CellCache, dH: np.ndarray):
             a = z[:, 4 * dc:]
             d_direct[:n] += ifo * a
             a *= (1.0 - a) * ifo * aspect3[:n]
-        np.matmul(z, W_h, out=dh_rec[:n])
+        np.matmul(z, cache.W_rec, out=dh_rec[:n])
     # Each real row's gate gradients, in input order. Dropping Z, its views
     # and the stacked block frees them before the weight-gradient matmuls.
-    at = (np.repeat(row_of, lengths), np.arange(len(dH)) - np.repeat(starts, lengths))
+    at = _packed(cache)
     dZ, H_prev = Z[at], cache.H[at]
-    cache.Z = Z = z = ifo = cand = a = W_h = None
+    cache.Z = cache.W_rec = Z = z = ifo = cand = a = None
     grads = {"W_core": dZ[:, :4 * dc].T @ np.hstack((cache.X, H_prev)),
              "b_core": dZ[:, :4 * dc].sum(axis=0)}
     d_aspect = None

@@ -1,25 +1,34 @@
-"""Sentiment heads: turn hidden-state sequences into class probabilities.
+"""Sentiment heads: turn a run's hidden states into class probabilities.
 
-Both heads take the cell's hidden states as one (T, dc) array H and hand
-their gradient back as one (T, dc) array.
-The last-hidden head simply takes h_T as the final sentiment
-representation. The attention head follows the concat-score design
-of the cited aspect-attention architecture: each hidden state is scored
-against the aspect, the states are averaged under the softmaxed scores, and
-the result is blended with h_T:
+Both heads take the hidden states of B sequences as one packed (N, dc)
+array H, laid out like the run's input rows (`lengths[b]` rows per
+sequence; one sequence is the default `lengths=[T]`), and hand their
+gradient back as one (N, dc) array laid out the same way, in one pass over
+the run. The last-hidden head takes each sequence's h_T. The attention head
+follows the concat-score design of AT-LSTM (Wang et al., 2016): each
+hidden state is scored against the aspect, each sequence's states are
+averaged under its softmaxed scores, and the result is blended with h_T:
 
-    U       = tanh([H W_h^T | W_v A])       (T, dc + da), W_v A on every row
-    alpha   = softmax(U w)                  (T,)
-    r       = alpha H                       (dc,)
-    repr    = tanh(W_p r + W_x h_T)         (dc,)
+    S, V    = tanh(H W_h^T), tanh(A W_v^T)          (N, dc), (B, da)
+    alpha   = per-sequence softmax(S w_h + V w_a)   (N,), w = [w_h | w_a]
+    r       = per-sequence sum of alpha_t h_t       (B, dc)
+    repr    = tanh(r W_p^T + h_T W_x^T)             (B, dc)
 
-A 3-way softmax classifier maps the representation to polarity probabilities
-(positive, negative, neutral).
+The aspect term cancels: V w_a is the same at every position of a
+sequence and a softmax ignores a constant shift, so, as in AT-LSTM's
+formula, the weights and the head's output do not depend on the aspect.
+The term is still computed; its gradients on W_v, w_a and A are rounding
+noise (2e-16 at most at d = 300), and W_v = 0 changes nothing.
+
+A 3-way softmax classifier maps the (B, dc) representations to (B, 3)
+polarity probabilities (positive, negative, neutral) in one product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Optional
 
 import numpy as np
 
@@ -77,110 +86,128 @@ class ClassifierParams(ParamSet):
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax: max-subtracted, floored to keep entries in open (0,1)."""
-    e = np.exp(z - np.max(z))
-    p = e / e.sum()
-    p = np.maximum(p, PROB_FLOOR)
-    return p / p.sum()
+    """Stable softmax over the last axis, floored to keep entries in open (0,1)."""
+    z = z - z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    np.maximum(z, PROB_FLOOR, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def last_hidden_head(H: np.ndarray) -> np.ndarray:
-    """The final hidden state h_T, unmodified: the last row of (T, dc) states."""
-    if len(H) == 0:
-        raise ValueError("last_hidden_head: empty hidden-state sequence")
-    return H[-1]
+def _segments(n_rows: int, lengths: Optional[list[int]]):
+    """Row counts, first rows and last rows of the sequences of a packed
+    array, as lists: for a run's few sequences cheaper than numpy arrays."""
+    counts = [n_rows] if lengths is None else list(lengths)
+    if min(counts, default=0) < 1 or sum(counts) != n_rows:
+        raise ValueError(f"lengths {counts} do not split {n_rows} hidden-state rows")
+    ends = list(accumulate(counts))
+    return counts, [e - n for e, n in zip(ends, counts)], [e - 1 for e in ends]
 
 
-def last_hidden_backward(d_repr: np.ndarray, length: int) -> np.ndarray:
-    """Route the (dc,) representation gradient to h_T: a (T, dc) array of
-    zeros with d_repr as its last row."""
-    dH = np.zeros((length, d_repr.shape[0]))
-    dH[-1] = d_repr
+def last_hidden_head(H: np.ndarray, lengths: Optional[list[int]] = None) -> np.ndarray:
+    """Each sequence's final hidden state h_T: (B, dc) rows of the packed
+    (N, dc) states."""
+    return H[_segments(len(H), lengths)[2]]
+
+
+def last_hidden_backward(d_repr: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """Route the (B, dc) representation gradients to each sequence's h_T: an
+    (N, dc) array of zeros with row b of d_repr on sequence b's last row."""
+    dH = np.zeros((sum(lengths), d_repr.shape[1]))
+    dH[_segments(len(dH), lengths)[2]] = d_repr
     return dH
 
 
 @dataclass
 class AttentionCache:
-    H: np.ndarray             # (T, dc) hidden states
-    aspect: np.ndarray        # (da,)
-    U: np.ndarray             # (T, dc + da) tanh'd concat score features
-    weights: np.ndarray       # (T,) attention distribution over steps
-    r: np.ndarray             # (dc,) attention-weighted state average
-    repr: np.ndarray          # (dc,)
+    H: np.ndarray             # (N, dc) packed hidden states
+    aspects: np.ndarray       # (B, da)
+    segments: tuple           # `_segments` of the run
+    S: np.ndarray             # (N, dc) tanh(H W_h^T)
+    V: np.ndarray             # (B, da) tanh(A W_v^T)
+    weights: np.ndarray       # (N,) attention distribution of each sequence
+    r: np.ndarray             # (B, dc) attention-weighted state averages
+    repr: np.ndarray          # (B, dc)
 
 
-def attention_scores(H: np.ndarray, aspect: np.ndarray,
-                     p: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
-    """Scores w . tanh([W_h h_t, W_v A]) of (T, dc) states: the (T,) scores
-    and the (T, dc + da) tanh'd features U."""
-    va = np.broadcast_to(p.W_v @ aspect, (H.shape[0], p.aspect_dim))
-    U = tanh_v(np.hstack((H @ p.W_h.T, va)))
-    return U @ p.w, U
+def attention_scores(H: np.ndarray, aspects: np.ndarray, p: AttentionParams,
+                     lengths: Optional[list[int]] = None):
+    """The (N,) scores w . tanh([W_h h_t | W_v A]) of packed (N, dc) states,
+    S and V; V's score share is added to each row of its sequence."""
+    dc, counts = p.hidden_dim, [len(H)] if lengths is None else lengths
+    S, V = tanh_v(H @ p.W_h.T), tanh_v(aspects @ p.W_v.T)
+    return S @ p.w[:dc] + np.repeat(V @ p.w[dc:], counts), S, V
 
 
-def attention_head(H: np.ndarray, aspect: np.ndarray,
-                   p: AttentionParams) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-    """Aspect-conditioned attention over (T, dc) hidden states and a (da,)
-    aspect.
-
-    Returns the (dc,) representation, the (T,) attention weights, a
-    probability distribution over the positions, and the backward cache.
-    """
-    if len(H) == 0:
-        raise ValueError("attention_head: empty hidden-state sequence")
-    if aspect.shape != (p.aspect_dim,):
-        raise ShapeError(f"aspect shape {aspect.shape} != ({p.aspect_dim},)")
-    if H.shape[1] != p.hidden_dim:
-        raise ShapeError(f"hidden state shape {H.shape[1:]} != ({p.hidden_dim},)")
-    scores, U = attention_scores(H, aspect, p)
-    weights = softmax(scores)
-    r = weights @ H
-    rep = tanh_v(p.W_p @ r + p.W_x @ H[-1])
-    return rep, weights, AttentionCache(H=H, aspect=aspect, U=U, weights=weights, r=r, repr=rep)
+def attention_head(H: np.ndarray, aspects: np.ndarray, p: AttentionParams,
+                   lengths: Optional[list[int]] = None,
+                   ) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
+    """Attention over packed (N, dc) hidden states and (B, da) aspects: the
+    (B, dc) representations, the (N,) weights, a distribution over each
+    sequence's positions, and the backward cache."""
+    if H.ndim != 2 or H.shape[1] != p.hidden_dim:
+        raise ShapeError(f"hidden state shape {H.shape} != (N, {p.hidden_dim})")
+    counts, starts, last = segments = _segments(len(H), lengths)
+    if aspects.shape != (len(counts), p.aspect_dim):
+        raise ShapeError(f"aspect shape {aspects.shape} != ({len(counts)}, {p.aspect_dim})")
+    scores, S, V = attention_scores(H, aspects, p, counts)
+    # Each sequence's softmax, floored and renormalised like `softmax`.
+    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), counts))
+    weights = np.maximum(e / np.repeat(np.add.reduceat(e, starts), counts), PROB_FLOOR)
+    weights /= np.repeat(np.add.reduceat(weights, starts), counts)
+    r = np.add.reduceat(weights[:, None] * H, starts)
+    rep = tanh_v(r @ p.W_p.T + H[last] @ p.W_x.T)
+    return rep, weights, AttentionCache(H, aspects, segments, S, V, weights, r, rep)
 
 
 def attention_backward(p: AttentionParams, cache: AttentionCache, d_repr: np.ndarray,
                        ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """Backprop a (dc,) representation gradient through the attention head.
-
-    Returns (param grads, (T, dc) hidden-state grads, (da,) aspect grad).
-    """
+    """Backprop (B, dc) representation gradients through the attention head:
+    (param grads summed over the sequences, (N, dc) hidden-state grads,
+    (B, da) aspect grads)."""
     if d_repr.shape != cache.repr.shape:
         raise ValueError(f"upstream gradient shape {d_repr.shape} != {cache.repr.shape}")
-    H, weights, U, dc = cache.H, cache.weights, cache.U, p.hidden_dim
+    H, weights, S, V, dc = cache.H, cache.weights, cache.S, cache.V, p.hidden_dim
+    counts, starts, last = cache.segments
     dz = d_repr * (1.0 - cache.repr ** 2)
-    dr = p.W_p.T @ dz
-    # r = weights @ H, then the softmax over the scores.
-    d_alpha = H @ dr
-    d_scores = weights * (d_alpha - float(weights @ d_alpha))
-    # Score features: dG is the gradient on [W_h h_t | W_v A] before the tanh.
-    dG = np.outer(d_scores, p.w) * (1.0 - U ** 2)
-    dG_h, dva = dG[:, :dc], dG[:, dc:].sum(axis=0)
-    dH = np.outer(weights, dr) + dG_h @ p.W_h
-    dH[-1] += p.W_x.T @ dz
-    grads = {"W_h": dG_h.T @ H, "W_v": np.outer(dva, cache.aspect), "w": d_scores @ U,
-             "W_p": np.outer(dz, cache.r), "W_x": np.outer(dz, H[-1])}
-    return grads, dH, p.W_v.T @ dva
+    dr = np.repeat(dz @ p.W_p, counts, axis=0)
+    # r = each sequence's weights @ H, then each sequence's softmax.
+    d_alpha = np.einsum("nd,nd->n", H, dr)
+    d_scores = weights * (d_alpha - np.repeat(np.add.reduceat(weights * d_alpha, starts),
+                                              counts))
+    # The gradients on W_h h_t and, summed over each sequence, on W_v A.
+    dS = np.outer(d_scores, p.w[:dc]) * (1.0 - S ** 2)
+    d_sums = np.add.reduceat(d_scores, starts)
+    dV = np.outer(d_sums, p.w[dc:]) * (1.0 - V ** 2)
+    dH = weights[:, None] * dr + dS @ p.W_h
+    dH[last] += dz @ p.W_x
+    grads = {"W_h": dS.T @ H, "W_v": dV.T @ cache.aspects,
+             "w": np.concatenate((d_scores @ S, d_sums @ V)),
+             "W_p": dz.T @ cache.r, "W_x": dz.T @ H[last]}
+    return grads, dH, dV @ p.W_v
 
 
 @dataclass
 class ClassifierCache:
-    rep: np.ndarray
-    probs: np.ndarray
+    rep: np.ndarray           # (B, dc)
+    probs: np.ndarray         # (B, 3)
 
 
 def classify_with_cache(rep: np.ndarray, p: ClassifierParams,
                         ) -> tuple[np.ndarray, ClassifierCache]:
-    if rep.shape != (p.repr_dim,):
-        raise ShapeError(f"representation shape {rep.shape} != ({p.repr_dim},)")
-    probs = softmax(p.W_s @ rep + p.b_s)
+    """(B, 3) class probabilities of (B, dc) representations."""
+    if rep.ndim != 2 or rep.shape[1] != p.repr_dim:
+        raise ShapeError(f"representation shape {rep.shape} != (B, {p.repr_dim})")
+    probs = softmax(rep @ p.W_s.T + p.b_s)
     return probs, ClassifierCache(rep=rep, probs=probs)
 
 
 def classifier_backward(p: ClassifierParams, cache: ClassifierCache, d_logits: np.ndarray,
                         ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Grads for the classifier and its input, given logit-space upstream."""
-    if d_logits.shape != (N_CLASSES,):
-        raise ValueError(f"logit gradient shape {d_logits.shape} != ({N_CLASSES},)")
-    grads = {"W_s": np.outer(d_logits, cache.rep), "b_s": d_logits.copy()}
-    return grads, p.W_s.T @ d_logits
+    """Grads for the classifier, summed over the rows, and the (B, dc) grads
+    of its input, given (B, 3) logit-space upstream."""
+    if d_logits.shape != cache.probs.shape:
+        raise ValueError(f"logit gradient shape {d_logits.shape} != {cache.probs.shape}")
+    grads = {"W_s": d_logits.T @ cache.rep, "b_s": d_logits.sum(axis=0)}
+    return grads, d_logits @ p.W_s

@@ -19,13 +19,14 @@ and the gradient check walk, is the same dict minus a frozen word table.
 
 One run is the only way the model is driven: `forward` takes a minibatch,
 an evaluation chunk or one instance to predict. It gathers their input rows,
-draws any dropout masks, runs the cell over all of them in one `unroll`
-call, and runs the head and classifier on each instance's (T, dc) hidden
-states, views of the run's buffers. `backward` returns the run's gradient
-summed over its instances: the head and classifier run backward per
-instance into one (N, dc) hidden-state gradient laid out like the run's
-token rows, the cell runs backward once over the run, and its (N, dx)
-input gradient goes into the word-table gradient in one scatter.
+draws any dropout masks in one draw, runs the cell over all of them in one
+`unroll` call, and runs the head and the classifier once over the run: on
+the packed (N, dc) hidden states, laid out like the input rows, and then on
+the (B, dc) representations. `backward` returns the run's gradient summed
+over its instances: the classifier and the head run backward once into one
+(N, dc) hidden-state gradient, the cell runs backward once over the run,
+and its (N, dx) input gradient goes into the word-table gradient in one
+scatter, the aspect gradients in one more.
 
 Gradient routing notes, since they are easy to get wrong:
   - input gradients pass back through the dropout mask before
@@ -44,34 +45,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cells import (
-    AALstmParams,
-    CellCache,
-    ClassicLstmParams,
-    aa_lstm_backward,
-    classic_lstm_backward,
-    unroll,
-)
-from .data import (
-    RESTAURANT_CATEGORIES,
-    AspectEmbeddingTable,
-    EmbeddingTable,
-    LabeledInstance,
-    TermSpan,
-    build_aspect_vector,
-)
-from .heads import (
-    AttentionCache,
-    AttentionParams,
-    ClassifierCache,
-    ClassifierParams,
-    attention_backward,
-    attention_head,
-    classifier_backward,
-    classify_with_cache,
-    last_hidden_backward,
-    last_hidden_head,
-)
+from .cells import (AALstmParams, CellCache, ClassicLstmParams, aa_lstm_backward,
+                    classic_lstm_backward, unroll)
+from .data import (RESTAURANT_CATEGORIES, AspectEmbeddingTable, EmbeddingTable,
+                   LabeledInstance, build_aspect_vector)
+from .heads import (AttentionCache, AttentionParams, ClassifierCache, ClassifierParams,
+                    attention_backward, attention_head, classifier_backward,
+                    classify_with_cache, last_hidden_backward, last_hidden_head)
 from .tensor import ConfigError
 from .train import dropout_mask
 
@@ -91,17 +71,17 @@ def _part_arrays(**parts: Optional[dict[str, np.ndarray]]) -> dict[str, np.ndarr
 class RunCache:
     """Everything the backward pass needs about one forward run: the token
     rows of every instance, one instance after another, the cell's cache of
-    the run, the (B, 3) class probabilities, and per instance its head (None
-    for the last-hidden head) and classifier caches and its (T, dx) input
-    and (dc,) representation dropout multipliers (None at rate 0)."""
+    the run, the head's (None for the last-hidden head) and the classifier's
+    caches, the (N, dx) input and (B, dc) representation dropout multipliers
+    (None at rate 0), and the (B, 3) class probabilities."""
 
     insts: list[LabeledInstance]
     indices: list[int]
     cell: CellCache
-    head_caches: list[Optional[AttentionCache]]
-    clf_caches: list[ClassifierCache]
-    x_masks: list[Optional[np.ndarray]]
-    rep_masks: list[Optional[np.ndarray]]
+    head: Optional[AttentionCache]
+    clf: ClassifierCache
+    x_mask: Optional[np.ndarray]
+    rep_mask: Optional[np.ndarray]
     probs: np.ndarray
 
 
@@ -156,85 +136,73 @@ class SentimentModel:
 
     def forward(self, insts: list[LabeledInstance], dropout: float = 0.0,
                 rng=None) -> RunCache:
-        """Run instances through one cell call, then the head and classifier
-        on each. With `dropout` above 0 the masks are drawn first, instance
-        by instance: its input mask, then its representation mask."""
+        """Run the instances through one cell, one head and one classifier
+        call. Dropout masks come from one draw, split per instance in this
+        order: its input mask, then its representation mask."""
         lengths = [len(inst.tokens) for inst in insts]
         indices = [self.embeddings.index(t) for inst in insts for t in inst.tokens]
         X = self.embeddings.matrix[indices]
-        x_masks, rep_masks = [None] * len(insts), [None] * len(insts)
+        x_mask = rep_mask = None
         if dropout:
-            for b, n in enumerate(lengths):
-                x_masks[b] = dropout_mask((n, self.embeddings.dim), dropout, rng)
-                rep_masks[b] = dropout_mask((self.clf.repr_dim,), dropout, rng)
-            X *= np.concatenate(x_masks)
-        aspects = [None] * len(insts)
+            dx, dc = self.embeddings.dim, self.clf.repr_dim
+            sizes = [k for n in lengths for k in (n * dx, dc)]
+            parts = np.split(dropout_mask((sum(sizes),), dropout, rng), np.cumsum(sizes[:-1]))
+            x_mask = np.concatenate(parts[0::2]).reshape(-1, dx)
+            rep_mask = np.stack(parts[1::2])
+            X *= x_mask
+        aspects = None
         if reads_aspect(self.cell_kind, self.head_kind):
-            aspects = [build_aspect_vector(inst, self.embeddings, self.aspect_embeddings)
-                       for inst in insts]
-        cell_aspects = np.array(aspects) if self.cell_kind == "aa" else None
-        hs, cell_cache = unroll(self.cell, X, aspect=cell_aspects, lengths=lengths)
-        head_caches, clf_caches = [], []
-        for h, aspect, rep_mask in zip(hs, aspects, rep_masks):
-            head_cache = None
-            if self.attn is not None:
-                rep, _, head_cache = attention_head(h, aspect, self.attn)
-            else:
-                rep = last_hidden_head(h)
-            if rep_mask is not None:
-                rep = rep * rep_mask
-            head_caches.append(head_cache)
-            clf_caches.append(classify_with_cache(rep, self.clf)[1])
-        return RunCache(insts, indices, cell_cache, head_caches, clf_caches, x_masks,
-                        rep_masks, np.array([c.probs for c in clf_caches]))
+            aspects = np.array([build_aspect_vector(inst, self.embeddings,
+                                                    self.aspect_embeddings) for inst in insts])
+        H, cell_cache = unroll(self.cell, X, aspect=aspects if self.cell_kind == "aa" else None,
+                               lengths=lengths)
+        head_cache = None
+        if self.attn is not None:
+            rep, _, head_cache = attention_head(H, aspects, self.attn, lengths)
+        else:
+            rep = last_hidden_head(H, lengths)
+        if rep_mask is not None:
+            rep = rep * rep_mask
+        probs, clf_cache = classify_with_cache(rep, self.clf)
+        return RunCache(insts, indices, cell_cache, head_cache, clf_cache, x_mask, rep_mask,
+                        probs)
 
     def backward(self, cache: RunCache) -> dict[str, np.ndarray]:
         """Cross-entropy gradient of the run, summed over its instances and
-        keyed like params(). The cell runs backward once over the run; the
-        head, classifier and aspect gradients accumulate per instance."""
-        grads = {k: np.zeros_like(v) for k, v in self.params().items()
-                 if not k.startswith("cell.")}
-        dH = np.empty((len(cache.indices), self.cell.hidden_dim))
-        d_aspects = [None] * len(cache.insts)
-        start = 0
-        for b, (inst, head_cache, clf_cache, rep_mask) in enumerate(zip(
-                cache.insts, cache.head_caches, cache.clf_caches, cache.rep_masks)):
-            end = start + len(inst.tokens)
-            d_logits = clf_cache.probs.copy()
-            d_logits[inst.label] -= 1.0
-            clf_grads, d_rep = classifier_backward(self.clf, clf_cache, d_logits)
-            if rep_mask is not None:
-                d_rep = d_rep * rep_mask
-            attn_grads = None
-            if self.attn is not None:
-                attn_grads, dH[start:end], d_aspects[b] = attention_backward(
-                    self.attn, head_cache, d_rep)
-            else:
-                dH[start:end] = last_hidden_backward(d_rep, end - start)
-            for k, g in _part_arrays(attn=attn_grads, clf=clf_grads).items():
-                grads[k] += g
-            start = end
-
+        keyed like params(). The classifier, the head and the cell each run
+        backward once over the run."""
+        insts, lengths = cache.insts, cache.cell.lengths
+        d_logits = cache.probs.copy()
+        d_logits[np.arange(len(insts)), [inst.label for inst in insts]] -= 1.0
+        clf_grads, d_rep = classifier_backward(self.clf, cache.clf, d_logits)
+        if cache.rep_mask is not None:
+            d_rep *= cache.rep_mask
+        attn_grads = d_aspects = None
+        if self.attn is not None:
+            attn_grads, dH, d_aspects = attention_backward(self.attn, cache.head, d_rep)
+        else:
+            dH = last_hidden_backward(d_rep, lengths)
         if self.cell_kind == "aa":
             cell_grads, dX, d_cell = aa_lstm_backward(self.cell, cache.cell, dH)
-            d_aspects = [d if d_head is None else d + d_head
-                         for d, d_head in zip(d_cell, d_aspects)]
+            d_aspects = d_cell if d_aspects is None else d_cell + d_aspects
         else:
             cell_grads, dX = classic_lstm_backward(self.cell, cache.cell, dH)
-        grads.update(_part_arrays(cell=cell_grads))
+        grads = {k: np.zeros_like(v) for k, v in self.params().items() if k.startswith("emb.")}
+        grads.update(_part_arrays(cell=cell_grads, attn=attn_grads, clf=clf_grads))
         if self.train_embeddings:
-            if cache.x_masks[0] is not None:
-                dX *= np.concatenate(cache.x_masks)
+            if cache.x_mask is not None:
+                dX *= cache.x_mask
             np.add.at(grads["emb.words"], cache.indices, dX)
-        start = 0
-        for inst, d_aspect in zip(cache.insts, d_aspects):
-            aspect = inst.aspect
-            if isinstance(aspect, TermSpan) and d_aspect is not None and self.train_embeddings:
-                span = cache.indices[start + aspect.start:start + aspect.end + 1]
-                np.add.at(grads["emb.words"], span, d_aspect / len(span))
-            elif self.aspect_embeddings is not None and not isinstance(aspect, TermSpan):
-                grads["emb.aspects"][aspect.index] += d_aspect
-            start += len(inst.tokens)
+        if d_aspects is not None and self.aspect_embeddings is not None:
+            np.add.at(grads["emb.aspects"], [inst.aspect.index for inst in insts], d_aspects)
+        elif d_aspects is not None and self.train_embeddings:
+            # A term span's aspect is the mean of its rows: each gets an equal share.
+            starts = np.cumsum(lengths) - lengths
+            spans = [cache.indices[s + inst.aspect.start:s + inst.aspect.end + 1]
+                     for s, inst in zip(starts, insts)]
+            sizes = np.array([len(span) for span in spans])
+            np.add.at(grads["emb.words"], [i for span in spans for i in span],
+                      np.repeat(d_aspects / sizes[:, None], sizes, axis=0))
         return grads
 
     def predict_probs(self, inst: LabeledInstance) -> np.ndarray:

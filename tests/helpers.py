@@ -4,8 +4,9 @@ The scalar implementations below use plain Python floats, lists, and
 math.exp only, no numpy, so they are an independent oracle for the
 vectorized cell code. The per-step cell run, the per-sequence BPTT, the
 per-gate backward passes and the two-branch activations are the earlier
-numpy forms of the batched and fused kernels, and the per-step attention forward and backward the
-earlier form of the (T, dc) array head, kept as oracles for them.
+numpy forms of the batched and fused kernels, and the per-step attention
+forward and backward and the one-instance classifier the earlier forms of
+the batched heads, kept as oracles for them.
 """
 
 import math
@@ -329,6 +330,18 @@ def loop_attention_backward(p, cache, d_repr):
         dva += dg[dc:]
     d_aspect += p.W_v.T @ dva
     return grads, dhs, d_aspect
+
+
+def loop_classify(rep, p):
+    """Classifier forward over one (dc,) representation: the earlier
+    one-instance form of the batched classifier."""
+    from aalstm.heads import softmax
+    return softmax(p.W_s @ rep + p.b_s)
+
+
+def loop_classifier_backward(p, rep, d_logits):
+    """Classifier backward of one instance: (param grads, (dc,) input grad)."""
+    return {"W_s": np.outer(d_logits, rep), "b_s": d_logits.copy()}, p.W_s.T @ d_logits
 
 
 def params_as_lists(params) -> dict:

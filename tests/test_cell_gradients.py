@@ -14,12 +14,12 @@ TOL = 1e-4
 
 
 def sum_loss_aa(p, X, aspect):
-    (H,), _ = unroll(p, X, aspect[None])
+    H, _ = unroll(p, X, aspect[None])
     return float(np.sum(H[-1]))
 
 
 def sum_loss_classic(p, X):
-    (H,), _ = unroll(p, X)
+    H, _ = unroll(p, X)
     return float(np.sum(H[-1]))
 
 
@@ -90,7 +90,7 @@ class TestAABackward:
         grads, _, d_aspect = aa_lstm_backward(p, caches, weights)
 
         def loss():
-            (H,), _ = unroll(p, xs, aspect[None])
+            H, _ = unroll(p, xs, aspect[None])
             return float(np.sum(weights * H))
 
         for name, arr in p.to_arrays().items():

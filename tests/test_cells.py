@@ -140,15 +140,15 @@ class TestUnroll:
         p = random_aa_params(rng)
         x = rng.normal(size=3)
         aspect = rng.normal(size=3)
-        hs, cache = unroll(p, x[None], aspect[None])
+        H, cache = unroll(p, x[None], aspect[None])
         state, _ = aa_lstm_step(p, x, aspect, zero_state(3))
-        assert len(hs) == 1 and hs[0].shape == (1, 3) and cache.Z.shape[:2] == (1, 1)
-        np.testing.assert_array_equal(hs[0][0], state.h)
+        assert H.shape == (1, 3) and cache.Z.shape[:2] == (1, 1)
+        np.testing.assert_array_equal(H[0], state.h)
 
     def test_zero_params_give_zero_outputs(self):
         p = ClassicLstmParams.empty(2, 3)
         filled(p, dict.fromkeys(p.to_arrays(), 0.0))
-        (H,), _ = unroll(p, np.ones((4, 2)))
+        H, _ = unroll(p, np.ones((4, 2)))
         assert np.all(H == 0.0)
 
     def test_matches_manual_composition(self):
@@ -156,7 +156,7 @@ class TestUnroll:
         p = random_aa_params(rng, dx=2, dc=4)
         X = rng.normal(size=(5, 2))
         aspect = rng.normal(size=4)
-        (H,), _ = unroll(p, X, aspect[None])
+        H, _ = unroll(p, X, aspect[None])
         state = zero_state(4)
         # A T-row input projection rounds differently from T one-row ones.
         for t, x in enumerate(X):
@@ -168,7 +168,7 @@ class TestUnroll:
         p = random_classic_params(rng, dx=3, dc=2)
         X = rng.normal(size=(5, 3))
         init = random_state(rng, 2)
-        (H,), cache = unroll(p, X, init=init)
+        H, cache = unroll(p, X, init=init)
         state = init
         for t, x in enumerate(X):
             state, _ = classic_lstm_step(p, x, state)
@@ -194,7 +194,7 @@ class TestUnroll:
             p = random_aa_params(rng, dx=3, dc=3)
             X = rng.normal(size=(6, 3))
             aspect = rng.normal(size=(1, 3))
-            (H,), _ = unroll(p, X, aspect)
+            H, _ = unroll(p, X, aspect)
             return H
 
         assert np.array_equal(run(), run())
@@ -225,8 +225,8 @@ class TestBatchedRun:
         # gradients summed over the sequences, dX and the aspect gradient
         # sequence by sequence.
         p, X, aspects, dH = _random_run(tensor.make_rng(seed), lengths, dx, dc, aware)
-        hs, cache = unroll(p, X, aspects, lengths=lengths)
-        assert len(hs) == len(lengths)
+        H, cache = unroll(p, X, aspects, lengths=lengths)
+        assert H.shape == (len(X), dc)
         np.testing.assert_array_equal(cache.X, X)
         views = [sequence_view(cache, b) for b in range(len(lengths))]
         grads, dX, d_aspect = _bptt(p, cache, dH)
@@ -235,7 +235,7 @@ class TestBatchedRun:
         for b, (start, n, got) in enumerate(zip(starts, lengths, views)):
             want = loop_run(p, X[start:start + n], zero_state(dc),
                             aspects[b] if aware else None)
-            np.testing.assert_array_equal(hs[b], got.H[1:])
+            np.testing.assert_array_equal(H[start:start + n], got.H[1:])
             for field in ("H", "C", "ifo", "c_cand", "tanh_c", "a_gates"):
                 a, w = getattr(got, field), getattr(want, field)
                 if w is None:
@@ -261,7 +261,7 @@ class TestBatchedRun:
         # input gradients or aspect gradient.
         rng = tensor.make_rng(seed)
         p, X, aspects, dH = _random_run(rng, lengths, dx, dc, aware)
-        hs, cache = unroll(p, X, aspects, lengths=lengths)
+        H, cache = unroll(p, X, aspects, lengths=lengths)
         _, dX, d_aspect = _bptt(p, cache, dH)
         where = min(where, len(lengths))
         n_new = max(lengths) + extra
@@ -270,12 +270,10 @@ class TestBatchedRun:
         dH2 = np.insert(dH, [cut] * n_new, rng.normal(size=(n_new, dc)), axis=0)
         lengths2 = lengths[:where] + [n_new] + lengths[where:]
         aspects2 = np.insert(aspects, where, rng.normal(size=dc), axis=0) if aware else None
-        hs2, cache2 = unroll(p, X2, aspects2, lengths=lengths2)
+        H2, cache2 = unroll(p, X2, aspects2, lengths=lengths2)
         _, dX2, d_aspect2 = _bptt(p, cache2, dH2)
-        del hs2[where]
         keep = np.r_[0:cut, cut + n_new:len(X2)]
-        for h, h2 in zip(hs, hs2):
-            np.testing.assert_allclose(h2, h, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(H2[keep], H, atol=1e-12, rtol=0)
         np.testing.assert_allclose(dX2[keep], dX, atol=1e-12, rtol=0)
         if aware:
             np.testing.assert_allclose(np.delete(d_aspect2, where, axis=0), d_aspect,

@@ -21,8 +21,10 @@ from aalstm.heads import (
     softmax,
 )
 
+from aalstm.train import dropout_mask
+
 from helpers import (fd_grad_of_array, filled, loop_attention_backward, loop_attention_head,
-                     worst_rel_err)
+                     loop_classifier_backward, loop_classify, worst_rel_err)
 
 
 def random_attention_params(rng, dc, da):
@@ -32,24 +34,27 @@ def random_attention_params(rng, dc, da):
 
 class TestLastHidden:
     def test_singleton(self):
-        v = np.array([1.0, 2.0])
-        assert last_hidden_head([v]) is v
+        v = np.array([[1.0, 2.0]])
+        assert np.array_equal(last_hidden_head(v), v)
 
     def test_takes_last(self):
-        vs = [np.array([float(i)]) for i in range(3)]
-        assert last_hidden_head(vs) is vs[-1]
+        H = np.arange(10.0).reshape(5, 2)
+        np.testing.assert_array_equal(last_hidden_head(H), H[[4]])
+        # Packed sequences of 3 and 2 rows: their last rows are 2 and 4.
+        np.testing.assert_array_equal(last_hidden_head(H, [3, 2]), H[[2, 4]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            last_hidden_head([])
+            last_hidden_head(np.zeros((0, 2)))
+        with pytest.raises(ValueError):
+            last_hidden_head(np.zeros((3, 2)), [3, 0])
 
     def test_backward_routes_to_last(self):
-        d = np.array([1.0, -2.0])
-        dhs = last_hidden_backward(d, 4)
-        assert len(dhs) == 4
-        assert np.array_equal(dhs[-1], d)
-        for g in dhs[:-1]:
-            assert np.all(g == 0.0)
+        d = np.array([[1.0, -2.0], [3.0, 4.0]])
+        dH = last_hidden_backward(d, [4, 1])
+        assert dH.shape == (5, 2)
+        np.testing.assert_array_equal(dH[[3, 4]], d)
+        assert np.all(dH[:3] == 0.0)
 
 
 class TestAttention:
@@ -58,17 +63,17 @@ class TestAttention:
         p = random_attention_params(rng, dc=3, da=3)
         h = rng.normal(size=3)
         aspect = rng.normal(size=3)
-        rep, weights, cache = attention_head(h[None], aspect, p)
+        rep, weights, cache = attention_head(h[None], aspect[None], p)
         assert weights.shape == (1,)
         assert weights[0] == 1.0
-        np.testing.assert_array_equal(cache.r, h)
+        np.testing.assert_array_equal(cache.r, h[None])
 
     def test_zero_score_vector_gives_uniform_weights(self):
         rng = tensor.make_rng(31)
         p = random_attention_params(rng, dc=3, da=3)
         p.w[:] = 0.0
         hs = rng.normal(size=(5, 3))
-        _, weights, _ = attention_head(hs, rng.normal(size=3), p)
+        _, weights, _ = attention_head(hs, rng.normal(size=(1, 3)), p)
         np.testing.assert_allclose(weights, 0.2, rtol=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -76,7 +81,7 @@ class TestAttention:
         p = random_attention_params(rng, dc=2, da=2)
         hs = rng.normal(size=(3, 2))
         aspect = rng.normal(size=2)
-        rep, weights, _ = attention_head(hs, aspect, p)
+        rep, weights, _ = attention_head(hs, aspect[None], p)
 
         # Hand-rolled scalar computation.
         def mv(m, v):
@@ -96,7 +101,7 @@ class TestAttention:
         rep_ref = [math.tanh(x) for x in z]
 
         np.testing.assert_allclose(weights, alphas, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(rep, rep_ref, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(rep, [rep_ref], atol=1e-12, rtol=0)
 
     def test_weights_form_distribution(self):
         rng = tensor.make_rng(33)
@@ -104,7 +109,7 @@ class TestAttention:
             t = int(rng.integers(1, 9))
             p = random_attention_params(rng, dc=4, da=4)
             hs = rng.normal(size=(t, 4))
-            _, weights, _ = attention_head(hs, rng.normal(size=4), p)
+            _, weights, _ = attention_head(hs, rng.normal(size=(1, 4)), p)
             assert np.all((weights > 0.0) & (weights < 1.0)) or t == 1
             assert abs(weights.sum() - 1.0) < 1e-12
 
@@ -112,22 +117,22 @@ class TestAttention:
         rng = tensor.make_rng(34)
         p = random_attention_params(rng, dc=3, da=3)
         hs = rng.normal(size=(5, 3))
-        aspect = rng.normal(size=3)
-        scores, _ = attention_scores(hs, aspect, p)
+        aspect = rng.normal(size=(1, 3))
+        scores, _, _ = attention_scores(hs, aspect, p)
         perm = [3, 0, 4, 1, 2]
-        permuted_scores, _ = attention_scores(hs[perm], aspect, p)
+        permuted_scores, _, _ = attention_scores(hs[perm], aspect, p)
         np.testing.assert_array_equal(permuted_scores, scores[perm])
 
     def test_backward_matches_finite_differences(self):
         rng = tensor.make_rng(35)
         p = random_attention_params(rng, dc=3, da=3)
         hs = rng.normal(size=(4, 3))
-        aspect = rng.normal(size=3)
-        d_repr = rng.normal(size=3)
+        aspect = rng.normal(size=(1, 3))
+        d_repr = rng.normal(size=(1, 3))
 
         def loss():
             rep, _, _ = attention_head(hs, aspect, p)
-            return float(d_repr @ rep)
+            return float(np.sum(d_repr * rep))
 
         _, _, cache = attention_head(hs, aspect, p)
         grads, dhs, d_aspect = attention_backward(p, cache, d_repr)
@@ -144,8 +149,8 @@ class TestAttention:
         rng = tensor.make_rng(36)
         p = random_attention_params(rng, dc=3, da=3)
         hs = rng.normal(size=(3, 3))
-        _, _, cache = attention_head(hs, rng.normal(size=3), p)
-        grads, dhs, d_aspect = attention_backward(p, cache, np.zeros(3))
+        _, _, cache = attention_head(hs, rng.normal(size=(1, 3)), p)
+        grads, dhs, d_aspect = attention_backward(p, cache, np.zeros((1, 3)))
         for g in grads.values():
             assert np.all(g == 0.0)
         for g in dhs:
@@ -163,30 +168,117 @@ def test_array_form_matches_loop_oracle(n_steps, dc, da, seed):
     aspect = rng.normal(size=da)
     d_repr = rng.normal(size=dc)
 
-    rep, weights, cache = attention_head(H, aspect, p)
+    rep, weights, cache = attention_head(H, aspect[None], p)
     want_rep, want_weights, want = loop_attention_head(list(H), aspect, p)
 
     def close(got, expected):
         np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
 
-    close(rep, want_rep)
+    close(rep, [want_rep])
     close(weights, want_weights)
-    close(cache.U, want.u)
-    close(cache.r, want.r)
-    grads, dH, d_aspect = attention_backward(p, cache, d_repr)
+    close(np.hstack((cache.S, np.repeat(cache.V, n_steps, axis=0))), want.u)
+    close(cache.r, [want.r])
+    grads, dH, d_aspect = attention_backward(p, cache, d_repr[None])
     want_grads, want_dhs, want_d_aspect = loop_attention_backward(p, want, d_repr)
     assert list(grads) == list(want_grads)
     for name, g in grads.items():
         close(g, want_grads[name])
     assert dH.shape == (n_steps, dc)
     close(dH, want_dhs)
-    close(d_aspect, want_d_aspect)
+    close(d_aspect, [want_d_aspect])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       dc=st.integers(1, 6), da=st.integers(1, 6), attention=st.booleans(),
+       rate=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_heads_match_loop_oracles(lengths, dc, da, attention, rate, seed):
+    # One pass of a head, the representation dropout and the classifier over
+    # a run of packed sequences, forward and backward, matches the
+    # per-instance oracles run on each sequence alone; the parameter
+    # gradients match the oracles' summed over the sequences.
+    rng = tensor.make_rng(seed)
+    p = random_attention_params(rng, dc=dc, da=da)
+    clf = filled(ClassifierParams.empty(dc), {"W_s": rng.normal(size=(3, dc)),
+                                              "b_s": rng.normal(size=3)})
+    H = rng.normal(size=(sum(lengths), dc))
+    aspects = rng.normal(size=(len(lengths), da))
+    d_logits = rng.normal(size=(len(lengths), 3))
+    mask = dropout_mask((len(lengths), dc), rate, rng)
+    mask = np.ones((len(lengths), dc)) if mask is None else mask
+
+    if attention:
+        rep, weights, cache = attention_head(H, aspects, p, lengths)
+    else:
+        rep = last_hidden_head(H, lengths)
+    probs, clf_cache = classify_with_cache(rep * mask, clf)
+    clf_grads, d_rep = classifier_backward(clf, clf_cache, d_logits)
+    if attention:
+        grads, dH, d_aspects = attention_backward(p, cache, d_rep * mask)
+    else:
+        grads, dH = {}, last_hidden_backward(d_rep * mask, lengths)
+
+    def close(got, expected):
+        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+
+    summed = {f"clf.{k}": np.zeros_like(v) for k, v in clf.to_arrays().items()}
+    summed.update({k: np.zeros_like(v) for k, v in grads.items()})
+    start = 0
+    for b, n in enumerate(lengths):
+        rows = slice(start, start + n)
+        start += n
+        want_rep = H[rows][-1]
+        if attention:
+            want_rep, want_weights, want = loop_attention_head(list(H[rows]), aspects[b], p)
+            close(weights[rows], want_weights)
+        close(rep[b], want_rep)
+        close(probs[b], loop_classify(want_rep * mask[b], clf))
+        want_clf, want_d_rep = loop_classifier_backward(clf, want_rep * mask[b], d_logits[b])
+        for k, g in want_clf.items():
+            summed[f"clf.{k}"] += g
+        want_dH = np.zeros((n, dc))
+        want_dH[-1] = want_d_rep * mask[b]
+        if attention:
+            want_grads, want_dhs, want_d_aspect = loop_attention_backward(
+                p, want, want_d_rep * mask[b])
+            want_dH = np.array(want_dhs)
+            close(d_aspects[b], want_d_aspect)
+            for k, g in want_grads.items():
+                summed[k] += g
+        close(dH[rows], want_dH)
+    got = {**{f"clf.{k}": g for k, g in clf_grads.items()}, **grads}
+    assert list(got) == list(summed)
+    for k, g in got.items():
+        close(g, summed[k])
+
+
+def test_head_output_does_not_depend_on_the_aspect():
+    # The aspect's share of each score is one constant per sequence, which
+    # the softmax cancels: the weights and representations for two aspects
+    # agree to rounding, and the aspect's gradients are rounding noise.
+    rng = tensor.make_rng(40)
+    dc = da = 6
+    p = random_attention_params(rng, dc=dc, da=da)
+    lengths = [7, 3, 12]
+    H = rng.normal(size=(sum(lengths), dc))
+    d_repr = rng.normal(size=(len(lengths), dc))
+    runs = [attention_head(H, rng.normal(size=(len(lengths), da)), p, lengths)
+            for _ in range(2)]
+    (rep, weights, _), (rep2, weights2, _) = runs
+    np.testing.assert_allclose(weights2, weights, atol=1e-14, rtol=0)
+    np.testing.assert_allclose(rep2, rep, atol=1e-14, rtol=0)
+    for _, _, cache in runs:
+        grads, _, d_aspects = attention_backward(p, cache, d_repr)
+        for g in (grads["W_v"], grads["w"][dc:], d_aspects):
+            assert np.abs(g).max() < 1e-14
+        assert np.abs(grads["w"][:dc]).max() > 1e-3
 
 
 class TestClassifier:
     def test_zero_logits_uniform(self):
         p = ClassifierParams(W_s=np.zeros((3, 4)), b_s=np.zeros(3))
-        probs, _ = classify_with_cache(np.ones(4), p)
+        probs, _ = classify_with_cache(np.ones((2, 4)), p)
+        assert probs.shape == (2, 3)
         np.testing.assert_allclose(probs, 1.0 / 3.0, rtol=1e-12)
 
     def test_shift_invariance(self):
@@ -211,11 +303,11 @@ class TestClassifier:
     def test_backward_matches_finite_differences(self):
         rng = tensor.make_rng(39)
         p = ClassifierParams.init(4, seed=1)
-        rep = rng.normal(size=4)
-        d_logits = rng.normal(size=3)
+        rep = rng.normal(size=(2, 4))
+        d_logits = rng.normal(size=(2, 3))
 
         def loss():
-            return float(d_logits @ (p.W_s @ rep + p.b_s))
+            return float(np.sum(d_logits * (rep @ p.W_s.T + p.b_s)))
 
         _, cache = classify_with_cache(rep, p)
         grads, d_rep = classifier_backward(p, cache, d_logits)

@@ -160,7 +160,7 @@ def test_train_mode_backward_respects_masks():
     grads = m.backward(cache)
     assert set(grads) == set(m.params())
     # a fully dropped token contributes nothing through the input path
-    for t, mask in enumerate(cache.x_masks[0]):
+    for t, mask in enumerate(cache.x_mask):
         if np.all(mask == 0.0) and t not in (1,):  # skip the span token
             assert np.allclose(grads["emb.words"][cache.indices[t]], 0.0)
 
@@ -172,13 +172,13 @@ def test_dropout_masks_are_the_multipliers():
     insts = [atsa_instance(), atsa_multi_span_instance()]
     cache = m.forward(insts, dropout=0.3, rng=make_rng(72))
     rows = m.embeddings.matrix[cache.indices]
-    assert np.array_equal(cache.cell.X, rows * np.concatenate(cache.x_masks))
-    for b, (inst, clf_cache, x_mask, rep_mask) in enumerate(zip(
-            insts, cache.clf_caches, cache.x_masks, cache.rep_masks)):
+    assert np.array_equal(cache.cell.X, rows * cache.x_mask)
+    assert cache.rep_mask.shape == (len(insts), m.clf.repr_dim)
+    for b, inst in enumerate(insts):
         h_last = cache.cell.H[cache.cell.order.index(b), len(inst.tokens)]
-        assert np.array_equal(clf_cache.rep, h_last * rep_mask)
-        for mask in (x_mask, rep_mask):
-            assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
+        assert np.array_equal(cache.clf.rep[b], h_last * cache.rep_mask[b])
+    for mask in (cache.x_mask, cache.rep_mask):
+        assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
 
 
 @pytest.mark.parametrize("cell_kind", ["classic", "aa"])
@@ -208,18 +208,20 @@ RUN_WORDS = ("the", "soup", "salad", "is", "good", "bad", ".", "pasta")
 
 
 @st.composite
+def instances(draw, task, n):
+    tokens = tuple(draw(st.lists(st.sampled_from(RUN_WORDS), min_size=n, max_size=n)))
+    if task == "atsa":
+        start = draw(st.integers(0, n - 1))
+        aspect = TermSpan(start, draw(st.integers(start, n - 1)))
+    else:
+        aspect = CategoryId(draw(st.integers(0, len(RESTAURANT_CATEGORIES) - 1)))
+    return LabeledInstance(tokens, aspect, draw(st.sampled_from(POLARITIES)))
+
+
+@st.composite
 def runs(draw, task):
-    insts = []
-    for _ in range(draw(st.integers(1, 6))):
-        n = draw(st.integers(1, 12))
-        tokens = tuple(draw(st.lists(st.sampled_from(RUN_WORDS), min_size=n, max_size=n)))
-        if task == "atsa":
-            start = draw(st.integers(0, n - 1))
-            aspect = TermSpan(start, draw(st.integers(start, n - 1)))
-        else:
-            aspect = CategoryId(draw(st.integers(0, len(RESTAURANT_CATEGORIES) - 1)))
-        insts.append(LabeledInstance(tokens, aspect, draw(st.sampled_from(POLARITIES))))
-    return insts
+    return [draw(instances(task, draw(st.integers(1, 12))))
+            for _ in range(draw(st.integers(1, 6)))]
 
 
 @pytest.mark.parametrize("task", ["atsa", "acsa"])
@@ -236,20 +238,54 @@ def test_run_matches_one_instance_runs(task, cell_kind, head_kind, data, rate, s
     rng = make_rng(seed)
     singles = [m.forward([inst], dropout=rate, rng=rng) for inst in insts]
     summed = {k: np.zeros_like(v) for k, v in m.params().items()}
+    start = 0
     for b, single in enumerate(singles):
         np.testing.assert_allclose(run.probs[b], single.probs[0], atol=1e-12, rtol=0)
-        for masks, single_masks in ((run.x_masks, single.x_masks),
-                                    (run.rep_masks, single.rep_masks)):
-            if rate == 0.0:
-                assert masks[b] is None and single_masks[0] is None
-            else:
-                assert np.array_equal(masks[b], single_masks[0])
+        rows = slice(start, start + len(insts[b].tokens))
+        start = rows.stop
+        if rate == 0.0:
+            assert run.x_mask is None and single.x_mask is None
+            assert run.rep_mask is None and single.rep_mask is None
+        else:
+            assert np.array_equal(run.x_mask[rows], single.x_mask)
+            assert np.array_equal(run.rep_mask[b], single.rep_mask[0])
         for k, g in m.backward(single).items():
             summed[k] += g
     grads = m.backward(run)
     assert set(grads) == set(summed)
     for k, g in grads.items():
         np.testing.assert_allclose(g, summed[k], atol=1e-12, rtol=0, err_msg=k)
+
+
+@pytest.mark.parametrize("task", ["atsa", "acsa"])
+@pytest.mark.parametrize("cell_kind,head_kind", ALL_COMBOS)
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(data=st.data(), extra=st.integers(1, 3), where=st.integers(0, 6))
+def test_a_longer_instance_moves_no_other(task, cell_kind, head_kind, data, extra, where):
+    # An instance longer than every other one changes the run's padding and
+    # sort order, but no other instance's probabilities or attention weights,
+    # and the run's gradient, head gradients included, by exactly the new
+    # instance's own.
+    m = make(task, cell_kind, head_kind)
+    insts = data.draw(runs(task))
+    longer = data.draw(instances(task, max(len(inst.tokens) for inst in insts) + extra))
+    where = min(where, len(insts))
+    run = m.forward(insts)
+    joined = m.forward(insts[:where] + [longer] + insts[where:])
+    alone = m.forward([longer])
+    np.testing.assert_allclose(np.delete(joined.probs, where, axis=0), run.probs,
+                               atol=1e-12, rtol=0)
+    if head_kind == "attention":
+        cut, n_new = sum(len(inst.tokens) for inst in insts[:where]), len(longer.tokens)
+        weights = joined.head.weights
+        np.testing.assert_allclose(np.delete(weights, np.s_[cut:cut + n_new]),
+                                   run.head.weights, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(weights[cut:cut + n_new], alone.head.weights,
+                                   atol=1e-12, rtol=0)
+    grads, grads_alone = m.backward(run), m.backward(alone)
+    for k, g in m.backward(joined).items():
+        np.testing.assert_allclose(g - grads_alone[k], grads[k], atol=1e-12, rtol=0,
+                                   err_msg=k)
 
 
 # --- full-pipeline gradient checks -------------------------------------------
@@ -280,8 +316,11 @@ def test_full_pipeline_gradients_atsa(cell_kind, head_kind):
 
 @pytest.mark.parametrize("cell_kind,head_kind", ALL_COMBOS)
 def test_full_pipeline_gradients_acsa(cell_kind, head_kind):
-    report = _pipeline_grad_report("acsa", cell_kind, head_kind,
-                                   [acsa_instance()], seed=65)
+    # Lengths 4, 5 and 2, and two instances share a category row.
+    insts = [acsa_instance(),
+             LabeledInstance(("soup", "is", "good", "the", "."), CategoryId(0), "positive"),
+             LabeledInstance(("salad", "."), CategoryId(2), "neutral")]
+    report = _pipeline_grad_report("acsa", cell_kind, head_kind, insts, seed=65)
     assert report.worst_rel_err < 1e-4, (
         f"worst {report.worst_rel_err:.2e} at {report.worst_name}{report.worst_index}")
 
