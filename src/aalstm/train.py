@@ -27,6 +27,10 @@ GRADCHECK_THRESHOLD = 1e-4
 EVAL_CHUNK = 16
 # Adam's moment decay rates and denominator guard, the usual defaults.
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# Elements per block of the optimizer pass: a block's p, g, m, v and two
+# scratch buffers (6 x 128 KiB) stay in a core's L2 cache, so the step reads
+# each array from memory once instead of once per whole-array operation.
+ADAM_BLOCK = 1 << 14
 
 
 class TrainingDiverged(RuntimeError):
@@ -94,47 +98,88 @@ def l2_penalty(arrays, coeff: float) -> float:
     return coeff * float(sum(np.sum(a * a) for a in arrays))
 
 
-def l2_grad(arr: np.ndarray, coeff: float) -> np.ndarray:
-    return 2.0 * coeff * arr
+def l2_grad(arr: np.ndarray, coeff: float, out=None) -> np.ndarray:
+    """Gradient of `l2_penalty` with respect to `arr`, into `out` if given."""
+    return np.multiply(arr, 2.0 * coeff, out=out)
 
 
 class Adam:
-    """Adam with bias correction, updating parameter arrays in place.
+    """Adam with bias correction and L2 decay, updating parameter arrays in place.
 
     Holds one pair of moment arrays per parameter name. `step` expects a
-    gradient for every registered parameter and nothing else.
+    gradient for every registered parameter and nothing else. The gradient
+    Adam sees for a parameter is `scale` times the given one, plus
+    `l2_grad(p, l2)` when its name is in `regularized`.
+
+    The step walks each parameter in blocks of rows of about `ADAM_BLOCK`
+    elements and runs the whole update on one block before the next. Every
+    element goes through the same operations in the same order as whole-array
+    code would, so the result is bit-identical to it; blocks are row slices,
+    so parameters that are views into a shared buffer update that buffer.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
+    def __init__(self, params: dict[str, np.ndarray], lr: float,
+                 l2: float = 0.0, regularized=()):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
+        if l2 < 0:
+            raise ValueError(f"l2 coefficient must be nonnegative, got {l2}")
+        regularized = set(regularized)
+        unknown = regularized - set(params)
+        if unknown:
+            raise ValueError(f"regularized names are not parameters: {sorted(unknown)}")
         self.params = params
         self.lr = lr
+        self.l2 = l2
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        spans = []
+        for name in sorted(params):
+            p = params[name]
+            rows = max(1, ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
+            spans += [(name, slice(r0, r0 + rows)) for r0 in range(0, len(p), rows)]
+        size = max((params[k][rs].size for k, rs in spans), default=0)
+        g_buf, a_buf = np.empty(size), np.empty(size)
+        # Per block, in sorted name order: its name and rows, its views of p,
+        # m and v, the two block buffers shaped like it, and whether it decays.
+        self._blocks = []
+        for name, rs in spans:
+            p = params[name][rs]
+            self._blocks.append((name, rs, p, self.m[name][rs], self.v[name][rs],
+                                 g_buf[:p.size].reshape(p.shape),
+                                 a_buf[:p.size].reshape(p.shape),
+                                 l2 > 0 and name in regularized))
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray], scale: float = 1.0) -> None:
         if set(grads) != set(self.params):
             missing = set(self.params) - set(grads)
             extra = set(grads) - set(self.params)
             raise ValueError(f"gradient keys mismatch: missing {sorted(missing)}, "
                              f"unexpected {sorted(extra)}")
+        for name, p in self.params.items():
+            if grads[name].shape != p.shape:
+                raise ValueError(f"{name}: gradient shape {grads[name].shape} != {p.shape}")
         self.t += 1
         c1 = 1.0 - _ADAM_BETA1 ** self.t
         c2 = 1.0 - _ADAM_BETA2 ** self.t
-        for name in sorted(self.params):
-            g = grads[name]
-            p = self.params[name]
-            if g.shape != p.shape:
-                raise ValueError(f"{name}: gradient shape {g.shape} != {p.shape}")
-            m = self.m[name]
-            v = self.v[name]
+        for name, rs, p, m, v, g, a, decay in self._blocks:
+            np.multiply(grads[name][rs], scale, out=g)
+            if decay:
+                g += l2_grad(p, self.l2, out=a)
             m *= _ADAM_BETA1
-            m += (1.0 - _ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - _ADAM_BETA1, out=a)
             v *= _ADAM_BETA2
-            v += (1.0 - _ADAM_BETA2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - _ADAM_BETA2
+            v += a
+            np.divide(v, c2, out=g)
+            np.sqrt(g, out=g)
+            g += _ADAM_EPS
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            a /= g
+            p -= a
 
 
 @dataclass
@@ -240,7 +285,7 @@ def train(model, train_insts, dev_insts, cfg: TrainConfig, log_stream=None) -> T
         raise ValueError("no dev instances")
     params = model.params()
     reg_names = model.regularized()
-    optimizer = Adam(params, cfg.lr)
+    optimizer = Adam(params, cfg.lr, l2=cfg.l2, regularized=reg_names)
     shuffle_rng = make_rng([cfg.seed, 50])
     dropout_rng = make_rng([cfg.seed, 51])
     result = TrainResult()
@@ -259,19 +304,15 @@ def train(model, train_insts, dev_insts, cfg: TrainConfig, log_stream=None) -> T
             ce_sum = sum(cross_entropy(p, inst.label) for p, inst in zip(cache.probs, batch))
             grads = model.backward(cache)
             del cache  # the run's buffers, so the next run does not overlap them
-            scale = 1.0 / len(batch)
-            for k in grads:
-                grads[k] *= scale
             penalty = 0.0
             if cfg.l2 > 0:
                 penalty = l2_penalty((params[k] for k in reg_names), cfg.l2)
-                for k in reg_names:
-                    grads[k] += l2_grad(params[k], cfg.l2)
             objective = ce_sum / len(batch) + penalty
             if not math.isfinite(objective):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
-            optimizer.step(grads)
+            optimizer.step(grads, scale=1.0 / len(batch))
+            del grads  # so the next run, dev evaluation and the snapshot do not overlap it
             loss_sum += objective * len(batch)
         report = evaluate(model, dev_insts)
         log = EpochLog(epoch, loss_sum / n, report.accuracy, report.macro_f1)
@@ -282,7 +323,10 @@ def train(model, train_insts, dev_insts, cfg: TrainConfig, log_stream=None) -> T
         if report.macro_f1 > result.best_dev_macro_f1:
             result.best_dev_macro_f1 = report.macro_f1
             result.best_epoch = epoch
-            best = {k: v.copy() for k, v in params.items()}
+            if best is None:
+                best = {k: np.empty_like(v) for k, v in params.items()}
+            for k, v in params.items():
+                np.copyto(best[k], v)
             since_best = 0
         else:
             since_best += 1

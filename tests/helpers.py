@@ -6,7 +6,8 @@ vectorized cell code. The per-step cell run, the per-sequence BPTT, the
 per-gate backward passes and the two-branch activations are the earlier
 numpy forms of the batched and fused kernels, and the per-step attention
 forward and backward and the one-instance classifier the earlier forms of
-the batched heads, kept as oracles for them.
+the batched heads, kept as oracles for them. `LoopAdam` is the optimizer
+step before it was fused into one blocked pass.
 """
 
 import math
@@ -342,6 +343,37 @@ def loop_classify(rep, p):
 def loop_classifier_backward(p, rep, d_logits):
     """Classifier backward of one instance: (param grads, (dc,) input grad)."""
     return {"W_s": np.outer(d_logits, rep), "b_s": d_logits.copy()}, p.W_s.T @ d_logits
+
+
+class LoopAdam:
+    """The unfused optimizer step, kept as the oracle for `train.Adam`: the
+    batch scale over every gradient, then the L2 gradient added to the
+    regularized ones, then Adam one whole-array operation at a time."""
+
+    def __init__(self, params, lr, l2=0.0, regularized=()):
+        self.params, self.lr, self.l2 = params, lr, l2
+        self.regularized = list(regularized) if l2 > 0 else []
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads, scale=1.0):
+        from aalstm.train import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, l2_grad
+        grads = {k: g.copy() for k, g in grads.items()}
+        for k in grads:
+            grads[k] *= scale
+        for k in self.regularized:
+            grads[k] += l2_grad(self.params[k], self.l2)
+        self.t += 1
+        c1 = 1.0 - _ADAM_BETA1 ** self.t
+        c2 = 1.0 - _ADAM_BETA2 ** self.t
+        for name in sorted(self.params):
+            g, p, m, v = grads[name], self.params[name], self.m[name], self.v[name]
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
 
 def params_as_lists(params) -> dict:

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aalstm.data import POLARITIES, LabeledInstance, TermSpan
 from aalstm.model import build_model
 from aalstm.tensor import make_rng
 from aalstm.train import (
+    ADAM_BLOCK,
     EVAL_CHUNK,
     Adam,
     TSV_HEADER,
@@ -23,6 +26,7 @@ from aalstm.train import (
     l2_penalty,
     train,
 )
+from tests.helpers import LoopAdam
 from tests.test_model import tiny_embeddings
 
 
@@ -186,12 +190,72 @@ def test_adam_minimizes_a_quadratic():
 
 
 def test_adam_rejects_key_and_shape_mismatch():
-    p = {"w": np.zeros(3)}
+    p = {"a": np.ones(2), "w": np.zeros(3)}
     opt = Adam(p, lr=0.1)
     with pytest.raises(ValueError, match="mismatch"):
         opt.step({})
+    # a bad shape is caught before any parameter moves
     with pytest.raises(ValueError, match="shape"):
-        opt.step({"w": np.zeros(4)})
+        opt.step({"a": np.ones(2), "w": np.zeros(4)})
+    assert np.array_equal(p["a"], [1.0, 1.0]) and opt.t == 0
+    with pytest.raises(ValueError, match="not parameters"):
+        Adam(p, lr=0.1, l2=0.01, regularized=["b"])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Adam(p, lr=0.1, l2=-1.0)
+
+
+# Parameter shapes around the optimizer's block size: under one block, one
+# block exactly, several blocks with a ragged last one, and a single row wider
+# than a block, in one and two dimensions.
+_B = ADAM_BLOCK
+_ADAM_SHAPES = st.one_of(
+    st.integers(1, 40).map(lambda n: (n,)),
+    st.just((_B,)),
+    st.integers(1, 40).map(lambda k: (2 * _B + k,)),
+    st.tuples(st.integers(1, 6), st.integers(1, 8)),
+    st.just((_B // 64, 64)),
+    st.tuples(st.integers(_B // 300 + 1, 2 * _B // 300 + 5), st.just(300)),
+    st.tuples(st.integers(1, 3), st.integers(_B + 1, _B + 40)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(shapes=st.lists(_ADAM_SHAPES, min_size=1, max_size=3),
+       shared_rows=st.sampled_from([2, 30, _B // 100 + 7]),
+       reg_mask=st.integers(0, 127),
+       l2=st.sampled_from([0.0, 0.01, 0.5]),
+       scales=st.lists(st.sampled_from([1.0, 0.5, 1.0 / 3, 1.0 / 16]), min_size=3, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_adam_matches_the_unfused_oracle(shapes, shared_rows, reg_mask, l2, scales, seed):
+    # Besides separate arrays, four row-block views of one (4r, 100) buffer
+    # stand in for a cell's per-gate views: the buffer itself must move.
+    rng = make_rng(seed)
+    arrays = {f"a{i}": rng.uniform(-1, 1, shape) for i, shape in enumerate(shapes)}
+    shared = rng.uniform(-1, 1, (4 * shared_rows, 100))
+
+    def params_over(buf):
+        out = {k: v.copy() for k, v in arrays.items()}
+        out.update({f"s{k}": buf[k * shared_rows:(k + 1) * shared_rows] for k in range(4)})
+        return out
+
+    fused_shared, oracle_shared = shared.copy(), shared.copy()
+    fused, oracle = params_over(fused_shared), params_over(oracle_shared)
+    names = sorted(fused)
+    reg = [k for i, k in enumerate(names) if reg_mask >> i & 1]
+    opt = Adam(fused, lr=0.01, l2=l2, regularized=reg)
+    ref = LoopAdam(oracle, lr=0.01, l2=l2, regularized=reg)
+    for scale in scales:
+        grads = {k: rng.normal(0, 1, v.shape) for k, v in fused.items()}
+        kept = {k: g.copy() for k, g in grads.items()}
+        opt.step(grads, scale=scale)
+        ref.step(grads, scale=scale)
+        assert all(np.array_equal(grads[k], kept[k]) for k in grads)
+    for k in names:
+        assert np.array_equal(fused[k], oracle[k]), k
+        assert np.array_equal(opt.m[k], ref.m[k]), k
+        assert np.array_equal(opt.v[k], ref.v[k]), k
+    assert np.array_equal(fused_shared, oracle_shared)
+    assert not np.array_equal(fused_shared, shared)
 
 
 # --- gradient checker --------------------------------------------------------
@@ -312,6 +376,30 @@ def test_train_restores_best_parameters():
     result = train(model, data, data, cfg)
     # after restoring, evaluating dev again reproduces the best logged score
     assert evaluate(model, data).macro_f1 == pytest.approx(result.best_dev_macro_f1)
+
+
+def test_train_matches_the_unfused_reference_on_a_partial_batch():
+    # 11 instances in batches of 3: the last batch's gradient is scaled by
+    # 1/2, the others' by 1/3. One epoch, so the restored best parameters are
+    # the trained ones.
+    data = _toy_data(11)
+    cfg = TrainConfig(lr=0.05, batch_size=3, dropout=0.3, l2=0.01, emb_dim=6,
+                      hidden_dim=6, max_epochs=1, patience=1, seed=6)
+    model = _toy_model()
+    train(model, data, data[:4], cfg)
+
+    ref = _toy_model()
+    params = ref.params()
+    opt = LoopAdam(params, cfg.lr, l2=cfg.l2, regularized=ref.regularized())
+    order = make_rng([cfg.seed, 50]).permutation(len(data))
+    dropout_rng = make_rng([cfg.seed, 51])
+    for b0 in range(0, len(data), cfg.batch_size):
+        batch = [data[i] for i in order[b0:b0 + cfg.batch_size]]
+        grads = ref.backward(ref.forward(batch, dropout=cfg.dropout, rng=dropout_rng))
+        opt.step(grads, scale=1.0 / len(batch))
+    assert opt.t == 4
+    for k, v in model.params().items():
+        assert np.array_equal(v, params[k]), k
 
 
 def test_train_deterministic_logs():
