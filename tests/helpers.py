@@ -125,11 +125,11 @@ def sequence_view(cache, b):
     start, n, r = sum(cache.lengths[:b]), cache.lengths[b], cache.order.index(b)
     aware = cache.aspects is not None
     return SimpleNamespace(
-        X=cache.X[start:start + n].copy(), H=cache.H[r, :n + 1].copy(),
-        C=cache.C[r, :n + 1].copy(), ifo=cache.ifo[r, :n].copy(),
-        c_cand=cache.c_cand[r, :n].copy(), tanh_c=cache.tanh_c[r, :n].copy(),
+        X=cache.X[start:start + n].copy(), H=cache.H[:n + 1, r].copy(),
+        C=cache.C[:n + 1, r].copy(), ifo=cache.ifo[:n, :, r].reshape(n, -1).copy(),
+        c_cand=cache.c_cand[:n, r].copy(), tanh_c=cache.tanh_c[:n, r].copy(),
         aspect=cache.aspects[r].copy() if aware else None,
-        a_gates=cache.a_gates[r, :n].copy() if aware else None)
+        a_gates=cache.a_gates[:n, :, r].reshape(n, -1).copy() if aware else None)
 
 
 def sequence_bptt(p, cache, dH):

@@ -142,7 +142,7 @@ class TestUnroll:
         aspect = rng.normal(size=3)
         H, cache = unroll(p, x[None], aspect[None])
         state, _ = aa_lstm_step(p, x, aspect, zero_state(3))
-        assert H.shape == (1, 3) and cache.Z.shape[:2] == (1, 1)
+        assert H.shape == (1, 3) and cache.Z.shape[0] == cache.Z.shape[2] == 1
         np.testing.assert_array_equal(H[0], state.h)
 
     def test_zero_params_give_zero_outputs(self):
@@ -173,7 +173,7 @@ class TestUnroll:
         for t, x in enumerate(X):
             state, _ = classic_lstm_step(p, x, state)
             np.testing.assert_allclose(H[t], state.h, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(cache.C[0, t + 1], state.c, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(cache.C[t + 1, 0], state.c, atol=1e-12, rtol=0)
 
     def test_empty_sequence_rejected(self):
         p = ClassicLstmParams.init(2, 2, seed=0)
@@ -278,6 +278,26 @@ class TestBatchedRun:
         if aware:
             np.testing.assert_allclose(np.delete(d_aspect2, where, axis=0), d_aspect,
                                        atol=1e-12, rtol=0)
+
+    def test_every_step_block_is_contiguous(self):
+        # The buffers are time-major with the gate group ahead of the batch
+        # row, so each step's block of a group or a state over the running
+        # rows is one contiguous run of memory.
+        lengths, dc = [3, 5, 2], 4
+        p, X, aspects, _ = _random_run(tensor.make_rng(20), lengths, 2, dc, True)
+        _, cache = unroll(p, X, aspects, lengths=lengths)
+        n_steps, n_seq = max(lengths), len(lengths)
+        assert cache.Z.shape == (n_steps, 7, n_seq, dc)
+        assert cache.H.shape == cache.C.shape == (n_steps + 1, n_seq, dc)
+        assert cache.tanh_c.shape == (n_steps, n_seq, dc)
+        for t in range(n_steps):
+            n_t = sum(n > t for n in lengths)
+            for g in range(7):
+                assert cache.Z[t, g, :n_t].flags.c_contiguous, (t, g)
+            for buf in (cache.H[t + 1], cache.C[t + 1], cache.tanh_c[t]):
+                assert buf[:n_t].flags.c_contiguous, t
+        assert cache.ifo.shape == cache.a_gates.shape == (n_steps, 3, n_seq, dc)
+        assert cache.c_cand.shape == (n_steps, n_seq, dc)
 
     def test_a_cache_serves_one_backward_pass(self):
         # The backward pass writes its gradients over the run's gate buffer.
