@@ -6,13 +6,13 @@ everything that is not a weight: format version, task/cell/head switches,
 the vocabulary in row order, which rows were randomly initialized, and the
 category list. Frozen tables are stored too: inference needs them.
 
-Loading mirrors saving. The .npy headers of "emb.words", "cell.b_i" and,
-for a model with a category table, "emb.aspects" give the dims; the model
-the switches name is built around them with uninitialized storage; the
-archive's keys must equal `__meta__` plus its `arrays()`, and its metadata
-lists categories exactly for a model with a table; and each array is read
-straight into its live view, whose shape it must have. NaN or inf is
-rejected.
+Loading mirrors saving. The .npy headers of "emb.words" and "cell.b_i"
+give the dims; the model the switches name is built around them with
+uninitialized storage; the archive's keys must equal `__meta__` plus its
+`arrays()`, and its metadata lists categories exactly for a model with a
+table; and each array is read straight into its live view, whose shape it
+must have, so a category table of the wrong width is caught there. NaN or
+inf is rejected.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import zipfile
 import numpy as np
 
 from .data import EmbeddingTable
-from .model import SentimentModel, assemble_model, has_category_table
+from .model import SentimentModel, assemble_model
 
 FORMAT_NAME = "aalstm-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _META_KEY = "__meta__"
 
 
@@ -143,14 +143,10 @@ def _read_model(path, archive) -> SentimentModel:
         n_words, dx = _shape(path, archive, "emb.words", 2)
         (hidden_dim,) = _shape(path, archive, "cell.b_i", 1)
         categories = meta["categories"]
-        with_table = categories is not None and has_category_table(
-            meta["task"], meta["cell"], meta["head"])
-        category_dim = _shape(path, archive, "emb.aspects", 2)[1] if with_table else None
         embeddings = EmbeddingTable({token: i for i, token in enumerate(meta["vocab"])},
                                     np.empty((n_words, dx)), frozenset(meta["oov_tokens"]))
         model = assemble_model(meta["task"], meta["cell"], meta["head"], embeddings,
-                               hidden_dim, categories, category_dim,
-                               lambda cls, *dims: cls.empty(*dims),
+                               hidden_dim, categories, lambda cls, *dims: cls.empty(*dims),
                                bool(meta["train_embeddings"]))
     except CheckpointError:
         raise

@@ -217,12 +217,14 @@ def pipeline_grad_report(cell_kind: str, head_kind: str, dx: int, dc: int,
     """Finite-difference check of the model's full forward/backward.
 
     Builds an acsa model whose word table holds `seq_len` random inputs of
-    dim `dx` (plus a zero unknown-token row) and whose one-row category
-    table holds a random aspect of dim `dc`, then checks `model.backward`
-    against the cross-entropy of `model.predict_probs` over every trainable
-    array, embedding and category tables included. `corrupt` names a
-    parameter whose analytic gradient gets one entry shifted, to prove the
-    detector trips.
+    dim `dx` (plus a zero unknown-token row) and, for the aa cell, whose
+    one-row category table holds a random aspect of dim `dc`, then checks
+    `model.backward` against the cross-entropy of `model.predict_probs` of
+    one instance over every trainable array, the embedding and any category
+    table included. One instance, because a loss summed over several
+    carries more finite-difference roundoff than the default `floor`
+    allows for. `corrupt` names a parameter whose analytic gradient gets
+    one entry shifted, to prove the detector trips.
     """
     if seq_len < 1:
         raise ConfigError("sequence length must be >= 1")

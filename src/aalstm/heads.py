@@ -5,20 +5,17 @@ array H, laid out like the run's input rows (`lengths[b]` rows per
 sequence; one sequence is the default `lengths=[T]`), and hand their
 gradient back as one (N, dc) array laid out the same way, in one pass over
 the run. The last-hidden head takes each sequence's h_T. The attention head
-follows the concat-score design of AT-LSTM (Wang et al., 2016): each
-hidden state is scored against the aspect, each sequence's states are
-averaged under its softmaxed scores, and the result is blended with h_T:
+scores each hidden state, averages each sequence's states under its
+softmaxed scores, and blends the result with h_T:
 
-    S, V    = tanh(H W_h^T), tanh(A W_v^T)          (N, dc), (B, da)
-    alpha   = per-sequence softmax(S w_h + V w_a)   (N,), w = [w_h | w_a]
+    S       = tanh(H W_h^T)                         (N, dc)
+    alpha   = per-sequence softmax(S w)             (N,)
     r       = per-sequence sum of alpha_t h_t       (B, dc)
     repr    = tanh(r W_p^T + h_T W_x^T)             (B, dc)
 
-The aspect term cancels: V w_a is the same at every position of a
-sequence and a softmax ignores a constant shift, so, as in AT-LSTM's
-formula, the weights and the head's output do not depend on the aspect.
-The term is still computed; its gradients on W_v, w_a and A are rounding
-noise (2e-16 at most at d = 300), and W_v = 0 changes nothing.
+AT-LSTM's (Wang et al., 2016) aspect term is the same at every position of
+a sequence, so it cancels in the softmax, and this head has none: the
+aspect reaches the model only through the aspect-aware cell.
 
 A 3-way softmax classifier maps the (B, dc) representations to (B, 3)
 polarity probabilities (positive, negative, neutral) in one product.
@@ -42,29 +39,23 @@ PROB_FLOOR = np.finfo(np.float64).tiny
 
 @dataclass
 class AttentionParams(ParamSet):
-    """Attention weights over (dc,) hidden states and a (da,) aspect."""
+    """Attention weights over (dc,) hidden states."""
 
     W_h: np.ndarray  # (dc, dc) hidden-state projection for scoring
-    W_v: np.ndarray  # (da, da) aspect projection for scoring
-    w: np.ndarray    # (dc + da,) scoring vector
+    w: np.ndarray    # (dc,) scoring vector
     W_p: np.ndarray  # (dc, dc) projection of the attention average
     W_x: np.ndarray  # (dc, dc) projection of the last hidden state
 
-    _INIT_STREAM = {"W_h": 20, "W_v": 21, "w": 22, "W_p": 23, "W_x": 24}
+    _INIT_STREAM = {"W_h": 20, "w": 22, "W_p": 23, "W_x": 24}
 
     @staticmethod
-    def _shapes(hidden_dim: int, aspect_dim: int) -> dict[str, tuple[int, ...]]:
-        dc, da = hidden_dim, aspect_dim
-        return {"W_h": (dc, dc), "W_v": (da, da), "w": (dc + da,),
-                "W_p": (dc, dc), "W_x": (dc, dc)}
+    def _shapes(hidden_dim: int) -> dict[str, tuple[int, ...]]:
+        dc = hidden_dim
+        return {"W_h": (dc, dc), "w": (dc,), "W_p": (dc, dc), "W_x": (dc, dc)}
 
     @property
     def hidden_dim(self) -> int:
         return self.W_h.shape[0]
-
-    @property
-    def aspect_dim(self) -> int:
-        return self.W_v.shape[0]
 
 
 @dataclass
@@ -122,53 +113,39 @@ def last_hidden_backward(d_repr: np.ndarray, lengths: list[int]) -> np.ndarray:
 @dataclass
 class AttentionCache:
     H: np.ndarray             # (N, dc) packed hidden states
-    aspects: np.ndarray       # (B, da)
     segments: tuple           # `_segments` of the run
     S: np.ndarray             # (N, dc) tanh(H W_h^T)
-    V: np.ndarray             # (B, da) tanh(A W_v^T)
     weights: np.ndarray       # (N,) attention distribution of each sequence
     r: np.ndarray             # (B, dc) attention-weighted state averages
     repr: np.ndarray          # (B, dc)
 
 
-def attention_scores(H: np.ndarray, aspects: np.ndarray, p: AttentionParams,
-                     lengths: Optional[list[int]] = None):
-    """The (N,) scores w . tanh([W_h h_t | W_v A]) of packed (N, dc) states,
-    S and V; V's score share is added to each row of its sequence."""
-    dc, counts = p.hidden_dim, [len(H)] if lengths is None else lengths
-    S, V = tanh_v(H @ p.W_h.T), tanh_v(aspects @ p.W_v.T)
-    return S @ p.w[:dc] + np.repeat(V @ p.w[dc:], counts), S, V
-
-
-def attention_head(H: np.ndarray, aspects: np.ndarray, p: AttentionParams,
-                   lengths: Optional[list[int]] = None,
+def attention_head(H: np.ndarray, p: AttentionParams, lengths: Optional[list[int]] = None,
                    ) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-    """Attention over packed (N, dc) hidden states and (B, da) aspects: the
-    (B, dc) representations, the (N,) weights, a distribution over each
-    sequence's positions, and the backward cache."""
+    """Attention over packed (N, dc) hidden states: the (B, dc)
+    representations, the (N,) weights, a distribution over each sequence's
+    positions, and the backward cache."""
     if H.ndim != 2 or H.shape[1] != p.hidden_dim:
         raise ShapeError(f"hidden state shape {H.shape} != (N, {p.hidden_dim})")
     counts, starts, last = segments = _segments(len(H), lengths)
-    if aspects.shape != (len(counts), p.aspect_dim):
-        raise ShapeError(f"aspect shape {aspects.shape} != ({len(counts)}, {p.aspect_dim})")
-    scores, S, V = attention_scores(H, aspects, p, counts)
+    S = tanh_v(H @ p.W_h.T)
+    scores = S @ p.w
     # Each sequence's softmax, floored and renormalised like `softmax`.
     e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), counts))
     weights = np.maximum(e / np.repeat(np.add.reduceat(e, starts), counts), PROB_FLOOR)
     weights /= np.repeat(np.add.reduceat(weights, starts), counts)
     r = np.add.reduceat(weights[:, None] * H, starts)
     rep = tanh_v(r @ p.W_p.T + H[last] @ p.W_x.T)
-    return rep, weights, AttentionCache(H, aspects, segments, S, V, weights, r, rep)
+    return rep, weights, AttentionCache(H, segments, S, weights, r, rep)
 
 
 def attention_backward(p: AttentionParams, cache: AttentionCache, d_repr: np.ndarray,
-                       ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+                       ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Backprop (B, dc) representation gradients through the attention head:
-    (param grads summed over the sequences, (N, dc) hidden-state grads,
-    (B, da) aspect grads)."""
+    (param grads summed over the sequences, (N, dc) hidden-state grads)."""
     if d_repr.shape != cache.repr.shape:
         raise ValueError(f"upstream gradient shape {d_repr.shape} != {cache.repr.shape}")
-    H, weights, S, V, dc = cache.H, cache.weights, cache.S, cache.V, p.hidden_dim
+    H, weights, S = cache.H, cache.weights, cache.S
     counts, starts, last = cache.segments
     dz = d_repr * (1.0 - cache.repr ** 2)
     dr = np.repeat(dz @ p.W_p, counts, axis=0)
@@ -176,16 +153,12 @@ def attention_backward(p: AttentionParams, cache: AttentionCache, d_repr: np.nda
     d_alpha = np.einsum("nd,nd->n", H, dr)
     d_scores = weights * (d_alpha - np.repeat(np.add.reduceat(weights * d_alpha, starts),
                                               counts))
-    # The gradients on W_h h_t and, summed over each sequence, on W_v A.
-    dS = np.outer(d_scores, p.w[:dc]) * (1.0 - S ** 2)
-    d_sums = np.add.reduceat(d_scores, starts)
-    dV = np.outer(d_sums, p.w[dc:]) * (1.0 - V ** 2)
+    dS = np.outer(d_scores, p.w) * (1.0 - S ** 2)
     dH = weights[:, None] * dr + dS @ p.W_h
     dH[last] += dz @ p.W_x
-    grads = {"W_h": dS.T @ H, "W_v": dV.T @ cache.aspects,
-             "w": np.concatenate((d_scores @ S, d_sums @ V)),
+    grads = {"W_h": dS.T @ H, "w": d_scores @ S,
              "W_p": dz.T @ cache.r, "W_x": dz.T @ H[last]}
-    return grads, dH, dV @ p.W_v
+    return grads, dH
 
 
 @dataclass

@@ -4,13 +4,13 @@ The task is a switch: "atsa" aspect vectors are span means of token
 embeddings, "acsa" aspect vectors are rows of a trainable category table. The
 cell and head kinds are read from the parts a model holds: the cell is
 "aa" (aspect-aware) when it is an `AALstmParams` and "classic" otherwise, and
-the head is aspect-conditioned "attention" when the model has attention
-weights and the "last" hidden state otherwise. `assemble_model` is the one
-constructor: it picks the parts from the kinds by name, for `build_model`
-(fresh weights) and the checkpoint loader (empty storage it fills), and it
-owns the rules the names and dims must keep: known names, every dim at
-least 1, and a category table exactly for an acsa model that reads the
-aspect, so a model holds no array it does not read. The `SentimentModel`
+the head is "attention" when the model has attention weights and the "last"
+hidden state otherwise. Only the aa cell reads the aspect. `assemble_model`
+is the one constructor: it picks the parts from the kinds by name, for
+`build_model` (fresh weights) and the checkpoint loader (empty storage it
+fills), and it owns the rules the names and dims must keep: known names,
+every dim at least 1, and a category table exactly for an acsa model with
+the aa cell, so a model holds no array it does not read. The `SentimentModel`
 constructor only stores the parts. `SentimentModel.arrays()` is the one
 owner of the namespaced array names ("emb.words", "cell.W_i", "clf.b_s",
 ...), and `backward` names its gradients the same way: the checkpoint
@@ -151,14 +151,13 @@ class SentimentModel:
             rep_mask = np.stack(parts[1::2])
             X *= x_mask
         aspects = None
-        if reads_aspect(self.cell_kind, self.head_kind):
+        if self.cell_kind == "aa":
             aspects = np.array([build_aspect_vector(inst, self.embeddings,
                                                     self.aspect_embeddings) for inst in insts])
-        H, cell_cache = unroll(self.cell, X, aspect=aspects if self.cell_kind == "aa" else None,
-                               lengths=lengths)
+        H, cell_cache = unroll(self.cell, X, aspect=aspects, lengths=lengths)
         head_cache = None
         if self.attn is not None:
-            rep, _, head_cache = attention_head(H, aspects, self.attn, lengths)
+            rep, _, head_cache = attention_head(H, self.attn, lengths)
         else:
             rep = last_hidden_head(H, lengths)
         if rep_mask is not None:
@@ -179,12 +178,11 @@ class SentimentModel:
             d_rep *= cache.rep_mask
         attn_grads = d_aspects = None
         if self.attn is not None:
-            attn_grads, dH, d_aspects = attention_backward(self.attn, cache.head, d_rep)
+            attn_grads, dH = attention_backward(self.attn, cache.head, d_rep)
         else:
             dH = last_hidden_backward(d_rep, lengths)
         if self.cell_kind == "aa":
-            cell_grads, dX, d_cell = aa_lstm_backward(self.cell, cache.cell, dH)
-            d_aspects = d_cell if d_aspects is None else d_cell + d_aspects
+            cell_grads, dX, d_aspects = aa_lstm_backward(self.cell, cache.cell, dH)
         else:
             cell_grads, dX = classic_lstm_backward(self.cell, cache.cell, dH)
         grads = {k: np.zeros_like(v) for k, v in self.params().items() if k.startswith("emb.")}
@@ -212,20 +210,15 @@ class SentimentModel:
         return int(np.argmax(self.predict_probs(inst)))
 
 
-def reads_aspect(cell_kind: str, head_kind: str) -> bool:
-    """The aspect-aware cell and the attention head both read the aspect."""
-    return cell_kind == "aa" or head_kind == "attention"
-
-
-def has_category_table(task: str, cell_kind: str, head_kind: str) -> bool:
+def has_category_table(task: str, cell_kind: str) -> bool:
     """Whether the named model has a category table: exactly an acsa model
-    that reads the aspect."""
-    return task == "acsa" and reads_aspect(cell_kind, head_kind)
+    with the aa cell, the one part that reads the aspect."""
+    return task == "acsa" and cell_kind == "aa"
 
 
 def assemble_model(task: str, cell_kind: str, head_kind: str,
                    embeddings: EmbeddingTable, hidden_dim: int,
-                   categories: Optional[tuple[str, ...]], category_dim: Optional[int],
+                   categories: Optional[tuple[str, ...]],
                    make, train_embeddings: bool = True) -> SentimentModel:
     """The model the (task, cell, head) names describe, around `embeddings`.
 
@@ -233,35 +226,29 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
     checks the names and dims: every part is made from one set of dims, each
     at least 1, so the parts fit together and no array is empty.
     `make(cls, *dims)` makes each part: its `init` for a new model, its
-    `empty` for one a checkpoint fills. Only an acsa model that reads the
-    aspect gets a category table, of `categories` with vectors of
-    `category_dim`; other models ignore both. atsa aspect vectors have the
-    embedding dim.
+    `empty` for one a checkpoint fills. Only an acsa model with the aa
+    cell gets a category table, of `categories` with vectors of the hidden
+    dim, which the cell needs; other models ignore `categories`. atsa aspect
+    vectors have the embedding dim.
     """
     for kind, name, known in (("task", task, TASKS), ("cell", cell_kind, CELLS),
                               ("head", head_kind, HEADS)):
         if name not in known:
             raise ConfigError(f"{kind} must be one of {known}, got {name!r}")
-    with_table = has_category_table(task, cell_kind, head_kind)
+    with_table = has_category_table(task, cell_kind)
     if with_table and not categories:
-        raise ConfigError("acsa with an aspect-using model needs a category table "
+        raise ConfigError("acsa with an aspect-aware cell needs a category table "
                           "with at least one category")
     dx = embeddings.dim
-    aspect_dim = category_dim if task == "acsa" else dx
-    dims = {"embedding": dx, "hidden": hidden_dim}
-    if reads_aspect(cell_kind, head_kind):
-        dims["aspect"] = aspect_dim
-    if min(dims.values()) < 1:
-        raise ConfigError("dims must be >= 1, got "
-                          + ", ".join(f"{name} {dim}" for name, dim in dims.items()))
-    if cell_kind == "aa" and aspect_dim != hidden_dim:
-        source = "category" if task == "acsa" else "embedding"
+    if min(dx, hidden_dim) < 1:
+        raise ConfigError(f"dims must be >= 1, got embedding {dx}, hidden {hidden_dim}")
+    if cell_kind == "aa" and task == "atsa" and dx != hidden_dim:
         raise ConfigError(
-            f"aspect-aware cell needs aspect dim == hidden dim; {task} aspect vectors "
-            f"have the {source} dim {aspect_dim}, hidden is {hidden_dim}")
+            f"aspect-aware cell needs aspect dim == hidden dim; atsa aspect vectors "
+            f"have the embedding dim {dx}, hidden is {hidden_dim}")
     cell = make(AALstmParams if cell_kind == "aa" else ClassicLstmParams, dx, hidden_dim)
-    attn = make(AttentionParams, hidden_dim, aspect_dim) if head_kind == "attention" else None
-    aspect_embeddings = (make(AspectEmbeddingTable, categories, category_dim)
+    attn = make(AttentionParams, hidden_dim) if head_kind == "attention" else None
+    aspect_embeddings = (make(AspectEmbeddingTable, categories, hidden_dim)
                          if with_table else None)
     return SentimentModel(task, embeddings, cell, make(ClassifierParams, hidden_dim),
                           attn=attn, aspect_embeddings=aspect_embeddings,
@@ -275,14 +262,12 @@ def build_model(task: str, cell_kind: str, head_kind: str,
                 init_low: float = -0.1, init_high: float = 0.1) -> SentimentModel:
     """Construct a model with freshly initialized weights.
 
-    The aspect dimension is the embedding dimension for atsa (span means live
-    in embedding space) and the hidden dimension for acsa (the category
-    table, which `assemble_model` makes when the model reads the aspect).
-    The aspect-aware cell requires the aspect and hidden dimensions to
-    match, so aa + atsa additionally needs emb.dim == hidden; `assemble_model`
-    checks it.
+    Only the aspect-aware cell reads the aspect, and it needs the aspect and
+    hidden dimensions to match. acsa category vectors have the hidden
+    dimension; atsa span means live in embedding space, so aa + atsa needs
+    emb.dim == hidden, which `assemble_model` checks.
     """
     return assemble_model(
-        task, cell_kind, head_kind, embeddings, hidden_dim, categories, hidden_dim,
+        task, cell_kind, head_kind, embeddings, hidden_dim, categories,
         lambda cls, *dims: cls.init(*dims, lo=init_low, hi=init_high, seed=seed),
         train_embeddings)

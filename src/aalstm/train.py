@@ -18,7 +18,7 @@ from .heads import PROB_FLOOR
 from .metrics import EvalReport
 from .tensor import make_rng
 
-_FD_EPS = 1e-5
+_FD_EPS = 1e-4
 _FD_FLOOR = 1e-8
 # A gradient check passes when its worst relative error is below this.
 GRADCHECK_THRESHOLD = 1e-4
@@ -197,15 +197,18 @@ class GradCheckReport:
 def grad_check(loss_fn: Callable[[], float], params: dict[str, np.ndarray],
                analytic: dict[str, np.ndarray],
                floor: float = _FD_FLOOR) -> GradCheckReport:
-    """Central-difference check of `analytic` against `loss_fn`.
+    """Finite-difference check of `analytic` against `loss_fn`.
 
-    Perturbs every entry of every array in `params` in place, by
-    eps = `_FD_EPS` each way. Coordinates where both sides are at or below
-    `floor` are skipped: the quotient (L(t+eps)-L(t-eps))/2eps carries about
-    1e-11 of roundoff when the loss is O(1) in double precision, so relative
-    agreement is unmeasurable for near-zero coordinates. Callers certifying
-    a relative tolerance should set `floor` well above roundoff/tolerance
-    (e.g. 1e-6 for 1e-4).
+    Perturbs every entry of every array in `params` in place, by h and 2h
+    each way, h = `_FD_EPS`, and takes the fourth-order stencil
+    (8(L(+h)-L(-h)) - (L(+2h)-L(-2h))) / 12h. Its truncation error is
+    O(h^4), so h can be ten times the central difference's 1e-5, and its
+    roundoff, which scales as 1/h, is a few 1e-12 when the loss is O(1) in
+    double precision, against the central difference's 1e-11. Coordinates
+    where both sides are at or below `floor` are skipped: relative agreement
+    is unmeasurable for near-zero coordinates. Callers certifying a relative
+    tolerance should set `floor` well above roundoff/tolerance (e.g. 1e-6
+    for 1e-4).
     """
     worst = 0.0
     worst_name, worst_index = "", ()
@@ -219,12 +222,14 @@ def grad_check(loss_fn: Callable[[], float], params: dict[str, np.ndarray],
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
-            arr[idx] = orig + _FD_EPS
-            up = loss_fn()
-            arr[idx] = orig - _FD_EPS
-            down = loss_fn()
+            diffs = []
+            for step in (_FD_EPS, 2.0 * _FD_EPS):
+                arr[idx] = orig + step
+                up = loss_fn()
+                arr[idx] = orig - step
+                diffs.append(up - loss_fn())
             arr[idx] = orig
-            numeric = (up - down) / (2.0 * _FD_EPS)
+            numeric = (8.0 * diffs[0] - diffs[1]) / (12.0 * _FD_EPS)
             if max(abs(numeric), abs(grad[idx])) <= floor:
                 continue
             rel = abs(grad[idx] - numeric) / max(abs(grad[idx]), abs(numeric))

@@ -281,28 +281,27 @@ def per_gate_aa_backward(p, caches, dh_list):
     return grads, dxs, d_aspect
 
 
-def loop_attention_head(hs, aspect, p):
+def loop_attention_head(hs, p):
     """Per-step attention forward over a list of hidden states:
     (representation, weights, cache for loop_attention_backward)."""
     from aalstm.heads import softmax
     from aalstm.tensor import tanh_v
-    va = p.W_v @ aspect
-    u = [tanh_v(np.concatenate([p.W_h @ h, va])) for h in hs]
+    u = [tanh_v(p.W_h @ h) for h in hs]
     scores = np.array([p.w @ ut for ut in u])
     weights = softmax(scores)
     r = np.zeros(p.hidden_dim)
     for alpha, h in zip(weights, hs):
         r = r + alpha * h
     rep = tanh_v(p.W_p @ r + p.W_x @ hs[-1])
-    cache = SimpleNamespace(hs=hs, aspect=aspect, u=u, weights=weights, r=r, repr=rep)
+    cache = SimpleNamespace(hs=hs, u=u, weights=weights, r=r, repr=rep)
     return rep, weights, cache
 
 
 def loop_attention_backward(p, cache, d_repr):
     """Per-step attention backward: (param grads, one gradient per hidden
-    state, aspect gradient)."""
+    state)."""
     hs, weights, u = cache.hs, cache.weights, cache.u
-    dc, da = p.hidden_dim, p.aspect_dim
+    dc = p.hidden_dim
     grads = {name: np.zeros_like(arr) for name, arr in p.to_arrays().items()}
     dhs = [np.zeros(dc) for _ in hs]
 
@@ -320,17 +319,12 @@ def loop_attention_backward(p, cache, d_repr):
     # softmax over scores
     d_scores = weights * (d_alpha - float(weights @ d_alpha))
 
-    d_aspect = np.zeros(da)
-    dva = np.zeros(da)
     for t, (ds, ut) in enumerate(zip(d_scores, u)):
         grads["w"] += ds * ut
         dg = (ds * p.w) * (1.0 - ut ** 2)
-        grads["W_h"] += np.outer(dg[:dc], hs[t])
-        dhs[t] += p.W_h.T @ dg[:dc]
-        grads["W_v"] += np.outer(dg[dc:], cache.aspect)
-        dva += dg[dc:]
-    d_aspect += p.W_v.T @ dva
-    return grads, dhs, d_aspect
+        grads["W_h"] += np.outer(dg, hs[t])
+        dhs[t] += p.W_h.T @ dg
+    return grads, dhs
 
 
 def loop_classify(rep, p):

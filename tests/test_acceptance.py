@@ -62,11 +62,11 @@ def random_aa_params(dx, dc, lo, hi, seed, rng):
 
 
 def test_criterion_1_bptt_matches_finite_differences():
-    """Every cell/head pipeline gradient within 1e-4 of central differences.
+    """Every cell/head pipeline gradient within 1e-4 of finite differences.
 
     dx=4, dc=da=6, T=5, 20 seeds per combination. The floor skips
     coordinates whose gradient is at most 1e-6 on both sides: the
-    difference quotient carries roughly 1e-11 of roundoff for an O(1)
+    difference quotient carries a few 1e-12 of roundoff for an O(1)
     loss, so relative error is unmeasurable below that scale (a wrong
     formula cannot hide there; it would have to match the true gradient
     to within 1e-6 on every such coordinate anyway).

@@ -114,18 +114,18 @@ _CLASSIC_CELL_KEYS = [f"cell.{g}" for g in (
 @pytest.mark.parametrize("args,train_embeddings,keys", [
     (("acsa", "aa", "attention"), True,
      ["__meta__", "emb.words", "emb.aspects"] + _AA_CELL_KEYS
-     + ["attn.W_h", "attn.W_v", "attn.w", "attn.W_p", "attn.W_x", "clf.W_s", "clf.b_s"]),
+     + ["attn.W_h", "attn.w", "attn.W_p", "attn.W_x", "clf.W_s", "clf.b_s"]),
     (("atsa", "classic", "last"), False,
      ["__meta__", "emb.words"] + _CLASSIC_CELL_KEYS + ["clf.W_s", "clf.b_s"]),
 ])
 def test_archive_key_set_is_pinned(tmp_path, args, train_embeddings, keys):
-    # Format version 1 fixes these names and their order; frozen tables are
+    # Format version 2 fixes these names and their order; frozen tables are
     # stored too. The cell's order comes from its name tuple, not its storage.
     path = tmp_path / "ckpt.npz"
     save_checkpoint(make(*args, train_embeddings=train_embeddings), path)
     with np.load(path, allow_pickle=False) as archive:
         assert archive.files == keys
-        assert json.loads(str(archive["__meta__"][()]))["version"] == 1
+        assert json.loads(str(archive["__meta__"][()]))["version"] == 2
 
 
 def test_loaded_params_are_live_views(tmp_path):
@@ -197,11 +197,13 @@ def test_archive_without_meta(tmp_path):
         load_checkpoint(path)
 
 
-def test_unsupported_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_unsupported_version(tmp_path, version):
+    # Version 1 held the attention head's aspect weights; it is not converted.
     model = make("atsa", "classic", "last")
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(model, src)
-    rewrite_npz(src, dst, lambda e: edit_meta(e, version=99))
+    rewrite_npz(src, dst, lambda e: edit_meta(e, version=version))
     with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
         load_checkpoint(dst)
 
@@ -259,7 +261,7 @@ _ASPECT_GATE_KEYS = [key for key in _AA_CELL_KEYS if key not in _CLASSIC_CELL_KE
     pytest.param(("atsa", "aa", "attention"), {"cell": "classic"}, _ASPECT_GATE_KEYS,
                  id="cell-classic"),
     pytest.param(("atsa", "aa", "attention"), {"head": "last"},
-                 ["attn.W_h", "attn.W_v", "attn.w", "attn.W_p", "attn.W_x"], id="head-last"),
+                 ["attn.W_h", "attn.w", "attn.W_p", "attn.W_x"], id="head-last"),
     # acsa classic+last does not read the aspect, so it holds no category table.
     pytest.param(("acsa", "aa", "last"), {"cell": "classic"},
                  ["emb.aspects"] + _ASPECT_GATE_KEYS, id="acsa-cell-classic"),
@@ -299,7 +301,7 @@ def test_categories_for_a_model_without_a_table_are_rejected(tmp_path):
         f"declares: categories ['food'], but it has no category table")
 
 
-@pytest.mark.parametrize("cell_kind,head_kind", [("classic", "attention"), ("aa", "last")])
+@pytest.mark.parametrize("cell_kind,head_kind", [("aa", "last")])
 def test_acsa_aspect_model_without_categories_is_rejected(tmp_path, cell_kind, head_kind):
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(make("acsa", cell_kind, head_kind), src)
@@ -381,15 +383,15 @@ def test_round_trip_property(tmp_path_factory, task, cell_kind, head_kind, dim, 
     assert_round_trip(model, tmp_path_factory.mktemp("ckpt") / "ckpt.npz", inst)
 
 
-@pytest.mark.parametrize("head_kind,category_dim", [("attention", 7), ("last", 2)])
-def test_round_trip_of_shapes_build_model_does_not_make(tmp_path, head_kind, category_dim):
-    # acsa classic+attention with a category dim other than the hidden dim,
-    # and acsa classic+last, which reads no aspect, so `assemble_model` gives
-    # it no category table whatever categories it is passed: the loader must
-    # take every dim from the archive.
+@pytest.mark.parametrize("head_kind", ["attention", "last"])
+def test_round_trip_of_shapes_build_model_does_not_make(tmp_path, head_kind):
+    # acsa classic models with a hidden dim other than the embedding dim read
+    # no aspect, so `assemble_model` gives them no category table whatever
+    # categories it is passed: the loader must take every dim from the
+    # archive.
     model = assemble_model("acsa", "classic", head_kind, tiny_embeddings(), 3,
-                           ("food", "price"), category_dim,
+                           ("food", "price"),
                            lambda cls, *dims: cls.init(*dims, seed=4), train_embeddings=False)
-    assert (model.aspect_embeddings is None) == (head_kind == "last")
+    assert model.aspect_embeddings is None
     assert_round_trip(model, tmp_path / "ckpt.npz",
                       LabeledInstance(("the", "soup", "is", "bad"), CategoryId(1), "negative"))

@@ -68,7 +68,6 @@ def test_gradcheck_unknown_corrupt_name(capsys):
     ("classic", "attention", "emb.words"),
     ("aa", "last", "emb.words"),
     ("aa", "attention", "emb.words"),
-    ("classic", "attention", "emb.aspects"),
     ("aa", "last", "emb.aspects"),
     ("aa", "attention", "emb.aspects"),
 ])

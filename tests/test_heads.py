@@ -1,5 +1,6 @@
 """Head and classifier checks, including a scalar attention oracle."""
 
+import inspect
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from aalstm.heads import (
     ClassifierParams,
     attention_backward,
     attention_head,
-    attention_scores,
     classifier_backward,
     classify_with_cache,
     last_hidden_backward,
@@ -27,8 +27,8 @@ from helpers import (fd_grad_of_array, filled, loop_attention_backward, loop_att
                      loop_classifier_backward, loop_classify, worst_rel_err)
 
 
-def random_attention_params(rng, dc, da):
-    p = AttentionParams.empty(dc, da)
+def random_attention_params(rng, dc):
+    p = AttentionParams.empty(dc)
     return filled(p, {k: rng.normal(scale=0.5, size=v.shape) for k, v in p.to_arrays().items()})
 
 
@@ -60,38 +60,34 @@ class TestLastHidden:
 class TestAttention:
     def test_singleton_sequence(self):
         rng = tensor.make_rng(30)
-        p = random_attention_params(rng, dc=3, da=3)
+        p = random_attention_params(rng, dc=3)
         h = rng.normal(size=3)
-        aspect = rng.normal(size=3)
-        rep, weights, cache = attention_head(h[None], aspect[None], p)
+        rep, weights, cache = attention_head(h[None], p)
         assert weights.shape == (1,)
         assert weights[0] == 1.0
         np.testing.assert_array_equal(cache.r, h[None])
 
     def test_zero_score_vector_gives_uniform_weights(self):
         rng = tensor.make_rng(31)
-        p = random_attention_params(rng, dc=3, da=3)
+        p = random_attention_params(rng, dc=3)
         p.w[:] = 0.0
         hs = rng.normal(size=(5, 3))
-        _, weights, _ = attention_head(hs, rng.normal(size=(1, 3)), p)
+        _, weights, _ = attention_head(hs, p)
         np.testing.assert_allclose(weights, 0.2, rtol=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = tensor.make_rng(32)
-        p = random_attention_params(rng, dc=2, da=2)
+        p = random_attention_params(rng, dc=2)
         hs = rng.normal(size=(3, 2))
-        aspect = rng.normal(size=2)
-        rep, weights, _ = attention_head(hs, aspect[None], p)
+        rep, weights, _ = attention_head(hs, p)
 
         # Hand-rolled scalar computation.
         def mv(m, v):
             return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
 
-        va = mv(p.W_v.tolist(), aspect.tolist())
         scores = []
         for h in hs:
-            g = mv(p.W_h.tolist(), h.tolist()) + va
-            u = [math.tanh(x) for x in g]
+            u = [math.tanh(x) for x in mv(p.W_h.tolist(), h.tolist())]
             scores.append(sum(wi * ui for wi, ui in zip(p.w.tolist(), u)))
         m = max(scores)
         es = [math.exp(s - m) for s in scores]
@@ -107,114 +103,106 @@ class TestAttention:
         rng = tensor.make_rng(33)
         for _ in range(50):
             t = int(rng.integers(1, 9))
-            p = random_attention_params(rng, dc=4, da=4)
+            p = random_attention_params(rng, dc=4)
             hs = rng.normal(size=(t, 4))
-            _, weights, _ = attention_head(hs, rng.normal(size=(1, 4)), p)
+            _, weights, _ = attention_head(hs, p)
             assert np.all((weights > 0.0) & (weights < 1.0)) or t == 1
             assert abs(weights.sum() - 1.0) < 1e-12
 
     def test_scores_permute_with_states(self):
         rng = tensor.make_rng(34)
-        p = random_attention_params(rng, dc=3, da=3)
+        p = random_attention_params(rng, dc=3)
         hs = rng.normal(size=(5, 3))
-        aspect = rng.normal(size=(1, 3))
-        scores, _, _ = attention_scores(hs, aspect, p)
+        _, weights, cache = attention_head(hs, p)
         perm = [3, 0, 4, 1, 2]
-        permuted_scores, _, _ = attention_scores(hs[perm], aspect, p)
-        np.testing.assert_array_equal(permuted_scores, scores[perm])
+        _, permuted_weights, permuted = attention_head(hs[perm], p)
+        np.testing.assert_array_equal(permuted.S, cache.S[perm])
+        np.testing.assert_allclose(permuted_weights, weights[perm], atol=1e-15, rtol=0)
 
     def test_backward_matches_finite_differences(self):
         rng = tensor.make_rng(35)
-        p = random_attention_params(rng, dc=3, da=3)
+        p = random_attention_params(rng, dc=3)
         hs = rng.normal(size=(4, 3))
-        aspect = rng.normal(size=(1, 3))
         d_repr = rng.normal(size=(1, 3))
 
         def loss():
-            rep, _, _ = attention_head(hs, aspect, p)
+            rep, _, _ = attention_head(hs, p)
             return float(np.sum(d_repr * rep))
 
-        _, _, cache = attention_head(hs, aspect, p)
-        grads, dhs, d_aspect = attention_backward(p, cache, d_repr)
+        _, _, cache = attention_head(hs, p)
+        grads, dhs = attention_backward(p, cache, d_repr)
         for name, arr in p.to_arrays().items():
             numeric = fd_grad_of_array(loss, arr)
             assert worst_rel_err(grads[name], numeric) < 1e-4, name
         for t, h in enumerate(hs):
             numeric = fd_grad_of_array(loss, h)
             assert worst_rel_err(dhs[t], numeric) < 1e-4, f"h[{t}]"
-        numeric = fd_grad_of_array(loss, aspect)
-        assert worst_rel_err(d_aspect, numeric) < 1e-4
 
     def test_zero_upstream_gives_zero_gradients(self):
         rng = tensor.make_rng(36)
-        p = random_attention_params(rng, dc=3, da=3)
+        p = random_attention_params(rng, dc=3)
         hs = rng.normal(size=(3, 3))
-        _, _, cache = attention_head(hs, rng.normal(size=(1, 3)), p)
-        grads, dhs, d_aspect = attention_backward(p, cache, np.zeros((1, 3)))
+        _, _, cache = attention_head(hs, p)
+        grads, dhs = attention_backward(p, cache, np.zeros((1, 3)))
         for g in grads.values():
             assert np.all(g == 0.0)
         for g in dhs:
             assert np.all(g == 0.0)
-        assert np.all(d_aspect == 0.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(n_steps=st.integers(1, 12), dc=st.integers(1, 9), da=st.integers(1, 9),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_array_form_matches_loop_oracle(n_steps, dc, da, seed):
+@given(n_steps=st.integers(1, 12), dc=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_array_form_matches_loop_oracle(n_steps, dc, seed):
     rng = tensor.make_rng(seed)
-    p = random_attention_params(rng, dc=dc, da=da)
+    p = random_attention_params(rng, dc=dc)
     H = rng.normal(size=(n_steps, dc))
-    aspect = rng.normal(size=da)
     d_repr = rng.normal(size=dc)
 
-    rep, weights, cache = attention_head(H, aspect[None], p)
-    want_rep, want_weights, want = loop_attention_head(list(H), aspect, p)
+    rep, weights, cache = attention_head(H, p)
+    want_rep, want_weights, want = loop_attention_head(list(H), p)
 
     def close(got, expected):
         np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
 
     close(rep, [want_rep])
     close(weights, want_weights)
-    close(np.hstack((cache.S, np.repeat(cache.V, n_steps, axis=0))), want.u)
+    close(cache.S, want.u)
     close(cache.r, [want.r])
-    grads, dH, d_aspect = attention_backward(p, cache, d_repr[None])
-    want_grads, want_dhs, want_d_aspect = loop_attention_backward(p, want, d_repr)
+    grads, dH = attention_backward(p, cache, d_repr[None])
+    want_grads, want_dhs = loop_attention_backward(p, want, d_repr)
     assert list(grads) == list(want_grads)
     for name, g in grads.items():
         close(g, want_grads[name])
     assert dH.shape == (n_steps, dc)
     close(dH, want_dhs)
-    close(d_aspect, [want_d_aspect])
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
-       dc=st.integers(1, 6), da=st.integers(1, 6), attention=st.booleans(),
+       dc=st.integers(1, 6), attention=st.booleans(),
        rate=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2 ** 32 - 1))
-def test_batched_heads_match_loop_oracles(lengths, dc, da, attention, rate, seed):
+def test_batched_heads_match_loop_oracles(lengths, dc, attention, rate, seed):
     # One pass of a head, the representation dropout and the classifier over
     # a run of packed sequences, forward and backward, matches the
     # per-instance oracles run on each sequence alone; the parameter
     # gradients match the oracles' summed over the sequences.
     rng = tensor.make_rng(seed)
-    p = random_attention_params(rng, dc=dc, da=da)
+    p = random_attention_params(rng, dc=dc)
     clf = filled(ClassifierParams.empty(dc), {"W_s": rng.normal(size=(3, dc)),
                                               "b_s": rng.normal(size=3)})
     H = rng.normal(size=(sum(lengths), dc))
-    aspects = rng.normal(size=(len(lengths), da))
     d_logits = rng.normal(size=(len(lengths), 3))
     mask = dropout_mask((len(lengths), dc), rate, rng)
     mask = np.ones((len(lengths), dc)) if mask is None else mask
 
     if attention:
-        rep, weights, cache = attention_head(H, aspects, p, lengths)
+        rep, weights, cache = attention_head(H, p, lengths)
     else:
         rep = last_hidden_head(H, lengths)
     probs, clf_cache = classify_with_cache(rep * mask, clf)
     clf_grads, d_rep = classifier_backward(clf, clf_cache, d_logits)
     if attention:
-        grads, dH, d_aspects = attention_backward(p, cache, d_rep * mask)
+        grads, dH = attention_backward(p, cache, d_rep * mask)
     else:
         grads, dH = {}, last_hidden_backward(d_rep * mask, lengths)
 
@@ -229,7 +217,7 @@ def test_batched_heads_match_loop_oracles(lengths, dc, da, attention, rate, seed
         start += n
         want_rep = H[rows][-1]
         if attention:
-            want_rep, want_weights, want = loop_attention_head(list(H[rows]), aspects[b], p)
+            want_rep, want_weights, want = loop_attention_head(list(H[rows]), p)
             close(weights[rows], want_weights)
         close(rep[b], want_rep)
         close(probs[b], loop_classify(want_rep * mask[b], clf))
@@ -239,10 +227,8 @@ def test_batched_heads_match_loop_oracles(lengths, dc, da, attention, rate, seed
         want_dH = np.zeros((n, dc))
         want_dH[-1] = want_d_rep * mask[b]
         if attention:
-            want_grads, want_dhs, want_d_aspect = loop_attention_backward(
-                p, want, want_d_rep * mask[b])
+            want_grads, want_dhs = loop_attention_backward(p, want, want_d_rep * mask[b])
             want_dH = np.array(want_dhs)
-            close(d_aspects[b], want_d_aspect)
             for k, g in want_grads.items():
                 summed[k] += g
         close(dH[rows], want_dH)
@@ -252,26 +238,14 @@ def test_batched_heads_match_loop_oracles(lengths, dc, da, attention, rate, seed
         close(g, summed[k])
 
 
-def test_head_output_does_not_depend_on_the_aspect():
-    # The aspect's share of each score is one constant per sequence, which
-    # the softmax cancels: the weights and representations for two aspects
-    # agree to rounding, and the aspect's gradients are rounding noise.
-    rng = tensor.make_rng(40)
-    dc = da = 6
-    p = random_attention_params(rng, dc=dc, da=da)
-    lengths = [7, 3, 12]
-    H = rng.normal(size=(sum(lengths), dc))
-    d_repr = rng.normal(size=(len(lengths), dc))
-    runs = [attention_head(H, rng.normal(size=(len(lengths), da)), p, lengths)
-            for _ in range(2)]
-    (rep, weights, _), (rep2, weights2, _) = runs
-    np.testing.assert_allclose(weights2, weights, atol=1e-14, rtol=0)
-    np.testing.assert_allclose(rep2, rep, atol=1e-14, rtol=0)
-    for _, _, cache in runs:
-        grads, _, d_aspects = attention_backward(p, cache, d_repr)
-        for g in (grads["W_v"], grads["w"][dc:], d_aspects):
-            assert np.abs(g).max() < 1e-14
-        assert np.abs(grads["w"][:dc]).max() > 1e-3
+def test_attention_head_takes_no_aspect():
+    # AT-LSTM's aspect term is the same at every position of a sequence, so
+    # the softmax cancels it: the head has no aspect input and no aspect
+    # weights, and the aspect reaches it only through the hidden states.
+    assert list(inspect.signature(attention_head).parameters) == ["H", "p", "lengths"]
+    p = AttentionParams.empty(3)
+    assert list(p.to_arrays()) == ["W_h", "w", "W_p", "W_x"]
+    assert p.w.shape == (3,)
 
 
 class TestClassifier:

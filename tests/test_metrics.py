@@ -60,6 +60,20 @@ def test_zero_support_class_contributes_zero():
     assert macro_f1(preds, golds) == pytest.approx(2 / 3)
 
 
+def test_zero_denominators_hand_example():
+    # golds [0,0,1,1], preds [0,2,0,2]: class 1 is gold but never predicted,
+    # class 2 is predicted but never gold.
+    #   class 0: tp=1 predicted=2 gold=2 -> p=0.5  r=0.5  f1=0.5
+    #   class 1: tp=0 predicted=0 gold=2 -> p=0/0 := 0, r=0, f1=0
+    #   class 2: tp=0 predicted=2 gold=0 -> p=0, r=0/0 := 0, f1=0
+    # This is scikit-learn's zero_division=0.
+    golds = [0, 0, 1, 1]
+    preds = [0, 2, 0, 2]
+    assert per_class_prf(preds, golds) == [(0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
+    assert macro_f1(preds, golds) == pytest.approx(0.5 / 3)
+    assert accuracy(preds, golds) == 0.25
+
+
 def test_confusion_matrix_hand_example():
     m = confusion_matrix([0, 1, 2, 0], [0, 1, 1, 0])
     expected = np.array([[2, 0, 0], [0, 1, 1], [0, 0, 0]])

@@ -1,6 +1,6 @@
 """End-to-end model tests: construction, parameter plumbing, and full-pipeline
 gradient checks (classifier loss back to every trainable array, embeddings
-included) against central differences."""
+included) against finite differences."""
 
 import numpy as np
 import pytest
@@ -44,6 +44,16 @@ def two_token_instance():
 
 def acsa_instance():
     return LabeledInstance(("the", "salad", "is", "bad"), CategoryId(2), "negative")
+
+
+def three_instance_run(task):
+    """Lengths 4, 5 and 2, so the run sorts them longest first, which
+    permutes them; the acsa run puts two of them on one category row."""
+    if task == "atsa":
+        return [atsa_instance(), atsa_multi_span_instance(), two_token_instance()]
+    return [acsa_instance(),
+            LabeledInstance(("soup", "is", "good", "the", "."), CategoryId(0), "positive"),
+            LabeledInstance(("salad", "."), CategoryId(2), "neutral")]
 
 
 def make(task, cell_kind, head_kind, seed=61, train_embeddings=True):
@@ -181,6 +191,17 @@ def test_dropout_masks_are_the_multipliers():
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
 
 
+@pytest.mark.parametrize("task", ["atsa", "acsa"])
+@pytest.mark.parametrize("cell_kind,head_kind", ALL_COMBOS)
+def test_every_trainable_array_gets_a_gradient(task, cell_kind, head_kind):
+    # An array that no loss depends on, such as an aspect term the softmax
+    # cancels, gets gradients of rounding size: the model holds none.
+    m = make(task, cell_kind, head_kind)
+    grads = m.backward(m.forward(three_instance_run(task)))
+    for name, g in grads.items():
+        assert np.abs(g).max() > 1e-8, f"{name}: {np.abs(g).max():.2e}"
+
+
 @pytest.mark.parametrize("cell_kind", ["classic", "aa"])
 def test_one_cell_backward_per_run(monkeypatch, cell_kind):
     # The cell runs backward once over the whole run, not once per instance.
@@ -305,10 +326,8 @@ def _pipeline_grad_report(task, cell_kind, head_kind, insts, seed,
 
 @pytest.mark.parametrize("cell_kind,head_kind", ALL_COMBOS)
 def test_full_pipeline_gradients_atsa(cell_kind, head_kind):
-    # Three instances of lengths 4, 5 and 2: the run sorts them longest
-    # first, which permutes them.
-    insts = [atsa_instance(), atsa_multi_span_instance(), two_token_instance()]
-    report = _pipeline_grad_report("atsa", cell_kind, head_kind, insts, seed=64)
+    report = _pipeline_grad_report("atsa", cell_kind, head_kind, three_instance_run("atsa"),
+                                   seed=64)
     assert report.n_checked > 100
     assert report.worst_rel_err < 1e-4, (
         f"worst {report.worst_rel_err:.2e} at {report.worst_name}{report.worst_index}")
@@ -316,11 +335,8 @@ def test_full_pipeline_gradients_atsa(cell_kind, head_kind):
 
 @pytest.mark.parametrize("cell_kind,head_kind", ALL_COMBOS)
 def test_full_pipeline_gradients_acsa(cell_kind, head_kind):
-    # Lengths 4, 5 and 2, and two instances share a category row.
-    insts = [acsa_instance(),
-             LabeledInstance(("soup", "is", "good", "the", "."), CategoryId(0), "positive"),
-             LabeledInstance(("salad", "."), CategoryId(2), "neutral")]
-    report = _pipeline_grad_report("acsa", cell_kind, head_kind, insts, seed=65)
+    report = _pipeline_grad_report("acsa", cell_kind, head_kind, three_instance_run("acsa"),
+                                   seed=65)
     assert report.worst_rel_err < 1e-4, (
         f"worst {report.worst_rel_err:.2e} at {report.worst_name}{report.worst_index}")
 
