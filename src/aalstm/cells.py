@@ -108,7 +108,8 @@ class CellCache:
     recurrent block, which the backward pass reuses: a copy, valid because
     training consumes each run's cache before the optimizer updates the
     weights in place. The backward pass writes over ``Z`` and drops it and
-    ``W_rec``, so a cache serves one backward pass.
+    ``W_rec``, so a cache serves one backward pass. ``packed`` is the step
+    and the batch row of each input row, for B > 1 (None for one sequence).
     """
 
     X: np.ndarray
@@ -120,6 +121,7 @@ class CellCache:
     tanh_c: np.ndarray
     aspects: Optional[np.ndarray]
     W_rec: Optional[np.ndarray]
+    packed: Optional[tuple[np.ndarray, np.ndarray]]
 
     @property
     def ifo(self) -> np.ndarray:
@@ -237,8 +239,9 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
     proj = Z.reshape(n_steps, -1)[:, :4 * dc] if n_seq == 1 else np.empty((len(X), 4 * dc))
     np.matmul(X, W_core[:, :dx].T, out=proj)
     proj += p.b_core
+    packed = None
     if n_seq > 1:
-        steps, rows = _packed(lengths, order)
+        packed = steps, rows = _packed(lengths, order)
         Z[steps, :4, rows] = proj.reshape(-1, 4, dc)
         if aware:
             aspects = aspects[order]
@@ -278,7 +281,7 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
         c += g[0] * cand
         tc = tanh_v(c, out=tanh_c[t, :n])
         np.multiply(g[2], tc, out=H[t + 1, :n])
-    return CellCache(X, lengths, order, H, C, Z, tanh_c, aspects, W_rec)
+    return CellCache(X, lengths, order, H, C, Z, tanh_c, aspects, W_rec, packed)
 
 
 def classic_lstm_step(p: ClassicLstmParams, x: np.ndarray,
@@ -328,7 +331,7 @@ def unroll(params, xs: np.ndarray, aspect: Optional[np.ndarray] = None,
     cache = _run(params, X, lengths, aspect, state)
     if len(lengths) == 1:
         return cache.H[1:, 0], cache
-    steps, rows = _packed(cache.lengths, cache.order)
+    steps, rows = cache.packed
     return cache.H[steps + 1, rows], cache
 
 
@@ -395,7 +398,7 @@ def _bptt(p, cache: CellCache, dH: np.ndarray):
         np.matmul(z.transpose(1, 0, 2).reshape(n, -1), cache.W_rec, out=dh_rec[:n])
     # Each real row's gate gradients, in input order. Dropping Z, its views
     # and the stacked block frees them before the weight-gradient matmuls.
-    steps, rows = _packed(cache.lengths, cache.order)
+    steps, rows = cache.packed or _packed(cache.lengths, cache.order)
     dZ, H_prev = Z[steps, :, rows].reshape(len(steps), -1), cache.H[steps, rows]
     cache.Z = cache.W_rec = Z = z = ifo = cand = a = None
     grads = {"W_core": dZ[:, :4 * dc].T @ np.hstack((cache.X, H_prev)),

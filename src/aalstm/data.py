@@ -193,9 +193,6 @@ class EmbeddingTable:
     def index(self, token: str) -> int:
         return self.vocab.get(token, self.vocab[UNK_TOKEN])
 
-    def vector(self, token: str) -> np.ndarray:
-        return self.matrix[self.index(token)]
-
 
 @dataclass
 class AspectEmbeddingTable:
@@ -212,10 +209,6 @@ class AspectEmbeddingTable:
     def init(cls, categories: tuple[str, ...], dim: int,
              lo: float = -0.1, hi: float = 0.1, seed=0) -> "AspectEmbeddingTable":
         return cls(tuple(categories), uniform_init(len(categories), dim, lo, hi, seed=[seed, 40]))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
 
 
 def build_vocab(instances: Iterable[LabeledInstance]) -> dict[str, int]:
@@ -301,26 +294,35 @@ def random_embeddings(vocab: dict[str, int], dim: int, seed=0) -> EmbeddingTable
     return EmbeddingTable(vocab=dict(vocab), matrix=matrix, oov_tokens=frozenset(vocab))
 
 
-def build_aspect_vector(instance: LabeledInstance, embeddings: EmbeddingTable,
-                        aspect_embeddings: Optional[AspectEmbeddingTable] = None) -> np.ndarray:
-    """The aspect vector A for one instance.
+def build_aspect_vector(instances: list[LabeledInstance], embeddings: EmbeddingTable,
+                        aspect_embeddings: Optional[AspectEmbeddingTable] = None,
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A run's (B, d) aspect vectors, each the mean of its source rows in one
+    table, with those rows, one aspect after another, and each one's count.
 
-    Term spans average the span tokens' embedding rows; categories return the
-    category's trainable vector (a view into the table, so optimizer updates
-    to the table are what train it).
+    Term spans, the only aspects without `aspect_embeddings`, read their
+    tokens' word-table rows; categories, the only ones with it, their row.
+    The rows are summed in order, as `np.mean` over them does when d > 1.
     """
-    aspect = instance.aspect
-    if isinstance(aspect, TermSpan):
-        rows = [embeddings.vector(instance.tokens[i])
-                for i in range(aspect.start, aspect.end + 1)]
-        if not rows:
-            raise ValueError(f"empty term span {aspect}")
-        return np.mean(rows, axis=0)
-    if aspect_embeddings is None:
-        raise ValueError("category aspect requires an aspect embedding table")
-    if aspect.index >= len(aspect_embeddings.categories):
-        raise ValueError(f"category index {aspect.index} out of range")
-    return aspect_embeddings.matrix[aspect.index]
+    kind = TermSpan if aspect_embeddings is None else CategoryId
+    rows = []
+    for inst in instances:
+        a = inst.aspect
+        if not isinstance(a, kind):
+            raise ValueError(f"{a} {'without' if kind is TermSpan else 'with'} "
+                             f"an aspect embedding table")
+        if kind is CategoryId and a.index >= len(aspect_embeddings.categories):
+            raise ValueError(f"category index {a.index} out of range")
+        rows.append([a.index] if kind is CategoryId else
+                    [embeddings.index(t) for t in inst.tokens[a.start:a.end + 1]])
+    table = (embeddings if kind is TermSpan else aspect_embeddings).matrix
+    vectors = table[[r[0] for r in rows]]
+    for k in range(1, max(map(len, rows))):
+        more = [b for b, r in enumerate(rows) if len(r) > k]
+        vectors[more] += table[[rows[b][k] for b in more]]
+    counts = np.array([len(r) for r in rows])
+    vectors /= counts[:, None]
+    return vectors, np.array([i for r in rows for i in r]), counts
 
 
 def dev_split(instances: list[LabeledInstance], fraction: float,
@@ -378,10 +380,11 @@ def load_instances(path) -> list[LabeledInstance]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        tokens, aspect, polarity = parts
+        tokens, aspect, polarity = parts[0].split(" "), parts[1], parts[2]
         try:
-            out.append(LabeledInstance(tuple(tokens.split(" ")),
-                                       _aspect_from_str(aspect), polarity))
+            if "" in tokens:
+                raise ValueError(f"empty token in {parts[0]!r}")
+            out.append(LabeledInstance(tuple(tokens), _aspect_from_str(aspect), polarity))
         except ValueError as e:
             raise DataFormatError(f"{path}:{lineno}: {e}") from None
     return out

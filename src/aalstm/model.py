@@ -31,9 +31,10 @@ scatter, the aspect gradients in one more.
 Gradient routing notes, since they are easy to get wrong:
   - input gradients pass back through the dropout mask before
     accumulating into embedding rows;
-  - the aspect vector for a term span is a mean of clean (pre-dropout)
-    embedding rows, so its gradient spreads over the span rows divided by
-    the span length, with no mask;
+  - an aspect vector is the mean of its source rows in one table, a term
+    span's clean (pre-dropout) word rows or a category's row, so one
+    scatter gives each row the aspect's gradient over its row count, with
+    no mask, unless that table is frozen;
   - a span token is also an input token, so its row can receive gradient
     from both paths in the same step.
 """
@@ -70,13 +71,16 @@ def _part_arrays(**parts: Optional[dict[str, np.ndarray]]) -> dict[str, np.ndarr
 @dataclass
 class RunCache:
     """Everything the backward pass needs about one forward run: the token
-    rows of every instance, one instance after another, the cell's cache of
-    the run, the head's (None for the last-hidden head) and the classifier's
-    caches, the (N, dx) input and (B, dc) representation dropout multipliers
-    (None at rate 0), and the (B, 3) class probabilities."""
+    rows of every instance, one after another, the aspects' source rows and
+    counts (None without the aa cell), the cell's, the head's (None for the
+    last-hidden head) and the classifier's caches, the (N, dx) input and
+    (B, dc) representation dropout multipliers (None at rate 0), and the
+    (B, 3) class probabilities."""
 
     insts: list[LabeledInstance]
     indices: list[int]
+    aspect_rows: Optional[np.ndarray]
+    aspect_counts: Optional[np.ndarray]
     cell: CellCache
     head: Optional[AttentionCache]
     clf: ClassifierCache
@@ -150,10 +154,10 @@ class SentimentModel:
             x_mask = np.concatenate(parts[0::2]).reshape(-1, dx)
             rep_mask = np.stack(parts[1::2])
             X *= x_mask
-        aspects = None
+        aspects = aspect_rows = aspect_counts = None
         if self.cell_kind == "aa":
-            aspects = np.array([build_aspect_vector(inst, self.embeddings,
-                                                    self.aspect_embeddings) for inst in insts])
+            aspects, aspect_rows, aspect_counts = build_aspect_vector(
+                insts, self.embeddings, self.aspect_embeddings)
         H, cell_cache = unroll(self.cell, X, aspect=aspects, lengths=lengths)
         head_cache = None
         if self.attn is not None:
@@ -163,8 +167,8 @@ class SentimentModel:
         if rep_mask is not None:
             rep = rep * rep_mask
         probs, clf_cache = classify_with_cache(rep, self.clf)
-        return RunCache(insts, indices, cell_cache, head_cache, clf_cache, x_mask, rep_mask,
-                        probs)
+        return RunCache(insts, indices, aspect_rows, aspect_counts, cell_cache, head_cache,
+                        clf_cache, x_mask, rep_mask, probs)
 
     def backward(self, cache: RunCache) -> dict[str, np.ndarray]:
         """Cross-entropy gradient of the run, summed over its instances and
@@ -191,16 +195,11 @@ class SentimentModel:
             if cache.x_mask is not None:
                 dX *= cache.x_mask
             np.add.at(grads["emb.words"], cache.indices, dX)
-        if d_aspects is not None and self.aspect_embeddings is not None:
-            np.add.at(grads["emb.aspects"], [inst.aspect.index for inst in insts], d_aspects)
-        elif d_aspects is not None and self.train_embeddings:
-            # A term span's aspect is the mean of its rows: each gets an equal share.
-            starts = np.cumsum(lengths) - lengths
-            spans = [cache.indices[s + inst.aspect.start:s + inst.aspect.end + 1]
-                     for s, inst in zip(starts, insts)]
-            sizes = np.array([len(span) for span in spans])
-            np.add.at(grads["emb.words"], [i for span in spans for i in span],
-                      np.repeat(d_aspects / sizes[:, None], sizes, axis=0))
+        table = "emb.words" if self.aspect_embeddings is None else "emb.aspects"
+        if d_aspects is not None and table in grads:
+            counts = cache.aspect_counts
+            np.add.at(grads[table], cache.aspect_rows,
+                      np.repeat(d_aspects / counts[:, None], counts, axis=0))
         return grads
 
     def predict_probs(self, inst: LabeledInstance) -> np.ndarray:
@@ -208,12 +207,6 @@ class SentimentModel:
 
     def predict(self, inst: LabeledInstance) -> int:
         return int(np.argmax(self.predict_probs(inst)))
-
-
-def has_category_table(task: str, cell_kind: str) -> bool:
-    """Whether the named model has a category table: exactly an acsa model
-    with the aa cell, the one part that reads the aspect."""
-    return task == "acsa" and cell_kind == "aa"
 
 
 def assemble_model(task: str, cell_kind: str, head_kind: str,
@@ -235,7 +228,7 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
                               ("head", head_kind, HEADS)):
         if name not in known:
             raise ConfigError(f"{kind} must be one of {known}, got {name!r}")
-    with_table = has_category_table(task, cell_kind)
+    with_table = task == "acsa" and cell_kind == "aa"
     if with_table and not categories:
         raise ConfigError("acsa with an aspect-aware cell needs a category table "
                           "with at least one category")

@@ -7,7 +7,8 @@ per-gate backward passes and the two-branch activations are the earlier
 numpy forms of the batched and fused kernels, and the per-step attention
 forward and backward and the one-instance classifier the earlier forms of
 the batched heads, kept as oracles for them. `LoopAdam` is the optimizer
-step before it was fused into one blocked pass.
+step before it was fused into one blocked pass, and `instance_aspect_vector`
+the aspect vector of one instance before a run's were built at once.
 """
 
 import math
@@ -368,6 +369,16 @@ class LoopAdam:
             v *= _ADAM_BETA2
             v += (1.0 - _ADAM_BETA2) * (g * g)
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+
+
+def instance_aspect_vector(inst, embeddings, aspect_embeddings=None) -> np.ndarray:
+    """One instance's aspect vector: the mean of its span tokens' rows of the
+    word table, or its category's row of the category table."""
+    aspect = inst.aspect
+    if hasattr(aspect, "index"):
+        return aspect_embeddings.matrix[aspect.index]
+    return np.mean([embeddings.matrix[embeddings.index(inst.tokens[i])]
+                    for i in range(aspect.start, aspect.end + 1)], axis=0)
 
 
 def params_as_lists(params) -> dict:

@@ -31,6 +31,8 @@ from aalstm.data import (
     tokenize_with_offsets,
 )
 
+from helpers import instance_aspect_vector
+
 FIXTURE = Path(__file__).parent / "fixtures" / "mini_reviews.xml"
 
 
@@ -283,7 +285,7 @@ def test_embedding_lookup_falls_back_to_unk():
     table = EmbeddingTable(vocab, np.array([[1.0, 1.0], [2.0, 2.0]]))
     assert table.index("soup") == 1
     assert table.index("quiche") == 0
-    assert np.array_equal(table.vector("quiche"), [1.0, 1.0])
+    assert np.array_equal(table.matrix[table.index("quiche")], [1.0, 1.0])
 
 
 def test_build_vocab_reserves_unk_row_zero():
@@ -299,31 +301,90 @@ def test_aspect_vector_single_token():
     vocab = {UNK_TOKEN: 0, "salad": 1}
     table = EmbeddingTable(vocab, np.array([[0.0, 0.0], [3.0, 4.0]]))
     inst = LabeledInstance(("salad",), TermSpan(0, 0), "positive")
-    assert np.array_equal(build_aspect_vector(inst, table), [3.0, 4.0])
+    vectors, rows, counts = build_aspect_vector([inst], table)
+    assert np.array_equal(vectors, [[3.0, 4.0]])
+    assert rows.tolist() == [1] and counts.tolist() == [1]
 
 
 def test_aspect_vector_is_span_mean():
     vocab = {UNK_TOKEN: 0, "wine": 1, "list": 2}
     table = EmbeddingTable(vocab, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    inst = LabeledInstance(("wine", "list"), TermSpan(0, 1), "neutral")
-    assert np.allclose(build_aspect_vector(inst, table), [0.5, 0.5])
+    inst = LabeledInstance(("wine", "list", "?"), TermSpan(0, 2), "neutral")
+    vectors, rows, counts = build_aspect_vector([inst], table)
+    assert np.allclose(vectors, [[1 / 3, 1 / 3]])
+    assert rows.tolist() == [1, 2, 0] and counts.tolist() == [3]
 
 
-def test_aspect_vector_category_is_table_view():
+def test_aspect_vector_category_is_its_table_row():
     vocab = {UNK_TOKEN: 0}
     emb = EmbeddingTable(vocab, np.zeros((1, 2)))
     cats = AspectEmbeddingTable(("food", "price"), np.array([[1.0, 2.0], [3.0, 4.0]]))
-    inst = LabeledInstance(("fine",), CategoryId(1), "neutral")
-    v = build_aspect_vector(inst, emb, cats)
-    assert np.array_equal(v, [3.0, 4.0])
-    assert np.shares_memory(v, cats.matrix)
+    insts = [LabeledInstance(("fine",), CategoryId(k), "neutral") for k in (1, 0, 1)]
+    vectors, rows, counts = build_aspect_vector(insts, emb, cats)
+    assert np.array_equal(vectors, [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
+    assert rows.tolist() == [1, 0, 1] and counts.tolist() == [1, 1, 1]
 
 
 def test_aspect_vector_category_without_table_errors():
     emb = EmbeddingTable({UNK_TOKEN: 0}, np.zeros((1, 2)))
-    inst = LabeledInstance(("fine",), CategoryId(0), "neutral")
+    insts = [LabeledInstance(("fine",), aspect, "neutral") for aspect in (TermSpan(0, 0),
+                                                                         CategoryId(0))]
     with pytest.raises(ValueError, match="aspect embedding table"):
-        build_aspect_vector(inst, emb)
+        build_aspect_vector(insts, emb)
+
+
+@pytest.mark.parametrize("aspect,message", [
+    (CategoryId(2), "category index 2 out of range"),
+    (TermSpan(0, 0), r"TermSpan\(start=0, end=0\) with an aspect embedding table"),
+])
+def test_aspect_vector_with_a_category_table_errors(aspect, message):
+    emb = EmbeddingTable({UNK_TOKEN: 0}, np.zeros((1, 2)))
+    cats = AspectEmbeddingTable(("food", "price"), np.zeros((2, 2)))
+    insts = [LabeledInstance(("fine",), a, "neutral") for a in (CategoryId(1), aspect)]
+    with pytest.raises(ValueError, match=message):
+        build_aspect_vector(insts, emb, cats)
+
+
+@st.composite
+def aspect_runs(draw):
+    """A table and a run of 1-16 instances whose aspects all read it: term
+    spans of 1-3 tokens into a word table, or categories of a category table."""
+    dim = draw(st.integers(1, 5))
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    words = ("<unk>", "a", "b", "c", "d")
+    emb = EmbeddingTable({w: i for i, w in enumerate(words)},
+                         np.array(draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                                min_size=5, max_size=5))))
+    cats = None
+    if draw(st.booleans()):
+        n_cats = draw(st.integers(1, 4))
+        cats = AspectEmbeddingTable(tuple(f"c{k}" for k in range(n_cats)), np.array(draw(
+            st.lists(st.lists(values, min_size=dim, max_size=dim),
+                     min_size=n_cats, max_size=n_cats))))
+    insts = []
+    for _ in range(draw(st.integers(1, 16))):
+        tokens = tuple(draw(st.lists(st.sampled_from(words[1:] + ("zz",)), min_size=1,
+                                     max_size=6)))
+        if cats is None:
+            start = draw(st.integers(0, len(tokens) - 1))
+            aspect = TermSpan(start, draw(st.integers(start, min(start + 2, len(tokens) - 1))))
+        else:
+            aspect = CategoryId(draw(st.integers(0, len(cats.categories) - 1)))
+        insts.append(LabeledInstance(tokens, aspect, "neutral"))
+    return insts, emb, cats
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(aspect_runs())
+def test_run_aspect_vectors_equal_one_instance_vectors(run):
+    insts, emb, cats = run
+    vectors, rows, counts = build_aspect_vector(insts, emb, cats)
+    expected = np.array([instance_aspect_vector(inst, emb, cats) for inst in insts])
+    assert np.array_equal(vectors, expected)
+    table = emb.matrix if cats is None else cats.matrix
+    starts = np.cumsum(counts) - counts
+    for vector, start, count in zip(vectors, starts, counts):
+        assert np.array_equal(vector, np.mean(table[rows[start:start + count]], axis=0))
 
 
 # --- splits ------------------------------------------------------------------
@@ -378,6 +439,8 @@ def test_instances_round_trip(tmp_path):
     ("the soup is bad\tterm:1:9\tnegative\n", "outside 4 tokens"),
     ("the soup\tterm:x:1\tnegative\n", "invalid literal"),
     ("the soup\tcategory:-1\tnegative\n", "bad category index"),
+    ("\tterm:0:0\tpositive\n", "empty token in ''"),
+    ("the  soup\tterm:0:0\tpositive\n", "empty token in 'the  soup'"),
 ])
 def test_load_instances_errors_name_file_and_line(tmp_path, line, message):
     path = tmp_path / "insts.tsv"

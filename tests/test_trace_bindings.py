@@ -59,6 +59,9 @@ def test_hooks_count_a_tiny_train_evaluate_and_predict():
     # rows each), then one evaluation and one 4-token predict.
     rows = sum(len(inst.tokens) for inst in insts)
     assert metrics["cells.steps"] == cfg.max_epochs * 2 * rows + rows + len(insts[0].tokens)
+    # One aspect build per aa run: per epoch the training run and the dev
+    # evaluation, then the evaluation and the predict.
+    assert metrics["data.aspect_vector_calls"] == cfg.max_epochs * 2 + 2
     # The optimizer step receives every gradient at full shape, once per
     # batch: one batch of both instances per epoch.
     assert metrics["train.adam_elems"] == cfg.max_epochs * sum(
