@@ -30,7 +30,7 @@ from .train import (GRADCHECK_THRESHOLD, GradCheckReport, TrainConfig,
 # Weights and inputs for the end-to-end gradient check are drawn from
 # U(-0.6, 0.6) rather than the training init range. At the smaller scale many
 # gradient coordinates sit near the finite-difference noise floor, where the
-# central-difference quotient itself carries more than 1e-4 relative error.
+# fourth-order difference quotient itself carries more than 1e-4 relative error.
 _GRADCHECK_SCALE = 0.6
 
 # Synthetic corpus size: 300 sentences give 600 training instances and a
@@ -114,10 +114,10 @@ def resolve_config(args, synthetic: bool = False) -> TrainConfig:
 
 def _load_eval_instances(path, model):
     """Instances from a SemEval XML file (by extension) or the internal TSV,
-    each checked against the model's task and category table."""
+    each checked against the model's task and categories."""
     table = model.aspect_embeddings
+    categories = RESTAURANT_CATEGORIES if table is None else table.categories
     if str(path).endswith(".xml"):
-        categories = RESTAURANT_CATEGORIES if table is None else table.categories
         instances = parse_semeval_xml(path, model.task, categories)
     else:
         instances = load_instances(path)
@@ -128,10 +128,9 @@ def _load_eval_instances(path, model):
             raise CliError(f"{path}: instance {n} has a {kinds[type(inst.aspect)]} aspect, "
                            f"but the checkpoint's task {model.task!r} takes "
                            f"{kinds[kind]} aspects")
-        if kind is CategoryId and table is not None \
-                and inst.aspect.index >= len(table.categories):
+        if kind is CategoryId and inst.aspect.index >= len(categories):
             raise CliError(f"{path}: instance {n} has category index {inst.aspect.index}, "
-                           f"but the checkpoint has {len(table.categories)} categories")
+                           f"but the checkpoint has {len(categories)} categories")
     return instances
 
 
@@ -272,7 +271,8 @@ def cmd_gradcheck(args, parser) -> int:
 def run_bench(seed=0, n_sentences: int = _SYNTH_SENTENCES, out_dir=None,
               stream=None) -> dict:
     """Train aspect-aware and classic last-hidden models on one synthetic
-    corpus and report test plus disambiguation accuracy for both."""
+    corpus and report test plus disambiguation accuracy for both; the
+    latter is None when the test split holds no disambiguation instance."""
     stream = sys.stdout if stream is None else stream
     cfg = TrainConfig(seed=seed, **_SYNTH_OVERRIDES)
     train_insts, test_insts, emb = generate_synthetic(
@@ -303,17 +303,18 @@ def run_bench(seed=0, n_sentences: int = _SYNTH_SENTENCES, out_dir=None,
         if out_dir:
             save_checkpoint(model, os.path.join(out_dir, f"{cell_kind}_checkpoint.npz"))
         test_report = evaluate(model, test_insts)
-        disamb_report = evaluate(model, disamb)
+        disamb_acc = evaluate(model, disamb).accuracy if disamb else None
         summary[cell_kind] = {
             "test_accuracy": test_report.accuracy,
             "test_macro_f1": test_report.macro_f1,
-            "disambiguation_accuracy": disamb_report.accuracy,
+            "disambiguation_accuracy": disamb_acc,
             "epochs": len(result.logs),
             "seconds": round(seconds, 3),
         }
         print(f"{cell_kind}+last: test accuracy {test_report.accuracy:.4f}, "
               f"test macro F1 {test_report.macro_f1:.4f}, "
-              f"disambiguation accuracy {disamb_report.accuracy:.4f} "
+              f"disambiguation accuracy "
+              f"{'n/a' if disamb_acc is None else format(disamb_acc, '.4f')} "
               f"over {len(disamb)} instances, {len(result.logs)} epochs, "
               f"{seconds:.1f}s", file=stream)
     print(json.dumps(summary), file=stream)

@@ -1,5 +1,5 @@
-"""Classification metrics: accuracy, macro-averaged F1, and an evaluation
-report built on the 3x3 confusion matrix.
+"""Classification metrics: an evaluation report read off one 3x3 confusion
+matrix (gold on rows, prediction on columns).
 
 Per-class precision, recall, and F1 treat zero denominators as 0 (a class
 never predicted has precision 0; a class with no gold instances has recall
@@ -18,49 +18,6 @@ from .data import POLARITIES
 N_CLASSES = len(POLARITIES)
 
 
-def _check_pairs(preds, golds):
-    if len(preds) != len(golds):
-        raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
-    if len(preds) == 0:
-        raise ValueError("no predictions to score")
-    for v in list(preds) + list(golds):
-        if not 0 <= int(v) < N_CLASSES:
-            raise ValueError(f"label {v} outside 0..{N_CLASSES - 1}")
-
-
-def accuracy(preds, golds) -> float:
-    _check_pairs(preds, golds)
-    hits = sum(1 for p, g in zip(preds, golds) if int(p) == int(g))
-    return hits / len(preds)
-
-
-def confusion_matrix(preds, golds) -> np.ndarray:
-    """Counts with gold on rows, prediction on columns."""
-    _check_pairs(preds, golds)
-    m = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for p, g in zip(preds, golds):
-        m[int(g), int(p)] += 1
-    return m
-
-
-def per_class_prf(preds, golds) -> list[tuple[float, float, float]]:
-    m = confusion_matrix(preds, golds)
-    out = []
-    for c in range(N_CLASSES):
-        tp = m[c, c]
-        predicted = m[:, c].sum()
-        gold = m[c, :].sum()
-        p = tp / predicted if predicted else 0.0
-        r = tp / gold if gold else 0.0
-        f1 = 2 * p * r / (p + r) if (p + r) else 0.0
-        out.append((float(p), float(r), float(f1)))
-    return out
-
-
-def macro_f1(preds, golds) -> float:
-    return sum(f1 for _, _, f1 in per_class_prf(preds, golds)) / N_CLASSES
-
-
 @dataclass
 class EvalReport:
     n: int
@@ -71,14 +28,27 @@ class EvalReport:
 
     @classmethod
     def from_predictions(cls, preds, golds) -> "EvalReport":
-        m = confusion_matrix(preds, golds)
-        return cls(
-            n=len(preds),
-            accuracy=accuracy(preds, golds),
-            macro_f1=macro_f1(preds, golds),
-            per_class=per_class_prf(preds, golds),
-            confusion=m,
-        )
+        """Check the labels once, count the confusion matrix once and read
+        every score off it as a Python float."""
+        if len(preds) != len(golds):
+            raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
+        if len(preds) == 0:
+            raise ValueError("no predictions to score")
+        pairs = np.array([preds, golds]).astype(np.int64)
+        bad = (pairs < 0) | (pairs >= N_CLASSES)
+        if bad.any():
+            raise ValueError(f"label {pairs[bad][0]} outside 0..{N_CLASSES - 1}")
+        m = np.bincount(pairs[1] * N_CLASSES + pairs[0], minlength=N_CLASSES ** 2)
+        m = m.reshape(N_CLASSES, N_CLASSES)
+        per_class = []
+        for tp, predicted, gold in zip(m.diagonal().tolist(), m.sum(axis=0).tolist(),
+                                       m.sum(axis=1).tolist()):
+            p = tp / predicted if predicted else 0.0
+            r = tp / gold if gold else 0.0
+            per_class.append((p, r, 2 * p * r / (p + r) if p + r else 0.0))
+        return cls(n=len(preds), accuracy=int(m.trace()) / len(preds),
+                   macro_f1=sum(f1 for _, _, f1 in per_class) / N_CLASSES,
+                   per_class=per_class, confusion=m)
 
     def table(self) -> str:
         lines = [f"n={self.n}  accuracy={self.accuracy:.4f}  macro_f1={self.macro_f1:.4f}"]

@@ -1,9 +1,9 @@
 """Dense vector/matrix kernels shared by every other module.
 
 Vectors are 1-D float64 numpy arrays, matrices are 2-D row-major (C-order)
-float64 arrays. All functions here are pure: they validate shapes, never
-mutate their inputs, and return freshly allocated arrays, so values can be
-shared read-only across threads. The one exception is an activation given
+float64 arrays. All functions here are pure: they never mutate their
+inputs and return freshly allocated arrays, so values can be shared
+read-only across threads. The one exception is an activation given
 an `out` array, which it writes and returns; `out` may be its input. `ParamSet` is the base of the parameter
 sets: `empty` or `init`, then a fill through `to_arrays()`, is the one way
 to make one. A parameter set only declares its shapes; its constructor
@@ -22,9 +22,8 @@ import numpy as np
 # for arbitrarily large finite inputs. The constants are 0-d arrays: as ufunc
 # operands they cost less per call than Python or numpy scalars.
 _SIGMOID_LO = np.array(np.nextafter(0.0, 1.0))
-_SIGMOID_HI = np.array(np.nextafter(1.0, 0.0))
-_TANH_HI = np.array(np.nextafter(1.0, 0.0))
-_TANH_LO = np.array(-np.nextafter(1.0, 0.0))
+_OPEN_HI = np.array(np.nextafter(1.0, 0.0))
+_TANH_LO = np.array(-_OPEN_HI)
 _ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
 
 
@@ -52,7 +51,7 @@ def sigmoid(v: np.ndarray, out=None) -> np.ndarray:
     np.exp(out, out=out)
     out /= e
     np.maximum(out, _SIGMOID_LO, out=out)
-    return np.minimum(out, _SIGMOID_HI, out=out)
+    return np.minimum(out, _OPEN_HI, out=out)
 
 
 def tanh_v(v: np.ndarray, out=None) -> np.ndarray:
@@ -60,7 +59,7 @@ def tanh_v(v: np.ndarray, out=None) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     out = np.tanh(v, out=np.empty_like(v) if out is None else out)
     np.maximum(out, _TANH_LO, out=out)
-    return np.minimum(out, _TANH_HI, out=out)
+    return np.minimum(out, _OPEN_HI, out=out)
 
 
 def make_rng(seed) -> np.random.Generator:

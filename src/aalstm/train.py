@@ -266,11 +266,10 @@ def evaluate(model, instances) -> EvalReport:
     """Score the instances in length order, EVAL_CHUNK per batched forward,
     so each chunk's run holds little padding."""
     order = sorted(range(len(instances)), key=lambda i: len(instances[i].tokens))
-    preds = [0] * len(instances)
+    preds = np.empty(len(instances), dtype=np.int64)
     for start in range(0, len(order), EVAL_CHUNK):
         chunk = order[start:start + EVAL_CHUNK]
-        for i, probs in zip(chunk, model.forward([instances[i] for i in chunk]).probs):
-            preds[i] = int(np.argmax(probs))
+        preds[chunk] = model.forward([instances[i] for i in chunk]).probs.argmax(axis=1)
     golds = [inst.label for inst in instances]
     return EvalReport.from_predictions(preds, golds)
 

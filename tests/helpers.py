@@ -8,7 +8,9 @@ numpy forms of the batched and fused kernels, and the per-step attention
 forward and backward and the one-instance classifier the earlier forms of
 the batched heads, kept as oracles for them. `LoopAdam` is the optimizer
 step before it was fused into one blocked pass, and `instance_aspect_vector`
-the aspect vector of one instance before a run's were built at once.
+the aspect vector of one instance before a run's were built at once. The
+per-function metrics (`oracle_accuracy` through `oracle_report`) are the
+evaluation report before it was read off one confusion matrix.
 """
 
 import math
@@ -379,6 +381,61 @@ def instance_aspect_vector(inst, embeddings, aspect_embeddings=None) -> np.ndarr
         return aspect_embeddings.matrix[aspect.index]
     return np.mean([embeddings.matrix[embeddings.index(inst.tokens[i])]
                     for i in range(aspect.start, aspect.end + 1)], axis=0)
+
+
+_N_CLASSES = 3
+
+
+def _check_pairs(preds, golds):
+    if len(preds) != len(golds):
+        raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
+    if len(preds) == 0:
+        raise ValueError("no predictions to score")
+    for v in list(preds) + list(golds):
+        if not 0 <= int(v) < _N_CLASSES:
+            raise ValueError(f"label {v} outside 0..{_N_CLASSES - 1}")
+
+
+def oracle_accuracy(preds, golds) -> float:
+    _check_pairs(preds, golds)
+    hits = sum(1 for p, g in zip(preds, golds) if int(p) == int(g))
+    return hits / len(preds)
+
+
+def oracle_confusion_matrix(preds, golds) -> np.ndarray:
+    """Counts with gold on rows, prediction on columns."""
+    _check_pairs(preds, golds)
+    m = np.zeros((_N_CLASSES, _N_CLASSES), dtype=np.int64)
+    for p, g in zip(preds, golds):
+        m[int(g), int(p)] += 1
+    return m
+
+
+def oracle_per_class_prf(preds, golds) -> list[tuple[float, float, float]]:
+    m = oracle_confusion_matrix(preds, golds)
+    out = []
+    for c in range(_N_CLASSES):
+        tp = m[c, c]
+        predicted = m[:, c].sum()
+        gold = m[c, :].sum()
+        p = tp / predicted if predicted else 0.0
+        r = tp / gold if gold else 0.0
+        f1 = 2 * p * r / (p + r) if (p + r) else 0.0
+        out.append((float(p), float(r), float(f1)))
+    return out
+
+
+def oracle_macro_f1(preds, golds) -> float:
+    return sum(f1 for _, _, f1 in oracle_per_class_prf(preds, golds)) / _N_CLASSES
+
+
+def oracle_report(preds, golds):
+    """An EvalReport whose fields come from the per-function metrics."""
+    from aalstm.metrics import EvalReport
+    return EvalReport(n=len(preds), accuracy=oracle_accuracy(preds, golds),
+                      macro_f1=oracle_macro_f1(preds, golds),
+                      per_class=oracle_per_class_prf(preds, golds),
+                      confusion=oracle_confusion_matrix(preds, golds))
 
 
 def params_as_lists(params) -> dict:

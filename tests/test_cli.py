@@ -235,16 +235,19 @@ def test_eval_whitespace_only_sentence_is_data_error(tmp_path, capsys):
      "instance 1 has category index 5, but the checkpoint has 5 categories"),
 ])
 def test_eval_bad_instances_tsv_is_data_error(tmp_path, capsys, task, line, message):
-    emb = random_embeddings(build_vocab([]), dim=4)
-    ckpt = tmp_path / "model.npz"
-    save_checkpoint(build_model(task, "aa", "last", emb, hidden_dim=4), ckpt)
+    # Both cells: a classic acsa model has no category table, but its
+    # categories are still the restaurant five.
     data = tmp_path / "insts.tsv"
     data.write_text(line + "\n")
-    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:")
-    assert "insts.tsv" in err and message in err
+    for cell_kind in ("aa", "classic"):
+        emb = random_embeddings(build_vocab([]), dim=4)
+        ckpt = tmp_path / f"{cell_kind}.npz"
+        save_checkpoint(build_model(task, cell_kind, "last", emb, hidden_dim=4), ckpt)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert code == 1, cell_kind
+        assert err.startswith("error:")
+        assert "insts.tsv" in err and message in err
 
 
 def _category_doc(path, category):
@@ -454,6 +457,19 @@ def test_bench_smoke(tmp_path, capsys):
         assert stats["epochs"] >= 1
         assert (tmp_path / f"{kind}_metrics.tsv").exists()
         assert (tmp_path / f"{kind}_checkpoint.npz").exists()
+
+
+def test_bench_without_disambiguation_instances_reports_null(capsys):
+    # With seed 64911 no test sentence of the 20-sentence corpus gives its
+    # two aspects different polarities, so the disambiguation subset is empty.
+    assert main(["bench", "--seed", "64911", "--sentences", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["disambiguation"] == 0
+    for kind, line in zip(("aa", "classic"), lines):
+        assert summary[kind]["disambiguation_accuracy"] is None
+        assert line.startswith(f"{kind}+last:")
+        assert "disambiguation accuracy n/a over 0 instances" in line
 
 
 def test_bench_too_few_sentences_is_one_error_line(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aalstm.data import POLARITIES, LabeledInstance, TermSpan
+from aalstm.metrics import EvalReport
 from aalstm.model import build_model
 from aalstm.tensor import make_rng
 from aalstm.train import (
@@ -316,9 +317,10 @@ def _toy_model(seed=78):
 @pytest.mark.parametrize("cell_kind,head_kind", [("aa", "attention"), ("classic", "last")])
 def test_evaluate_matches_per_instance_predict(cell_kind, head_kind):
     # Mixed lengths over more than one chunk, so the batched runs sort and
-    # pad: each instance still gets its one-instance probabilities. Gold
-    # labels set to the one-instance predictions make evaluate's accuracy 1
-    # exactly when every batched prediction agrees.
+    # pad: each instance still gets its one-instance probabilities. The
+    # report over the "neutral" golds equals the one built from per-instance
+    # predicts, and gold labels set to the one-instance predictions make
+    # evaluate's accuracy 1 exactly when every batched prediction agrees.
     rng = make_rng(79)
     words = ("the", "soup", "salad", "is", "good", "bad", ".")
     model = build_model("atsa", cell_kind, head_kind, tiny_embeddings(seed=80, dim=6),
@@ -331,6 +333,11 @@ def test_evaluate_matches_per_instance_predict(cell_kind, head_kind):
     probs = [model.predict_probs(inst) for inst in insts]
     for p, run_p in zip(probs, model.forward(insts).probs):
         np.testing.assert_allclose(run_p, p, atol=1e-12, rtol=0)
+    expected = EvalReport.from_predictions([model.predict(inst) for inst in insts],
+                                           [inst.label for inst in insts])
+    report = evaluate(model, insts)
+    assert report.json_line() == expected.json_line()
+    assert report.table() == expected.table()
     labelled = [LabeledInstance(inst.tokens, inst.aspect, POLARITIES[int(np.argmax(p))])
                 for inst, p in zip(insts, probs)]
     assert evaluate(model, labelled).accuracy == 1.0
