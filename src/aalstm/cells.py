@@ -25,15 +25,16 @@ gradients accumulated across steps and sequences (weights are tied over
 time). The aspect-aware backward always returns each sequence's aspect
 gradient, summed over every step the aspect feeds.
 
-Storage. A parameter set's only fields are its row-stacked buffers: the
-core gates in ``W_core`` (4*dc, dx+dc) and ``b_core`` (4*dc,) in the order
-i, f, o, c, and for the aspect-aware cell the aspect gates in ``W_aspect``
-(3*dc, 2*dc) and ``b_aspect`` (3*dc,) in the order a_i, a_f, a_o. The
-per-gate names (``W_i``, ..., ``b_ao``) exist only in ``to_arrays()``, as
-live row-block views in a fixed key order: in-place writes through them
-(the optimizer, gradient checks, restoring the best weights, a checkpoint
-load) reach the kernel, and checkpoints do not see the stacking. The
-buffers' shapes come from the dims in one place, ``_shapes``.
+Storage. A parameter set's fields are the arrays the kernel reads, grouped
+by operand like PyTorch's ``weight_ih``/``weight_hh``: ``W_x`` (4*dc, dx)
+multiplies x_t, ``W_h`` (G*dc, dc) multiplies h_prev and ``b`` is (G*dc,),
+their row blocks being the gates i, f, o, c and, for the aspect-aware cell
+(G = 7, else 4), a_i, a_f, a_o, whose input is the aspect, through ``W_a``
+(3*dc, dc). The paper's W_g [x_t, h_prev] is gate g's rows of W_x (or W_a)
+beside its rows of W_h. ``to_arrays()`` returns the fields themselves, so
+in-place writes (the optimizer, gradient checks, restoring the best
+weights, a checkpoint load) reach the kernel. The shapes come from the dims
+in one place, ``_shapes``.
 
 One kernel runs ``unroll``, and ``classic_lstm_step``/``aa_lstm_step`` as
 one-step runs. It runs B sequences at once, sorted longest first so that the
@@ -46,19 +47,17 @@ operations is one pass over it, not one short pass per batch row cut from
 a longer row (a sigmoid over an (8, 72) block took half the time).
 It projects the inputs once per call, over the real rows only, and the
 constant aspect once per sequence; per step it does one product of the
-running rows' h_prev with the recurrent block (W_core's h columns, with
-W_aspect's under them for the aspect-aware cell) into one row-major
-scratch, adds it into the step's group blocks, and takes one sigmoid per
-gate group (a_i/a_f/a_o, then i/f/o) and one tanh for the candidate,
-writing each gate activation over its pre-activation. The run's
+running rows' h_prev with ``W_h`` into one row-major scratch, adds it into
+the step's group blocks, and takes one sigmoid per gate group (a_i/a_f/a_o,
+then i/f/o) and one tanh for the candidate, writing each gate activation
+over its pre-activation. The run's
 ``CellCache`` is those buffers. The backward pass runs once per run over
 them: per step it writes the running rows' gate pre-activation gradients
 over their activations and takes the recurrent gradient on h_prev with one
-product of those gradients, as row-major rows, with the same stacked block;
-after the time loop the weight, input and aspect gradients are one matmul
-each over the run's real rows, gathered in input order. The stacked
-products are never split per gate group, whose partial sums would round
-differently.
+product of those gradients, as row-major rows, with ``W_h``; after the
+time loop the weight, input and aspect gradients are one matmul each over
+the run's real rows, gathered in input order. The products over ``W_h`` are
+never split per gate group, whose partial sums would round differently.
 """
 
 from __future__ import annotations
@@ -68,14 +67,12 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import ParamSet, ShapeError, sigmoid, tanh_v
+from .tensor import ParamSet, ShapeError, sigmoid, tanh_v, uniform_init
 
-
-# Row-block names of each stacked buffer, in row order. The three sigmoid
-# gates come first so one sigmoid covers them, and they line up with the
-# aspect gates.
-_CORE = {"W_core": ("W_i", "W_f", "W_o", "W_c"), "b_core": ("b_i", "b_f", "b_o", "b_c")}
-_ASPECT = {"W_aspect": ("W_ai", "W_af", "W_ao"), "b_aspect": ("b_ai", "b_af", "b_ao")}
+# Seed stream of each gate's weights at init, in row order: i, f, o, c, then
+# a_i, a_f, a_o. The three sigmoid gates come first so one sigmoid covers
+# them, and they line up with the aspect gates.
+_GATE_STREAMS = (0, 1, 3, 2, 10, 11, 12)
 
 
 @dataclass
@@ -104,12 +101,11 @@ class CellCache:
     (T, B, dc), tanh(c_t); ``aspects`` holds each row's aspect (None for the
     classic cell). Entries past a sequence's length are never written.
     ``ifo`` (T, 3, B, dc), ``c_cand`` (T, B, dc) and ``a_gates`` (T, 3, B,
-    dc) are views of ``Z``'s groups. ``W_rec`` is the forward's stacked
-    recurrent block, which the backward pass reuses: a copy, valid because
-    training consumes each run's cache before the optimizer updates the
-    weights in place. The backward pass writes over ``Z`` and drops it and
-    ``W_rec``, so a cache serves one backward pass. ``packed`` is the step
-    and the batch row of each input row, for B > 1 (None for one sequence).
+    dc) are views of ``Z``'s groups. The backward pass reads the live
+    weights, so a cache must be consumed before they are updated in place,
+    as training does. It writes over ``Z`` and drops it, so a cache serves
+    one backward pass. ``packed`` is the step and the batch row of each input
+    row, for B > 1 (None for one sequence).
     """
 
     X: np.ndarray
@@ -120,7 +116,6 @@ class CellCache:
     Z: Optional[np.ndarray]
     tanh_c: np.ndarray
     aspects: Optional[np.ndarray]
-    W_rec: Optional[np.ndarray]
     packed: Optional[tuple[np.ndarray, np.ndarray]]
 
     @property
@@ -136,80 +131,66 @@ class CellCache:
         return None if self.aspects is None else self.Z[:, 4:]
 
 
-class _StackedParams(ParamSet):
-    """What both cells share: their dataclass fields are the stacked buffers.
-
-    A subclass gives ``_BLOCKS`` (buffer -> row-block names, in row order)
-    and ``_NAMES`` (the key order of ``to_arrays()``).
-    """
-
-    _BLOCKS: dict[str, tuple[str, ...]]
-    _NAMES: tuple[str, ...]
-    # Seed stream of each weight matrix at init.
-    _INIT_STREAM = {"W_i": 0, "W_f": 1, "W_c": 2, "W_o": 3, "W_ai": 10, "W_af": 11, "W_ao": 12}
-
-    @classmethod
-    def _shapes(cls, input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
-        """Buffer name -> shape; an aspect dim is hidden_dim."""
-        dc = hidden_dim
-        shapes = {"W_core": (4 * dc, input_dim + dc), "b_core": (4 * dc,),
-                  "W_aspect": (3 * dc, 2 * dc), "b_aspect": (3 * dc,)}
-        return {key: shapes[key] for key in cls._BLOCKS}
+class _CellParams(ParamSet):
+    """What both cells share: their fields are the operand arrays (see the
+    module docstring), and ``to_arrays()`` returns them as they are."""
 
     @property
     def hidden_dim(self) -> int:
-        return self.b_core.shape[0] // 4
+        return self.W_h.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.W_core.shape[1] - self.hidden_dim
+        return self.W_x.shape[1]
 
     @classmethod
-    def _named(cls, buffers) -> dict[str, np.ndarray]:
-        """Per-gate name -> row-block view of the matching buffer, in `_NAMES`
-        order: each buffer splits into equal row blocks, one per name."""
-        blocks: dict[str, np.ndarray] = {}
-        for key, names in cls._BLOCKS.items():
-            rows = buffers[key].shape[0] // len(names)
-            blocks.update({name: buffers[key][k * rows:(k + 1) * rows]
-                           for k, name in enumerate(names)})
-        return {name: blocks[name] for name in cls._NAMES}
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return self._named(vars(self))
-
-
-@dataclass
-class ClassicLstmParams(_StackedParams):
-    """Standard LSTM weights: four (dc, dx+dc) matrices and four dc biases,
-    stacked in ``W_core``/``b_core`` (see module docstring)."""
-
-    W_core: np.ndarray
-    b_core: np.ndarray
-
-    _BLOCKS = _CORE
-    _NAMES = ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")
+    def init(cls, input_dim: int, hidden_dim: int, lo: float = -0.1, hi: float = 0.1,
+             seed=0):
+        """Each gate's (dc, in+dc) matrix over [input, h_prev] from U(lo, hi)
+        seeded [seed, stream], split into its input rows and its ``W_h`` rows;
+        the biases zero."""
+        p, dc = cls.empty(input_dim, hidden_dim), hidden_dim
+        inputs = np.split(p.W_x, 4) + (np.split(p.W_a, 3) if isinstance(p, AALstmParams)
+                                       else [])
+        for W_in, W_hid, stream in zip(inputs, np.split(p.W_h, len(inputs)), _GATE_STREAMS):
+            W = uniform_init(dc, W_in.shape[1] + dc, lo, hi, seed=[seed, stream])
+            W_in[...], W_hid[...] = W[:, :-dc], W[:, -dc:]
+        p.b[...] = 0.0
+        return p
 
 
 @dataclass
-class AALstmParams(_StackedParams):
-    """Aspect-aware LSTM weights.
+class ClassicLstmParams(_CellParams):
+    """Standard LSTM weights, rows i, f, o, c (see module docstring)."""
 
-    Aspect-gate matrices W_a* are (da, dc+da) over [A, h_prev], stacked in
-    ``W_aspect``/``b_aspect``; core matrices are (dc, dx+dc) over
-    [x_t, h_prev], stacked in ``W_core``/``b_core``. The aspect dimension
-    must equal the hidden dimension: a_* * A is added to dc-length gate
-    pre-activations.
+    W_x: np.ndarray
+    W_h: np.ndarray
+    b: np.ndarray
+
+    @staticmethod
+    def _shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+        dc = hidden_dim
+        return {"W_x": (4 * dc, input_dim), "W_h": (4 * dc, dc), "b": (4 * dc,)}
+
+
+@dataclass
+class AALstmParams(_CellParams):
+    """Aspect-aware LSTM weights, rows i, f, o, c, a_i, a_f, a_o; the aspect
+    gates read [A, h_prev] through ``W_a`` and ``W_h``'s last 3*dc rows. The
+    aspect dimension must equal the hidden dimension: a_* * A is added to
+    dc-length gate pre-activations.
     """
 
-    W_aspect: np.ndarray
-    b_aspect: np.ndarray
-    W_core: np.ndarray
-    b_core: np.ndarray
+    W_x: np.ndarray
+    W_a: np.ndarray
+    W_h: np.ndarray
+    b: np.ndarray
 
-    _BLOCKS = {**_ASPECT, **_CORE}
-    _NAMES = ("W_ai", "W_af", "W_ao", "W_i", "W_f", "W_c", "W_o",
-              "b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")
+    @staticmethod
+    def _shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+        dc = hidden_dim
+        return {"W_x": (4 * dc, input_dim), "W_a": (3 * dc, dc), "W_h": (7 * dc, dc),
+                "b": (7 * dc,)}
 
 
 def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
@@ -228,31 +209,26 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
     operation of the step walks in one pass. At B = 1 the input projection
     is written straight into the buffer and nothing is sorted or copied.
     """
-    dx, dc, n_seq = p.input_dim, p.hidden_dim, len(lengths)
+    dc, n_seq = p.hidden_dim, len(lengths)
     aware = aspects is not None
-    W_core = p.W_core
     n_steps, n_groups = max(lengths), 7 if aware else 4
     order = sorted(range(n_seq), key=lengths.__getitem__, reverse=True)
     Z = np.empty((n_steps, n_groups, n_seq, dc))
-    # The input projection, over the real rows, and the recurrent block, which
-    # is formed per run: a copy kept longer would miss in-place weight updates.
+    # The input projection, over the real rows.
     proj = Z.reshape(n_steps, -1)[:, :4 * dc] if n_seq == 1 else np.empty((len(X), 4 * dc))
-    np.matmul(X, W_core[:, :dx].T, out=proj)
-    proj += p.b_core
+    np.matmul(X, p.W_x.T, out=proj)
+    proj += p.b[:4 * dc]
     packed = None
     if n_seq > 1:
         packed = steps, rows = _packed(lengths, order)
         Z[steps, :4, rows] = proj.reshape(-1, 4, dc)
         if aware:
             aspects = aspects[order]
-    W_rec = np.vstack((W_core[:, dx:], p.W_aspect[:, dc:]) if aware
-                      else (W_core[:, dx:],))
-    W_hT = W_rec.T
     if aware:
         # The constant aspect's part of the aspect gates, once per sequence,
         # laid out (3, B, dc) like the gate groups it feeds.
-        Z_aspect = aspects @ p.W_aspect[:, :dc].T
-        Z_aspect += p.b_aspect
+        Z_aspect = aspects @ p.W_a.T
+        Z_aspect += p.b[4 * dc:]
         Z_aspect = np.ascontiguousarray(Z_aspect.reshape(n_seq, 3, dc).transpose(1, 0, 2))
     H = np.empty((n_steps + 1, n_seq, dc))
     C = np.empty((n_steps + 1, n_seq, dc))
@@ -262,13 +238,14 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
     # block so the product is never split per group; `rec_g` is its group view.
     rec = np.empty((n_seq, n_groups * dc))
     rec_g = rec.reshape(n_seq, n_groups, dc).transpose(1, 0, 2)
+    W_hT = p.W_h.T
     ends = [lengths[b] for b in order]
     n = n_seq
     for t in range(n_steps):
         while ends[n - 1] <= t:
             n -= 1
-        # One product over the recurrent block, added into the step's group
-        # blocks; the gate activations then overwrite their pre-activations.
+        # One product with W_h, added into the step's group blocks; the gate
+        # activations then overwrite their pre-activations.
         np.matmul(H[t, :n], W_hT, out=rec[:n])
         z = Z[t, :, :n]
         z[:4] += rec_g[:4, :n]
@@ -281,7 +258,7 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
         c += g[0] * cand
         tc = tanh_v(c, out=tanh_c[t, :n])
         np.multiply(g[2], tc, out=H[t + 1, :n])
-    return CellCache(X, lengths, order, H, C, Z, tanh_c, aspects, W_rec, packed)
+    return CellCache(X, lengths, order, H, C, Z, tanh_c, aspects, packed)
 
 
 def classic_lstm_step(p: ClassicLstmParams, x: np.ndarray,
@@ -362,7 +339,7 @@ def _bptt(p, cache: CellCache, dH: np.ndarray):
     if len(dH) != len(cache.X):
         raise ValueError(f"got {len(cache.X)} cached steps but {len(dH)} hidden gradients")
     aware = isinstance(p, AALstmParams)
-    dx, dc = p.input_dim, p.hidden_dim
+    dc = p.hidden_dim
     Z, C, tanh_c = cache.Z, cache.C, cache.tanh_c
     n_steps, _, n_seq = Z.shape[:3]
     lengths, order = np.array(cache.lengths), np.array(cache.order)
@@ -393,24 +370,23 @@ def _bptt(p, cache: CellCache, dH: np.ndarray):
             a = z[4:]
             d_direct[:, :n] += ifo * a
             a *= (1.0 - a) * ifo * cache.aspects[:n]
-        # The step's gate gradients as (n, G dc) rows, one product with the
-        # stacked block (a copy, except at one row).
-        np.matmul(z.transpose(1, 0, 2).reshape(n, -1), cache.W_rec, out=dh_rec[:n])
-    # Each real row's gate gradients, in input order. Dropping Z, its views
-    # and the stacked block frees them before the weight-gradient matmuls.
+        # The step's gate gradients as (n, G dc) rows (a copy, except at one
+        # row), one product with W_h.
+        np.matmul(z.transpose(1, 0, 2).reshape(n, -1), p.W_h, out=dh_rec[:n])
+    # Each real row's gate gradients, in input order. Dropping Z and its
+    # views frees them before the weight-gradient matmuls.
     steps, rows = cache.packed or _packed(cache.lengths, cache.order)
     dZ, H_prev = Z[steps, :, rows].reshape(len(steps), -1), cache.H[steps, rows]
-    cache.Z = cache.W_rec = Z = z = ifo = cand = a = None
-    grads = {"W_core": dZ[:, :4 * dc].T @ np.hstack((cache.X, H_prev)),
-             "b_core": dZ[:, :4 * dc].sum(axis=0)}
+    cache.Z = Z = z = ifo = cand = a = None
+    grads = {"W_x": dZ[:, :4 * dc].T @ cache.X}
     d_aspect = None
     if aware:
         dZa = dZ[:, 4 * dc:]
-        grads["W_aspect"] = dZa.T @ np.hstack((cache.aspects[rows], H_prev))
-        grads["b_aspect"] = dZa.sum(axis=0)
+        grads["W_a"] = dZa.T @ cache.aspects[rows]
         d_aspect = d_direct[:, row_of].sum(axis=0)
-        d_aspect += np.add.reduceat(dZa, starts, axis=0) @ p.W_aspect[:, :dc]
-    return p._named(grads), dZ[:, :4 * dc] @ p.W_core[:, :dx], d_aspect
+        d_aspect += np.add.reduceat(dZa, starts, axis=0) @ p.W_a
+    grads["W_h"], grads["b"] = dZ.T @ H_prev, dZ.sum(axis=0)
+    return grads, dZ[:, :4 * dc] @ p.W_x, d_aspect
 
 
 def classic_lstm_backward(p: ClassicLstmParams, cache: CellCache,

@@ -6,11 +6,11 @@ everything that is not a weight: format version, task/cell/head switches,
 the vocabulary in row order, which rows were randomly initialized, and the
 category list. Frozen tables are stored too: inference needs them.
 
-Loading mirrors saving. The .npy headers of "emb.words" and "cell.b_i"
+Loading mirrors saving. The .npy headers of "emb.words" and "cell.W_h"
 give the dims; the model the switches name is built around them with
 uninitialized storage; the archive's keys must equal `__meta__` plus its
 `arrays()`, and its metadata lists categories exactly for a model with a
-table; and each array is read straight into its live view, whose shape it
+table; and each array is read straight into its live array, whose shape it
 must have, so a category table of the wrong width is caught there. NaN or
 inf is rejected.
 """
@@ -26,7 +26,7 @@ from .data import EmbeddingTable
 from .model import SentimentModel, assemble_model
 
 FORMAT_NAME = "aalstm-checkpoint"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _META_KEY = "__meta__"
 
 
@@ -141,7 +141,7 @@ def _read_model(path, archive) -> SentimentModel:
 
     try:
         n_words, dx = _shape(path, archive, "emb.words", 2)
-        (hidden_dim,) = _shape(path, archive, "cell.b_i", 1)
+        _, hidden_dim = _shape(path, archive, "cell.W_h", 2)
         categories = meta["categories"]
         embeddings = EmbeddingTable({token: i for i, token in enumerate(meta["vocab"])},
                                     np.empty((n_words, dx)), frozenset(meta["oov_tokens"]))

@@ -227,6 +227,8 @@ def pipeline_grad_report(cell_kind: str, head_kind: str, dx: int, dc: int,
     """
     if seq_len < 1:
         raise ConfigError("sequence length must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     lo, hi = -_GRADCHECK_SCALE, _GRADCHECK_SCALE
     rng = make_rng([seed, 70])
     xs = [rng.uniform(lo, hi, dx) for _ in range(seq_len)]

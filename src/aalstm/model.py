@@ -12,7 +12,7 @@ fills), and it owns the rules the names and dims must keep: known names,
 every dim at least 1, and a category table exactly for an acsa model with
 the aa cell, so a model holds no array it does not read. The `SentimentModel`
 constructor only stores the parts. `SentimentModel.arrays()` is the one
-owner of the namespaced array names ("emb.words", "cell.W_i", "clf.b_s",
+owner of the namespaced array names ("emb.words", "cell.W_x", "clf.b_s",
 ...), and `backward` names its gradients the same way: the checkpoint
 writes and reads exactly those arrays, and `params()`, which the optimizer
 and the gradient check walk, is the same dict minus a frozen word table.

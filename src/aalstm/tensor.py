@@ -83,8 +83,8 @@ class ParamSet:
 
     A subclass gives ``_shapes(*dims)`` (field -> shape) and ``_INIT_STREAM``
     (array name -> seed stream of each array drawn at init; the others start
-    at zero). Its arrays are its fields unless it overrides ``to_arrays``.
-    The dataclass constructor stores what it is given and checks nothing.
+    at zero), or its own ``init``. Its arrays are its fields. The dataclass
+    constructor stores what it is given and checks nothing.
     """
 
     _INIT_STREAM: dict[str, int]

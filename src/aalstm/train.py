@@ -16,7 +16,7 @@ import numpy as np
 
 from .heads import PROB_FLOOR
 from .metrics import EvalReport
-from .tensor import make_rng
+from .tensor import ConfigError, make_rng
 
 _FD_EPS = 1e-4
 _FD_FLOOR = 1e-8
@@ -53,20 +53,25 @@ class TrainConfig:
     init_high: float = 0.1
 
     def __post_init__(self):
+        for name in ("lr", "l2", "init_low", "init_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.l2 < 0:
-            raise ValueError(f"l2 must be nonnegative, got {self.l2}")
+            raise ConfigError(f"l2 must be nonnegative, got {self.l2}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, max_epochs, patience must be >= 1")
+            raise ConfigError("batch_size, max_epochs, patience must be >= 1")
         if self.emb_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("emb_dim and hidden_dim must be >= 1")
+            raise ConfigError("emb_dim and hidden_dim must be >= 1")
         if not 0.0 < self.dev_fraction < 1.0:
-            raise ValueError(f"dev_fraction must be in (0, 1), got {self.dev_fraction}")
+            raise ConfigError(f"dev_fraction must be in (0, 1), got {self.dev_fraction}")
         if not self.init_low < self.init_high:
-            raise ValueError(
+            raise ConfigError(
                 f"init_low must be below init_high, got [{self.init_low}, {self.init_high}]")
 
 

@@ -2,15 +2,19 @@
 
 The scalar implementations below use plain Python floats, lists, and
 math.exp only, no numpy, so they are an independent oracle for the
-vectorized cell code. The per-step cell run, the per-sequence BPTT, the
-per-gate backward passes and the two-branch activations are the earlier
-numpy forms of the batched and fused kernels, and the per-step attention
-forward and backward and the one-instance classifier the earlier forms of
-the batched heads, kept as oracles for them. `LoopAdam` is the optimizer
-step before it was fused into one blocked pass, and `instance_aspect_vector`
-the aspect vector of one instance before a run's were built at once. The
-per-function metrics (`oracle_accuracy` through `oracle_report`) are the
-evaluation report before it was read off one confusion matrix.
+vectorized cell code. They and the per-gate oracles read the paper's
+per-gate matrices W_g over [x_t, h_prev] (or [A, h_prev]) and biases b_g,
+which `gate_arrays` rebuilds from a cell's operand arrays, and
+`per_gate_init` is the cell init that drew those matrices one by one. The
+per-step cell run, the per-sequence BPTT, the per-gate backward passes and
+the two-branch activations are the earlier numpy forms of the batched and
+fused kernels, and the per-step attention forward and backward and the
+one-instance classifier the earlier forms of the batched heads, kept as
+oracles for them. `LoopAdam` is the optimizer step before it was fused into one
+blocked pass, and `instance_aspect_vector` the aspect vector of one
+instance before a run's were built at once. The per-function metrics
+(`oracle_accuracy` through `oracle_report`) are the evaluation report
+before it was read off one confusion matrix.
 """
 
 import math
@@ -88,10 +92,53 @@ def filled(p, arrays):
     return p
 
 
+# Row block of each gate in a cell's operand arrays.
+GATE_ROW = {"i": 0, "f": 1, "o": 2, "c": 3, "ai": 4, "af": 5, "ao": 6}
+# Seed stream of each gate's matrix at init.
+GATE_STREAM = {"i": 0, "f": 1, "c": 2, "o": 3, "ai": 10, "af": 11, "ao": 12}
+
+
+def _gate_names(aware):
+    """A cell's gates in the per-gate key order: aspect gates first."""
+    return ("ai", "af", "ao", "i", "f", "c", "o") if aware else ("i", "f", "c", "o")
+
+
+def gate_arrays(p):
+    """Per-gate copies "W_i" ... "b_ao" of a cell's operand arrays `p` (its
+    params, or its grads as `type(params)(**grads)`): W_g is gate g's rows of
+    W_x, or of W_a for an aspect gate, beside its rows of W_h."""
+    dc = p.W_h.shape[1]
+    weights, biases = {}, {}
+    for g in _gate_names(hasattr(p, "W_a")):
+        k = GATE_ROW[g]
+        W_in = p.W_x[k * dc:(k + 1) * dc] if k < 4 else p.W_a[(k - 4) * dc:(k - 3) * dc]
+        weights[f"W_{g}"] = np.concatenate((W_in, p.W_h[k * dc:(k + 1) * dc]), axis=1)
+        biases[f"b_{g}"] = p.b[k * dc:(k + 1) * dc].copy()
+    return {**weights, **biases}
+
+
+def per_gate_init(cls, dx, dc, lo=-0.1, hi=0.1, seed=0):
+    """Per-gate arrays of a fresh cell of class `cls`, drawn the way the cell
+    stored them before its weights were grouped by operand: each W_g, of
+    (dc, in + dc), one draw of its size from seed stream [seed, stream]; each
+    b_g zero."""
+    from aalstm.cells import AALstmParams
+    from aalstm.tensor import uniform_init
+    names = _gate_names(cls is AALstmParams)
+    out = {}
+    for g in names:
+        n_in = dx if GATE_ROW[g] < 4 else dc
+        out[f"W_{g}"] = uniform_init(1, dc * (n_in + dc), lo, hi,
+                                     seed=[seed, GATE_STREAM[g]]).reshape(dc, n_in + dc)
+    out.update({f"b_{g}": np.zeros(dc) for g in names})
+    return out
+
+
 def core(p):
     """The classic cell embedded in an aspect-aware one (shared core weights)."""
     from aalstm.cells import ClassicLstmParams
-    return ClassicLstmParams(p.W_core, p.b_core)
+    dc = p.hidden_dim
+    return ClassicLstmParams(p.W_x, p.W_h[:4 * dc], p.b[:4 * dc])
 
 
 def loop_run(p, X, prev, aspect=None):
@@ -107,12 +154,13 @@ def loop_run(p, X, prev, aspect=None):
     c_cand = np.empty((n_steps, dc))
     tanh_c = np.empty((n_steps, dc))
     a_gates = None if aspect is None else np.empty((n_steps, 3 * dc))
+    W_h, W_ah = p.W_h[:4 * dc], p.W_h[4 * dc:]
     for t, x in enumerate(X):
-        z = p.W_core @ np.concatenate((x, H[t]))
+        z = p.W_x @ x + W_h @ H[t]
         if aspect is not None:
-            a = a_gates[t] = sigmoid(p.W_aspect @ np.concatenate((aspect, H[t])) + p.b_aspect)
+            a = a_gates[t] = sigmoid(p.W_a @ aspect + W_ah @ H[t] + p.b[4 * dc:])
             z[:3 * dc] += a * np.tile(aspect, 3)
-        z += p.b_core
+        z += p.b[:4 * dc]
         g = ifo[t] = sigmoid(z[:3 * dc])
         c_cand[t] = tanh_v(z[3 * dc:])
         C[t + 1] = g[dc:2 * dc] * C[t] + g[:dc] * c_cand[t]
@@ -142,7 +190,7 @@ def sequence_bptt(p, cache, dH):
     gates at step t and dZa[t] that of the aspect gates."""
     from aalstm.cells import AALstmParams
     aware = isinstance(p, AALstmParams)
-    n_steps, dx, dc = cache.X.shape[0], p.input_dim, p.hidden_dim
+    n_steps, dc = cache.X.shape[0], p.hidden_dim
     ifo = cache.ifo.reshape(n_steps, 3, dc)
     c_cand, tanh_c = cache.c_cand, cache.tanh_c
     # dz = G * [dc_t, dc_t, dh_t, dc_t] blockwise, dc_t being the total
@@ -157,7 +205,7 @@ def sequence_bptt(p, cache, dH):
     G[:, 3] = ifo[:, 0] * (1.0 - c_cand ** 2)
     dh_to_dc = ifo[:, 2] * (1.0 - tanh_c ** 2)
     forget = ifo[:, 1]
-    W_h = p.W_core[:, dx:]
+    W_h = p.W_h[:4 * dc]
     dZ = np.empty((n_steps, 4 * dc))
     dZ4 = dZ.reshape(n_steps, 4, dc)
     if aware:
@@ -166,7 +214,7 @@ def sequence_bptt(p, cache, dH):
         a_gates = cache.a_gates
         G_a = np.tile(cache.aspect, 3) * a_gates
         G_a *= 1.0 - a_gates
-        W_ah = p.W_aspect[:, dc:]
+        W_ah = p.W_h[4 * dc:]
         dZa = np.empty((n_steps, 3 * dc))
     dh_rec = np.zeros(dc)
     dc_rec = np.zeros(dc)
@@ -182,15 +230,15 @@ def sequence_bptt(p, cache, dH):
             np.multiply(dZ[t, :3 * dc], G_a[t], out=dZa[t])
             dh_rec += W_ah.T @ dZa[t]
     H_prev = cache.H[:-1]
-    grads = {"W_core": dZ.T @ np.hstack((cache.X, H_prev)), "b_core": dZ.sum(axis=0)}
+    grads = {"W_x": dZ.T @ cache.X, "W_h": dZ.T @ H_prev, "b": dZ.sum(axis=0)}
     d_aspect = None
     if aware:
-        AH = np.hstack((np.tile(cache.aspect, (n_steps, 1)), H_prev))
-        grads["W_aspect"] = dZa.T @ AH
-        grads["b_aspect"] = dZa.sum(axis=0)
+        grads["W_a"] = dZa.T @ np.tile(cache.aspect, (n_steps, 1))
+        grads["W_h"] = np.concatenate((grads["W_h"], dZa.T @ H_prev))
+        grads["b"] = np.concatenate((grads["b"], dZa.sum(axis=0)))
         d_aspect = (dZ[:, :3 * dc] * a_gates).reshape(-1, dc).sum(axis=0)
-        d_aspect += p.W_aspect[:, :dc].T @ grads["b_aspect"]
-    return p._named(grads), dZ @ p.W_core[:, :dx], d_aspect
+        d_aspect += p.W_a.T @ dZa.sum(axis=0)
+    return grads, dZ @ p.W_x, d_aspect
 
 
 def _step_view(cache, t):
@@ -228,15 +276,15 @@ def _per_gate_core_backward_step(p, cache, dh, dc_next, grads):
     grads["b_f"] += dz_f
     grads["b_c"] += dz_c
     grads["b_o"] += dz_o
-    w = p.to_arrays()
+    w = gate_arrays(p)
     dxh = w["W_i"].T @ dz_i + w["W_f"].T @ dz_f + w["W_c"].T @ dz_c + w["W_o"].T @ dz_o
     return dxh, dz_i, dz_f, dz_o, dc_prev
 
 
 def per_gate_classic_backward(p, caches, dh_list):
-    """Per-gate BPTT for the classic cell: (param grads, input grads)."""
+    """Per-gate BPTT for the classic cell: (per-gate param grads, input grads)."""
     dx_in = p.input_dim
-    grads = {name: np.zeros_like(arr) for name, arr in p.to_arrays().items()}
+    grads = {name: np.zeros_like(arr) for name, arr in gate_arrays(p).items()}
     dxs = [None] * len(caches.X)
     dh_rec = np.zeros(p.hidden_dim)
     dc_rec = np.zeros(p.hidden_dim)
@@ -249,11 +297,11 @@ def per_gate_classic_backward(p, caches, dh_list):
 
 
 def per_gate_aa_backward(p, caches, dh_list):
-    """Per-gate BPTT for the aspect-aware cell: (param grads, input grads,
-    aspect grad)."""
+    """Per-gate BPTT for the aspect-aware cell: (per-gate param grads, input
+    grads, aspect grad)."""
     dx_in = p.input_dim
     da = p.hidden_dim  # the aspect-aware cell's aspect dim
-    grads = {name: np.zeros_like(arr) for name, arr in p.to_arrays().items()}
+    grads = {name: np.zeros_like(arr) for name, arr in gate_arrays(p).items()}
     dxs = [None] * len(caches.X)
     d_aspect = np.zeros(da)
     dh_rec = np.zeros(p.hidden_dim)
@@ -275,7 +323,7 @@ def per_gate_aa_backward(p, caches, dh_list):
         grads["b_af"] += dz_af
         grads["b_ao"] += dz_ao
 
-        w = p.to_arrays()
+        w = gate_arrays(p)
         dah = w["W_ai"].T @ dz_ai + w["W_af"].T @ dz_af + w["W_ao"].T @ dz_ao
         d_aspect += dz_i * cache.ai_gate + dz_f * cache.af_gate + dz_o * cache.ao_gate
         d_aspect += dah[:da]
@@ -439,7 +487,8 @@ def oracle_report(preds, golds):
 
 
 def params_as_lists(params) -> dict:
-    return {name: arr.tolist() for name, arr in params.to_arrays().items()}
+    """A cell's per-gate arrays as nested lists, for the scalar oracles."""
+    return {name: arr.tolist() for name, arr in gate_arrays(params).items()}
 
 
 def fd_grad_of_array(loss_fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:

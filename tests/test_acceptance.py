@@ -49,15 +49,18 @@ _COMBOS = (
     ("aa", "attention"),
 )
 
-_AA_BIASES = ("b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")
+_AA_GATES = ("ai", "af", "ao", "i", "f", "c", "o")
 
 
 def random_aa_params(dx, dc, lo, hi, seed, rng):
-    """U(lo, hi) weights via init, plus random biases (init zeroes them)."""
+    """U(lo, hi) weights via init, plus random biases (init zeroes them),
+    drawn gate by gate in the per-gate key order."""
+    from helpers import GATE_ROW
+
     p = AALstmParams.init(dx, dc, lo=lo, hi=hi, seed=seed)
-    arrays = p.to_arrays()
-    for name in _AA_BIASES:
-        arrays[name][:] = rng.uniform(lo, hi, dc)
+    for gate in _AA_GATES:
+        k = GATE_ROW[gate]
+        p.b[k * dc:(k + 1) * dc] = rng.uniform(lo, hi, dc)
     return p
 
 

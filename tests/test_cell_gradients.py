@@ -5,8 +5,8 @@ import numpy as np
 from aalstm import tensor
 from aalstm.cells import aa_lstm_backward, classic_lstm_backward, unroll
 
-from helpers import (fd_grad_of_array, per_gate_aa_backward, per_gate_classic_backward,
-                     sequence_view, worst_rel_err)
+from helpers import (fd_grad_of_array, gate_arrays, per_gate_aa_backward,
+                     per_gate_classic_backward, sequence_view, worst_rel_err)
 from test_cells import random_aa_params, random_classic_params, random_state
 
 EPS = 1e-5
@@ -128,6 +128,11 @@ class TestClassicBackward:
             raise AssertionError("length mismatch not rejected")
 
 
+def per_gate(p, result):
+    """A backward pass's result with its operand grads split per gate."""
+    return (gate_arrays(type(p)(**result[0])), *result[1:])
+
+
 def assert_grads_close(got, want, atol=1e-12):
     got_grads, got_dxs = got[0], got[1]
     want_grads, want_dxs = want[0], want[1]
@@ -165,7 +170,7 @@ class TestFusedMatchesPerGateOracle:
             _, caches = unroll(p, xs, aspect[None], init=init)
             dh = rng.normal(size=(n_steps, dc))
             want = per_gate_aa_backward(p, sequence_view(caches, 0), dh)
-            got = aa_lstm_backward(p, caches, dh)
+            got = per_gate(p, aa_lstm_backward(p, caches, dh))
             assert_grads_close(got, want)
             np.testing.assert_allclose(got[2][0], want[2], rtol=0, atol=1e-12)
 
@@ -176,4 +181,4 @@ class TestFusedMatchesPerGateOracle:
             _, caches = unroll(p, xs, init=init)
             dh = rng.normal(size=(n_steps, dc))
             want = per_gate_classic_backward(p, sequence_view(caches, 0), dh)
-            assert_grads_close(classic_lstm_backward(p, caches, dh), want)
+            assert_grads_close(per_gate(p, classic_lstm_backward(p, caches, dh)), want)

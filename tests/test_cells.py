@@ -21,8 +21,10 @@ from aalstm.tensor import ShapeError
 from helpers import (
     core,
     filled,
+    gate_arrays,
     loop_run,
     params_as_lists,
+    per_gate_init,
     scalar_aa_step,
     scalar_classic_step,
     sequence_bptt,
@@ -324,20 +326,27 @@ class TestBatchedRun:
 class TestParamPlumbing:
     def test_core_extraction_shares_values(self):
         p = AALstmParams.init(3, 4, seed=5)
-        classic = core(p)
-        assert np.array_equal(classic.to_arrays()["W_i"], p.to_arrays()["W_i"])
-        assert np.array_equal(classic.to_arrays()["b_o"], p.to_arrays()["b_o"])
+        classic, gates = gate_arrays(core(p)), gate_arrays(p)
+        assert list(classic) == ["W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o"]
+        for name, arr in classic.items():
+            assert np.array_equal(arr, gates[name]), name
 
-    def test_named_fields_are_views_into_stacked_storage(self):
-        # Writes through the names (optimizer, gradient check) reach the kernel.
+    def test_to_arrays_returns_the_fields(self):
+        # The fields are the arrays the kernel reads, so writes through
+        # to_arrays() (optimizer, gradient check) reach the kernel.
+        for cls, names in ((ClassicLstmParams, ["W_x", "W_h", "b"]),
+                           (AALstmParams, ["W_x", "W_a", "W_h", "b"])):
+            p = cls.init(2, 3, seed=1)
+            arrays = p.to_arrays()
+            assert list(arrays) == names
+            for name, arr in arrays.items():
+                assert arr is getattr(p, name), name
         rng = tensor.make_rng(19)
         p = random_aa_params(rng, dx=2, dc=3)
         x, aspect, prev = rng.normal(size=2), rng.normal(size=3), random_state(rng, 3)
         before, _ = aa_lstm_step(p, x, aspect, prev)
-        storage = (p.W_core, p.b_core, p.W_aspect, p.b_aspect)
-        for name, arr in p.to_arrays().items():
+        for arr in p.to_arrays().values():
             arr += 0.25
-            assert any(np.shares_memory(arr, buf) for buf in storage), name
         after, _ = aa_lstm_step(p, x, aspect, prev)
         shifted = filled(AALstmParams.empty(2, 3), p.to_arrays())
         expected, _ = aa_lstm_step(shifted, x, aspect, prev)
@@ -349,6 +358,19 @@ class TestParamPlumbing:
         q = filled(AALstmParams.empty(3, 4), p.to_arrays())
         for name, arr in p.to_arrays().items():
             assert np.array_equal(arr, q.to_arrays()[name])
+
+    @pytest.mark.parametrize("dx,dc", [(4, 4), (3, 5), (6, 2)])
+    def test_init_matches_the_per_gate_oracle(self, dx, dc):
+        # Each gate's matrix is one draw from its own seed stream, split into
+        # its operand rows, so a fresh cell is the per-gate init exactly.
+        for cls in (ClassicLstmParams, AALstmParams):
+            for seed in (0, 1, 7, [3, 9]):
+                for lo, hi in ((-0.1, 0.1), (-0.3, 0.2)):
+                    got = gate_arrays(cls.init(dx, dc, lo=lo, hi=hi, seed=seed))
+                    want = per_gate_init(cls, dx, dc, lo=lo, hi=hi, seed=seed)
+                    assert list(got) == list(want)
+                    for name, arr in want.items():
+                        np.testing.assert_array_equal(got[name], arr, err_msg=name)
 
     def test_init_is_deterministic_and_in_range(self):
         a = AALstmParams.init(3, 4, seed=7)

@@ -104,11 +104,8 @@ def test_frozen_embeddings_round_trip(tmp_path):
     assert loaded.embeddings.matrix.tobytes() == model.embeddings.matrix.tobytes()
 
 
-_AA_CELL_KEYS = [f"cell.{g}" for g in (
-    "W_ai", "W_af", "W_ao", "W_i", "W_f", "W_c", "W_o",
-    "b_ai", "b_af", "b_ao", "b_i", "b_f", "b_c", "b_o")]
-_CLASSIC_CELL_KEYS = [f"cell.{g}" for g in (
-    "W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")]
+_AA_CELL_KEYS = ["cell.W_x", "cell.W_a", "cell.W_h", "cell.b"]
+_CLASSIC_CELL_KEYS = ["cell.W_x", "cell.W_h", "cell.b"]
 
 
 @pytest.mark.parametrize("args,train_embeddings,keys", [
@@ -119,13 +116,13 @@ _CLASSIC_CELL_KEYS = [f"cell.{g}" for g in (
      ["__meta__", "emb.words"] + _CLASSIC_CELL_KEYS + ["clf.W_s", "clf.b_s"]),
 ])
 def test_archive_key_set_is_pinned(tmp_path, args, train_embeddings, keys):
-    # Format version 2 fixes these names and their order; frozen tables are
-    # stored too. The cell's order comes from its name tuple, not its storage.
+    # Format version 3 fixes these names and their order; frozen tables are
+    # stored too. The cell's arrays are its operand arrays, in field order.
     path = tmp_path / "ckpt.npz"
     save_checkpoint(make(*args, train_embeddings=train_embeddings), path)
     with np.load(path, allow_pickle=False) as archive:
         assert archive.files == keys
-        assert json.loads(str(archive["__meta__"][()]))["version"] == 2
+        assert json.loads(str(archive["__meta__"][()]))["version"] == 3
 
 
 def test_loaded_params_are_live_views(tmp_path):
@@ -133,20 +130,20 @@ def test_loaded_params_are_live_views(tmp_path):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    loaded.params()["cell.W_i"][0, 0] = 7.0
-    assert loaded.cell.to_arrays()["W_i"][0, 0] == 7.0
+    loaded.params()["cell.W_x"][0, 0] = 7.0
+    assert loaded.cell.W_x[0, 0] == 7.0
 
 
 def test_cell_arrays_in_other_layouts_load_bit_exactly(tmp_path):
-    # Cell arrays are read straight into stacked storage when stored as
+    # Cell arrays are read straight into their storage when stored as
     # native C-order float64, and converted otherwise.
     model = make("atsa", "aa", "last")
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(model, src)
 
     def relayout(entries):
-        entries["cell.W_i"] = np.asfortranarray(entries["cell.W_i"])
-        entries["cell.W_ao"] = entries["cell.W_ao"].astype(">f8")
+        entries["cell.W_x"] = np.asfortranarray(entries["cell.W_x"])
+        entries["cell.W_a"] = entries["cell.W_a"].astype(">f8")
     rewrite_npz(src, dst, relayout)
     loaded = load_checkpoint(dst)
     for name, arr in model.cell.to_arrays().items():
@@ -157,12 +154,13 @@ def test_cell_array_of_wrong_shape_is_rejected(tmp_path):
     model = make("atsa", "aa", "last")
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(model, src)
-    rewrite_npz(src, dst, lambda e: e.update({"cell.W_f": e["cell.W_f"][:-1]}))
-    with pytest.raises(CheckpointError, match="W_f"):
+    rewrite_npz(src, dst, lambda e: e.update({"cell.W_h": e["cell.W_h"][:-1]}))
+    with pytest.raises(CheckpointError, match="W_h"):
         load_checkpoint(dst)
 
 
-@pytest.mark.parametrize("key,value", [("cell.W_i", np.nan), ("cell.b_ao", np.inf),
+@pytest.mark.parametrize("key,value", [("cell.W_x", np.nan), ("cell.W_a", -np.inf),
+                                       ("cell.W_h", np.nan), ("cell.b", np.inf),
                                        ("emb.words", -np.inf), ("clf.b_s", np.nan)])
 def test_non_finite_array_is_rejected(tmp_path, key, value):
     model = make("atsa", "aa", "attention")
@@ -197,9 +195,10 @@ def test_archive_without_meta(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_unsupported_version(tmp_path, version):
-    # Version 1 held the attention head's aspect weights; it is not converted.
+    # Version 1 held the attention head's aspect weights and version 2 the
+    # cell's per-gate matrices; neither is converted.
     model = make("atsa", "classic", "last")
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(model, src)
@@ -249,8 +248,8 @@ def test_missing_parameter_array(tmp_path):
     model = make("atsa", "aa", "attention")
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(model, src)
-    rewrite_npz(src, dst, lambda e: e.pop("cell.W_ai"))
-    with pytest.raises(CheckpointError, match="missing array 'cell.W_ai'"):
+    rewrite_npz(src, dst, lambda e: e.pop("cell.W_a"))
+    with pytest.raises(CheckpointError, match="missing array 'cell.W_a'"):
         load_checkpoint(dst)
 
 
@@ -319,7 +318,7 @@ def test_dim_mismatch_is_rejected(tmp_path):
         entries["emb.words"] = entries["emb.words"][:, :-1]
     rewrite_npz(src, dst, shrink_embeddings)
     with pytest.raises(CheckpointError, match=re.escape(
-            "array 'cell.W_i' has shape (5, 10), but the dims of its other arrays need (5, 9)")):
+            "array 'cell.W_x' has shape (20, 5), but the dims of its other arrays need (20, 4)")):
         load_checkpoint(dst)
 
 

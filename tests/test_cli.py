@@ -49,11 +49,13 @@ def test_gradcheck_passes(cell, head, capsys):
 
 
 def test_gradcheck_corrupted_gradient_fails(capsys):
+    # cell.W_a[0, 0] is W_ai[0, 0], the aspect-input gate's first weight.
     code = main(["gradcheck", "--cell", "aa", "--head", "attention",
-                 "--corrupt", "cell.W_ai"])
+                 "--corrupt", "cell.W_a"])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+    assert "at cell.W_a[0, 0]" in out
 
 
 def test_gradcheck_unknown_corrupt_name(capsys):
@@ -184,8 +186,8 @@ def test_eval_dim_mismatch_is_configuration_error(tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(bad), "--data", FIXTURE])
     err = capsys.readouterr().err
     assert code == 1
-    assert "array 'cell.W_i' has shape (5, 10), but the dims of its other arrays " \
-        "need (5, 9)" in err
+    assert "array 'cell.W_x' has shape (20, 5), but the dims of its other arrays " \
+        "need (20, 4)" in err
 
 
 def test_eval_zero_size_checkpoint_is_one_error_line(tmp_path, capsys):
@@ -442,6 +444,48 @@ def test_invalid_config_values_are_cli_errors():
                               "--dropout", "1.5"])
     with pytest.raises(CliError, match="invalid configuration"):
         resolve_config(args, synthetic=True)
+
+
+def _config_argv(tmp_path, source, key, value):
+    """`--key value` as a flag, or `key = value` in a --config file."""
+    if source == "flag":
+        return [f"--{key}", value]
+    cfg_file = tmp_path / "train.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    return ["--config", str(cfg_file)]
+
+
+@pytest.mark.parametrize("source,key,value", [
+    ("flag", "lr", "nan"), ("flag", "l2", "inf"), ("file", "lr", "-inf"),
+    ("file", "l2", "nan"), ("file", "init_low", "-inf"), ("file", "init_high", "nan"),
+])
+def test_non_finite_config_values_are_one_error_line(tmp_path, capsys, source, key, value):
+    # Rejected before anything is written, not as a diverged loss or a
+    # traceback from the initializer.
+    out_dir = tmp_path / "o"
+    code = main(["train", "--synthetic", "--epochs", "1", "--out", str(out_dir)]
+                + _config_argv(tmp_path, source, key, value))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: invalid configuration: {key} must be finite, got {float(value)}"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,source", [
+    ("train", "flag"), ("train", "file"), ("bench", "flag"), ("gradcheck", "flag"),
+])
+def test_negative_seed_is_one_error_line(tmp_path, capsys, command, source):
+    out_dir = tmp_path / "o"
+    argv = {"train": ["train", "--synthetic", "--epochs", "1", "--out", str(out_dir)],
+            "bench": ["bench", "--sentences", "20"], "gradcheck": ["gradcheck"]}[command]
+    code = main(argv + _config_argv(tmp_path, source, "seed", "-1"))
+    captured = capsys.readouterr()
+    assert code == 1
+    prefix = "invalid configuration: " if command == "train" else ""
+    assert captured.err.splitlines() == [f"error: {prefix}seed must be nonnegative, got -1"]
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 # --- bench ---------------------------------------------------------------------

@@ -76,12 +76,12 @@ ALL_COMBOS = [(c, h) for c in ("classic", "aa") for h in ("last", "attention")]
 def test_param_keys_per_combo():
     m = make("atsa", "classic", "last")
     keys = set(m.params())
-    assert "emb.words" in keys and "cell.W_i" in keys and "clf.W_s" in keys
+    assert "emb.words" in keys and "cell.W_x" in keys and "clf.W_s" in keys
     assert not any(k.startswith("attn.") for k in keys)
-    assert "cell.W_ai" not in keys
+    assert "cell.W_a" not in keys
     m = make("atsa", "aa", "attention")
     keys = set(m.params())
-    assert "cell.W_ai" in keys and "attn.w" in keys
+    assert "cell.W_a" in keys and "attn.w" in keys
     assert "emb.aspects" not in keys  # atsa aspect lives in word space
     m = make("acsa", "aa", "last")
     assert "emb.aspects" in m.params()
@@ -92,14 +92,15 @@ def test_param_keys_per_combo():
 def test_params_are_live_references():
     m = make("atsa", "aa", "last")
     p = m.params()
-    p["cell.W_i"][0, 0] = 123.0
-    assert m.cell.to_arrays()["W_i"][0, 0] == 123.0
+    p["cell.W_x"][0, 0] = 123.0
+    assert m.cell.W_x[0, 0] == 123.0
 
 
 def test_regularized_is_matrices_only():
     m = make("acsa", "aa", "attention")
     reg = m.regularized()
-    assert "cell.W_i" in reg and "attn.W_h" in reg and "clf.W_s" in reg
+    assert {"cell.W_x", "cell.W_a", "cell.W_h"} <= set(reg)
+    assert "attn.W_h" in reg and "clf.W_s" in reg and "cell.b" not in reg
     assert not any(k.startswith("emb.") for k in reg)
     assert "clf.b_s" not in reg and "attn.w" not in reg
 

@@ -424,7 +424,7 @@ def test_train_deterministic_logs():
 def test_train_aborts_on_nonfinite_loss():
     data = _toy_data(6)
     model = _toy_model()
-    model.cell.to_arrays()["W_i"][0, 0] = float("nan")
+    model.cell.W_x[0, 0] = float("nan")
     cfg = TrainConfig(lr=0.01, batch_size=2, dropout=0.0, l2=0.0, emb_dim=6,
                       hidden_dim=6, max_epochs=2, patience=2, seed=5)
     with pytest.raises(TrainingDiverged, match="epoch 1, batch 0"):
