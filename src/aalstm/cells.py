@@ -36,9 +36,9 @@ in-place writes (the optimizer, gradient checks, restoring the best
 weights, a checkpoint load) reach the kernel. The shapes come from the dims
 in one place, ``_shapes``.
 
-One kernel runs ``unroll``, and ``classic_lstm_step``/``aa_lstm_step`` as
-one-step runs. It runs B sequences at once, sorted longest first so that the
-sequences still running at step t are the first rows of each batch axis.
+One kernel runs ``unroll``; one step is a one-row run. It runs B sequences
+at once, sorted longest first so that the sequences still running at step t
+are the first rows of each batch axis.
 Its buffers are time-major with the gate group ahead of the batch row:
 gates (T, G, B, dc), G = 4 (i, f, o, c) or 7 (plus a_i, a_f, a_o), and
 states (T+1, B, dc). A step's block of one gate group over its running rows
@@ -99,13 +99,11 @@ class CellCache:
     post-sigmoid i, f, o, the post-tanh candidate and, for the aspect-aware
     cell (G = 7, else 4), the post-sigmoid a_i, a_f, a_o. ``tanh_c`` is
     (T, B, dc), tanh(c_t); ``aspects`` holds each row's aspect (None for the
-    classic cell). Entries past a sequence's length are never written.
-    ``ifo`` (T, 3, B, dc), ``c_cand`` (T, B, dc) and ``a_gates`` (T, 3, B,
-    dc) are views of ``Z``'s groups. The backward pass reads the live
-    weights, so a cache must be consumed before they are updated in place,
-    as training does. It writes over ``Z`` and drops it, so a cache serves
-    one backward pass. ``packed`` is the step and the batch row of each input
-    row, for B > 1 (None for one sequence).
+    classic cell). Entries past a sequence's length are never written. The
+    backward pass reads the live weights, so a cache must be consumed before
+    they are updated in place, as training does. It writes over ``Z`` and
+    drops it, so a cache serves one backward pass. ``packed`` is the step and
+    the batch row of each input row, for B > 1 (None for one sequence).
     """
 
     X: np.ndarray
@@ -117,18 +115,6 @@ class CellCache:
     tanh_c: np.ndarray
     aspects: Optional[np.ndarray]
     packed: Optional[tuple[np.ndarray, np.ndarray]]
-
-    @property
-    def ifo(self) -> np.ndarray:
-        return self.Z[:, :3]
-
-    @property
-    def c_cand(self) -> np.ndarray:
-        return self.Z[:, 3]
-
-    @property
-    def a_gates(self) -> Optional[np.ndarray]:
-        return None if self.aspects is None else self.Z[:, 4:]
 
 
 class _CellParams(ParamSet):
@@ -259,20 +245,6 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
         tc = tanh_v(c, out=tanh_c[t, :n])
         np.multiply(g[2], tc, out=H[t + 1, :n])
     return CellCache(X, lengths, order, H, C, Z, tanh_c, aspects, packed)
-
-
-def classic_lstm_step(p: ClassicLstmParams, x: np.ndarray,
-                      prev: CellState) -> tuple[CellState, CellCache]:
-    """One classic LSTM step: a one-step unroll."""
-    _, cache = unroll(p, x[None], init=prev)
-    return CellState(h=cache.H[1, 0], c=cache.C[1, 0]), cache
-
-
-def aa_lstm_step(p: AALstmParams, x: np.ndarray, aspect: np.ndarray,
-                 prev: CellState) -> tuple[CellState, CellCache]:
-    """One aspect-aware LSTM step (see module docstring for the update rule)."""
-    _, cache = unroll(p, x[None], aspect[None], init=prev)
-    return CellState(h=cache.H[1, 0], c=cache.C[1, 0]), cache
 
 
 def unroll(params, xs: np.ndarray, aspect: Optional[np.ndarray] = None,

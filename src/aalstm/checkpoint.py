@@ -1,15 +1,15 @@
 """Model persistence: one npz archive per checkpoint.
 
-The archive holds `SentimentModel.arrays()` under its names and in its order
+The archive holds `SentimentModel.params()` under its names and in its order
 (float64, round-tripping bit-exactly), plus a `__meta__` JSON string carrying
 everything that is not a weight: format version, task/cell/head switches,
 the vocabulary in row order, which rows were randomly initialized, and the
-category list. Frozen tables are stored too: inference needs them.
+category list.
 
 Loading mirrors saving. The .npy headers of "emb.words" and "cell.W_h"
 give the dims; the model the switches name is built around them with
 uninitialized storage; the archive's keys must equal `__meta__` plus its
-`arrays()`, and its metadata lists categories exactly for a model with a
+`params()`, and its metadata lists categories exactly for a model with a
 table; and each array is read straight into its live array, whose shape it
 must have, so a category table of the wrong width is caught there. NaN or
 inf is rejected.
@@ -26,7 +26,7 @@ from .data import EmbeddingTable
 from .model import SentimentModel, assemble_model
 
 FORMAT_NAME = "aalstm-checkpoint"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _META_KEY = "__meta__"
 
 
@@ -51,14 +51,13 @@ def save_checkpoint(model: SentimentModel, path) -> None:
         "task": model.task,
         "cell": model.cell_kind,
         "head": model.head_kind,
-        "train_embeddings": model.train_embeddings,
         "vocab": _vocab_rows(model.embeddings.vocab),
         "oov_tokens": sorted(model.embeddings.oov_tokens),
         "categories": (list(model.aspect_embeddings.categories)
                        if model.aspect_embeddings is not None else None),
     }
     with open(path, "wb") as fh:
-        np.savez(fh, **{_META_KEY: np.array(json.dumps(meta))}, **model.arrays())
+        np.savez(fh, **{_META_KEY: np.array(json.dumps(meta))}, **model.params())
 
 
 _READ_CHUNK = 1 << 18  # numpy's own read size; larger ones raise peak memory
@@ -146,13 +145,12 @@ def _read_model(path, archive) -> SentimentModel:
         embeddings = EmbeddingTable({token: i for i, token in enumerate(meta["vocab"])},
                                     np.empty((n_words, dx)), frozenset(meta["oov_tokens"]))
         model = assemble_model(meta["task"], meta["cell"], meta["head"], embeddings,
-                               hidden_dim, categories, lambda cls, *dims: cls.empty(*dims),
-                               bool(meta["train_embeddings"]))
+                               hidden_dim, categories, lambda cls, *dims: cls.empty(*dims))
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"inconsistent checkpoint {path}: {exc}") from None
-    arrays = model.arrays()
+    arrays = model.params()
     stored = set(archive.files) - {_META_KEY}
     mismatch = ([f"missing array {key!r}" for key in arrays if key not in stored]
                 + [f"unused array {key!r}" for key in sorted(stored.difference(arrays))])

@@ -81,13 +81,9 @@ class LabeledInstance:
         return POLARITY_INDEX[self.polarity]
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercased tokens: word-character runs and single punctuation marks."""
-    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
-
-
 def tokenize_with_offsets(text: str) -> tuple[list[str], list[tuple[int, int]]]:
-    """Tokens plus their [start, end) character offsets in the original text."""
+    """Lowercased tokens, word-character runs and single punctuation marks,
+    plus their [start, end) character offsets in the original text."""
     tokens, offsets = [], []
     for m in _TOKEN_RE.finditer(text):
         tokens.append(m.group(0).lower())
@@ -252,9 +248,10 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
     get the file's values; the rest are drawn from U(-0.1, 0.1), filled in
     vocabulary order from a single seeded stream so the result is
     deterministic for a fixed (vocab, seed). A token with spaces in it
-    (GloVe has `. . .`) is skipped: `tokenize` never emits one. A vocabulary
-    token followed by more or fewer than `dim` numbers, or by a non-number or
-    a non-finite one, is a DataFormatError, as is invalid UTF-8.
+    (GloVe has `. . .`) is skipped: `tokenize_with_offsets` never emits one.
+    A vocabulary token followed by more or fewer than `dim` numbers, or by a
+    non-number or a non-finite one, is a DataFormatError, as is invalid
+    UTF-8.
     """
     found: dict[int, np.ndarray] = {}
     for lineno, line in _numbered_lines(path):

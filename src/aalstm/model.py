@@ -5,17 +5,18 @@ embeddings, "acsa" aspect vectors are rows of a trainable category table. The
 cell and head kinds are read from the parts a model holds: the cell is
 "aa" (aspect-aware) when it is an `AALstmParams` and "classic" otherwise, and
 the head is "attention" when the model has attention weights and the "last"
-hidden state otherwise. Only the aa cell reads the aspect. `assemble_model`
+hidden state otherwise. Only the aa cell reads the aspect. Every model
+trains all of its arrays, its word table included. `assemble_model`
 is the one constructor: it picks the parts from the kinds by name, for
 `build_model` (fresh weights) and the checkpoint loader (empty storage it
 fills), and it owns the rules the names and dims must keep: known names,
 every dim at least 1, and a category table exactly for an acsa model with
 the aa cell, so a model holds no array it does not read. The `SentimentModel`
-constructor only stores the parts. `SentimentModel.arrays()` is the one
+constructor only stores the parts. `SentimentModel.params()` is the one
 owner of the namespaced array names ("emb.words", "cell.W_x", "clf.b_s",
-...), and `backward` names its gradients the same way: the checkpoint
-writes and reads exactly those arrays, and `params()`, which the optimizer
-and the gradient check walk, is the same dict minus a frozen word table.
+...), and `backward` names its gradients the same way: the optimizer and
+the gradient check walk exactly those arrays, and the checkpoint writes
+and reads them.
 
 One run is the only way the model is driven: `forward` takes a minibatch,
 an evaluation chunk or one instance to predict. It gathers their input rows,
@@ -34,7 +35,7 @@ Gradient routing notes, since they are easy to get wrong:
   - an aspect vector is the mean of its source rows in one table, a term
     span's clean (pre-dropout) word rows or a category's row, so one
     scatter gives each row the aspect's gradient over its row count, with
-    no mask, unless that table is frozen;
+    no mask;
   - a span token is also an input token, so its row can receive gradient
     from both paths in the same step.
 """
@@ -63,7 +64,7 @@ HEADS = ("last", "attention")
 
 def _part_arrays(**parts: Optional[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     """The parts' own arrays, in order, each named "<part>.<name>"; a part
-    that is None has none. `arrays()` and `backward` both name theirs here."""
+    that is None has none. `params()` and `backward` both name theirs here."""
     return {f"{prefix}.{name}": arr for prefix, arrays in parts.items()
             if arrays is not None for name, arr in arrays.items()}
 
@@ -93,19 +94,20 @@ class SentimentModel:
     """Embeddings, cell, optional attention head and classifier, stored as
     given; `assemble_model` builds one from names and dims."""
 
+    # Every model trains its word table; perfbench's tracer reads this flag.
+    train_embeddings = True
+
     def __init__(self, task: str, embeddings: EmbeddingTable,
                  cell: Union[ClassicLstmParams, AALstmParams],
                  clf: ClassifierParams,
                  attn: Optional[AttentionParams] = None,
-                 aspect_embeddings: Optional[AspectEmbeddingTable] = None,
-                 train_embeddings: bool = True):
+                 aspect_embeddings: Optional[AspectEmbeddingTable] = None):
         self.task = task
         self.embeddings = embeddings
         self.aspect_embeddings = aspect_embeddings
         self.cell = cell
         self.attn = attn
         self.clf = clf
-        self.train_embeddings = train_embeddings
 
     @property
     def cell_kind(self) -> str:
@@ -115,22 +117,15 @@ class SentimentModel:
     def head_kind(self) -> str:
         return "last" if self.attn is None else "attention"
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Name -> live array for every array inference needs."""
+    def params(self) -> dict[str, np.ndarray]:
+        """Name -> live array for every array of the model. Mutating a value
+        updates the model."""
         out = {"emb.words": self.embeddings.matrix}
         if self.aspect_embeddings is not None:
             out["emb.aspects"] = self.aspect_embeddings.matrix
         out.update(_part_arrays(cell=self.cell.to_arrays(),
                                 attn=None if self.attn is None else self.attn.to_arrays(),
                                 clf=self.clf.to_arrays()))
-        return out
-
-    def params(self) -> dict[str, np.ndarray]:
-        """Trainable name -> live array: arrays() minus a frozen word table.
-        Mutating a value updates the model."""
-        out = self.arrays()
-        if not self.train_embeddings:
-            del out["emb.words"]
         return out
 
     def regularized(self) -> list[str]:
@@ -191,12 +186,11 @@ class SentimentModel:
             cell_grads, dX = classic_lstm_backward(self.cell, cache.cell, dH)
         grads = {k: np.zeros_like(v) for k, v in self.params().items() if k.startswith("emb.")}
         grads.update(_part_arrays(cell=cell_grads, attn=attn_grads, clf=clf_grads))
-        if self.train_embeddings:
-            if cache.x_mask is not None:
-                dX *= cache.x_mask
-            np.add.at(grads["emb.words"], cache.indices, dX)
-        table = "emb.words" if self.aspect_embeddings is None else "emb.aspects"
-        if d_aspects is not None and table in grads:
+        if cache.x_mask is not None:
+            dX *= cache.x_mask
+        np.add.at(grads["emb.words"], cache.indices, dX)
+        if d_aspects is not None:
+            table = "emb.words" if self.aspect_embeddings is None else "emb.aspects"
             counts = cache.aspect_counts
             np.add.at(grads[table], cache.aspect_rows,
                       np.repeat(d_aspects / counts[:, None], counts, axis=0))
@@ -212,7 +206,7 @@ class SentimentModel:
 def assemble_model(task: str, cell_kind: str, head_kind: str,
                    embeddings: EmbeddingTable, hidden_dim: int,
                    categories: Optional[tuple[str, ...]],
-                   make, train_embeddings: bool = True) -> SentimentModel:
+                   make) -> SentimentModel:
     """The model the (task, cell, head) names describe, around `embeddings`.
 
     This is the one constructor of a `SentimentModel` and the one place that
@@ -244,14 +238,12 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
     aspect_embeddings = (make(AspectEmbeddingTable, categories, hidden_dim)
                          if with_table else None)
     return SentimentModel(task, embeddings, cell, make(ClassifierParams, hidden_dim),
-                          attn=attn, aspect_embeddings=aspect_embeddings,
-                          train_embeddings=train_embeddings)
+                          attn=attn, aspect_embeddings=aspect_embeddings)
 
 
 def build_model(task: str, cell_kind: str, head_kind: str,
                 embeddings: EmbeddingTable, hidden_dim: int, seed=0,
                 categories: tuple[str, ...] = RESTAURANT_CATEGORIES,
-                train_embeddings: bool = True,
                 init_low: float = -0.1, init_high: float = 0.1) -> SentimentModel:
     """Construct a model with freshly initialized weights.
 
@@ -262,5 +254,4 @@ def build_model(task: str, cell_kind: str, head_kind: str,
     """
     return assemble_model(
         task, cell_kind, head_kind, embeddings, hidden_dim, categories,
-        lambda cls, *dims: cls.init(*dims, lo=init_low, hi=init_high, seed=seed),
-        train_embeddings)
+        lambda cls, *dims: cls.init(*dims, lo=init_low, hi=init_high, seed=seed))

@@ -177,10 +177,10 @@ def sequence_view(cache, b):
     aware = cache.aspects is not None
     return SimpleNamespace(
         X=cache.X[start:start + n].copy(), H=cache.H[:n + 1, r].copy(),
-        C=cache.C[:n + 1, r].copy(), ifo=cache.ifo[:n, :, r].reshape(n, -1).copy(),
-        c_cand=cache.c_cand[:n, r].copy(), tanh_c=cache.tanh_c[:n, r].copy(),
+        C=cache.C[:n + 1, r].copy(), ifo=cache.Z[:n, :3, r].reshape(n, -1).copy(),
+        c_cand=cache.Z[:n, 3, r].copy(), tanh_c=cache.tanh_c[:n, r].copy(),
         aspect=cache.aspects[r].copy() if aware else None,
-        a_gates=cache.a_gates[:n, :, r].reshape(n, -1).copy() if aware else None)
+        a_gates=cache.Z[:n, 4:, r].reshape(n, -1).copy() if aware else None)
 
 
 def sequence_bptt(p, cache, dH):

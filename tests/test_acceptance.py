@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aalstm.cells import AALstmParams, CellState, aa_lstm_step, classic_lstm_step
+from aalstm.cells import AALstmParams, CellState, unroll
 from aalstm.checkpoint import load_checkpoint
 from aalstm.cli import main, pipeline_grad_report, run_bench
 from aalstm.data import (
@@ -104,18 +104,17 @@ def test_criterion_2_zero_aspect_reduces_to_classic():
         x = rng.uniform(-2.0, 2.0, dx)
         h_prev = rng.uniform(-1.0, 1.0, dc)
         c_prev = rng.uniform(-2.0, 2.0, dc)
-        state_aa, _ = aa_lstm_step(p_aa, x, np.zeros(dc),
-                                   CellState(h=h_prev.copy(), c=c_prev.copy()))
-        state_cl, _ = classic_lstm_step(p_classic, x,
-                                        CellState(h=h_prev.copy(), c=c_prev.copy()))
-        assert np.max(np.abs(state_aa.h - state_cl.h)) <= 1e-12
-        assert np.max(np.abs(state_aa.c - state_cl.c)) <= 1e-12
+        prev = CellState(h=h_prev, c=c_prev)
+        _, aa = unroll(p_aa, x[None], np.zeros((1, dc)), init=prev)
+        _, cl = unroll(p_classic, x[None], init=prev)
+        assert np.max(np.abs(aa.H[1, 0] - cl.H[1, 0])) <= 1e-12
+        assert np.max(np.abs(aa.C[1, 0] - cl.C[1, 0])) <= 1e-12
     assert time.perf_counter() - started < 1.0
 
 
 def test_criterion_3_vectorized_step_matches_scalar_oracle():
-    """aa_lstm_step agrees with the pure-Python scalar loop to 1e-12 on
-    100 random instances of varying dimension."""
+    """One aspect-aware step, a one-row unroll, agrees with the pure-Python
+    scalar loop to 1e-12 on 100 random instances of varying dimension."""
     from helpers import params_as_lists, scalar_aa_step
 
     rng = make_rng([2024, 3])
@@ -127,12 +126,11 @@ def test_criterion_3_vectorized_step_matches_scalar_oracle():
         aspect = rng.uniform(-2.0, 2.0, dc)
         h_prev = rng.uniform(-1.0, 1.0, dc)
         c_prev = rng.uniform(-2.0, 2.0, dc)
-        state, _ = aa_lstm_step(p, x, aspect,
-                                CellState(h=h_prev.copy(), c=c_prev.copy()))
+        _, cache = unroll(p, x[None], aspect[None], init=CellState(h=h_prev, c=c_prev))
         h_ref, c_ref = scalar_aa_step(params_as_lists(p), x.tolist(), aspect.tolist(),
                                       h_prev.tolist(), c_prev.tolist())
-        assert np.max(np.abs(state.h - np.array(h_ref))) <= 1e-12
-        assert np.max(np.abs(state.c - np.array(c_ref))) <= 1e-12
+        assert np.max(np.abs(cache.H[1, 0] - np.array(h_ref))) <= 1e-12
+        assert np.max(np.abs(cache.C[1, 0] - np.array(c_ref))) <= 1e-12
 
 
 def test_criterion_4_gate_and_hidden_range_invariants():
@@ -151,8 +149,9 @@ def test_criterion_4_gate_and_hidden_range_invariants():
         state = CellState(h=rng.uniform(-1.0, 1.0, dc), c=rng.uniform(-3.0, 3.0, dc))
         for _ in range(100):
             x = rng.uniform(-3.0, 3.0, dx)
-            state, cache = aa_lstm_step(p, x, aspect, state)
-            for g in (*cache.ifo.reshape(3, -1), *cache.a_gates.reshape(3, -1)):
+            _, cache = unroll(p, x[None], aspect[None], init=state)
+            state = CellState(h=cache.H[1, 0], c=cache.C[1, 0])
+            for g in (*cache.Z[:, :3].reshape(3, -1), *cache.Z[:, 4:].reshape(3, -1)):
                 if not (0.0 < g.min() and g.max() < 1.0):
                     violations += 1
             if not (-1.0 < state.h.min() and state.h.max() < 1.0):

@@ -11,8 +11,6 @@ from aalstm.cells import (
     CellState,
     ClassicLstmParams,
     _bptt,
-    aa_lstm_step,
-    classic_lstm_step,
     unroll,
     zero_state,
 )
@@ -52,12 +50,12 @@ class TestAAStep:
     def test_zero_everything_gives_half_gates(self):
         p = AALstmParams.empty(2, 2)
         filled(p, dict.fromkeys(p.to_arrays(), 0.0))
-        state, cache = aa_lstm_step(p, np.array([0.7, -0.3]), np.zeros(2), zero_state(2))
-        for gate in (*cache.a_gates.reshape(3, -1), *cache.ifo.reshape(3, -1)):
+        _, cache = unroll(p, np.array([[0.7, -0.3]]), np.zeros((1, 2)), init=zero_state(2))
+        for gate in (*cache.Z[:, 4:].reshape(3, -1), *cache.Z[:, :3].reshape(3, -1)):
             assert np.all(gate == 0.5)
-        assert np.all(cache.c_cand == 0.0)
-        assert np.all(state.c == 0.0)
-        assert np.all(state.h == 0.0)
+        assert np.all(cache.Z[:, 3] == 0.0)
+        assert np.all(cache.C[1, 0] == 0.0)
+        assert np.all(cache.H[1, 0] == 0.0)
 
     def test_zero_aspect_reduces_to_classic(self):
         rng = tensor.make_rng(10)
@@ -65,10 +63,10 @@ class TestAAStep:
             p = random_aa_params(rng)
             x = rng.normal(size=3)
             prev = random_state(rng, 3)
-            aa_state, _ = aa_lstm_step(p, x, np.zeros(3), prev)
-            cl_state, _ = classic_lstm_step(core(p), x, prev)
-            np.testing.assert_allclose(aa_state.h, cl_state.h, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(aa_state.c, cl_state.c, atol=1e-12, rtol=0)
+            _, aa = unroll(p, x[None], np.zeros((1, 3)), init=prev)
+            _, cl = unroll(core(p), x[None], init=prev)
+            np.testing.assert_allclose(aa.H[1, 0], cl.H[1, 0], atol=1e-12, rtol=0)
+            np.testing.assert_allclose(aa.C[1, 0], cl.C[1, 0], atol=1e-12, rtol=0)
 
     def test_matches_scalar_oracle(self):
         rng = tensor.make_rng(11)
@@ -78,20 +76,20 @@ class TestAAStep:
             x = rng.normal(size=dx)
             aspect = rng.normal(size=dc)
             prev = random_state(rng, dc)
-            state, _ = aa_lstm_step(p, x, aspect, prev)
+            _, cache = unroll(p, x[None], aspect[None], init=prev)
             h_ref, c_ref = scalar_aa_step(params_as_lists(p), x.tolist(), aspect.tolist(),
                                           prev.h.tolist(), prev.c.tolist())
-            np.testing.assert_allclose(state.h, h_ref, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(state.c, c_ref, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(cache.H[1, 0], h_ref, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(cache.C[1, 0], c_ref, atol=1e-12, rtol=0)
 
     def test_candidate_ignores_aspect(self):
         rng = tensor.make_rng(12)
         p = random_aa_params(rng)
         x = rng.normal(size=3)
         prev = random_state(rng, 3)
-        _, cache_a = aa_lstm_step(p, x, rng.normal(size=3), prev)
-        _, cache_b = aa_lstm_step(p, x, rng.normal(size=3), prev)
-        assert np.array_equal(cache_a.c_cand, cache_b.c_cand)
+        _, cache_a = unroll(p, x[None], rng.normal(size=(1, 3)), init=prev)
+        _, cache_b = unroll(p, x[None], rng.normal(size=(1, 3)), init=prev)
+        assert np.array_equal(cache_a.Z[:, 3], cache_b.Z[:, 3])
 
     def test_gate_ranges(self):
         rng = tensor.make_rng(13)
@@ -100,28 +98,28 @@ class TestAAStep:
             p = random_aa_params(rng, dx=int(rng.integers(1, 8)), dc=dc, scale=2.0)
             x = rng.normal(scale=3.0, size=p.input_dim)
             aspect = rng.normal(scale=3.0, size=dc)
-            state, cache = aa_lstm_step(p, x, aspect, random_state(rng, dc))
-            for gate in (*cache.a_gates.reshape(3, -1), *cache.ifo.reshape(3, -1)):
+            _, cache = unroll(p, x[None], aspect[None], init=random_state(rng, dc))
+            for gate in (*cache.Z[:, 4:].reshape(3, -1), *cache.Z[:, :3].reshape(3, -1)):
                 assert np.all((gate > 0.0) & (gate < 1.0))
-            assert np.all((cache.c_cand > -1.0) & (cache.c_cand < 1.0))
-            assert np.all((state.h > -1.0) & (state.h < 1.0))
+            assert np.all((cache.Z[:, 3] > -1.0) & (cache.Z[:, 3] < 1.0))
+            assert np.all((cache.H[1, 0] > -1.0) & (cache.H[1, 0] < 1.0))
 
     def test_shape_errors(self):
         p = AALstmParams.init(3, 4, seed=0)
         with pytest.raises(ShapeError):
-            aa_lstm_step(p, np.zeros(2), np.zeros(4), zero_state(4))
+            unroll(p, np.zeros((1, 2)), np.zeros((1, 4)), init=zero_state(4))
         with pytest.raises(ShapeError):
-            aa_lstm_step(p, np.zeros(3), np.zeros(5), zero_state(4))
+            unroll(p, np.zeros((1, 3)), np.zeros((1, 5)), init=zero_state(4))
         with pytest.raises(ShapeError):
-            aa_lstm_step(p, np.zeros(3), np.zeros(4), zero_state(3))
+            unroll(p, np.zeros((1, 3)), np.zeros((1, 4)), init=zero_state(3))
 
 
 class TestClassicStep:
     def test_zero_everything(self):
         p = ClassicLstmParams.empty(2, 2)
         filled(p, dict.fromkeys(p.to_arrays(), 0.0))
-        state, _ = classic_lstm_step(p, np.array([1.0, 2.0]), zero_state(2))
-        assert np.all(state.h == 0.0)
+        _, cache = unroll(p, np.array([[1.0, 2.0]]), init=zero_state(2))
+        assert np.all(cache.H[1, 0] == 0.0)
 
     def test_matches_scalar_oracle(self):
         rng = tensor.make_rng(14)
@@ -129,11 +127,11 @@ class TestClassicStep:
             p = random_classic_params(rng, dx=2, dc=2)
             x = rng.normal(size=2)
             prev = random_state(rng, 2)
-            state, _ = classic_lstm_step(p, x, prev)
+            _, cache = unroll(p, x[None], init=prev)
             h_ref, c_ref = scalar_classic_step(params_as_lists(p), x.tolist(),
                                                prev.h.tolist(), prev.c.tolist())
-            np.testing.assert_allclose(state.h, h_ref, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(state.c, c_ref, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(cache.H[1, 0], h_ref, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(cache.C[1, 0], c_ref, atol=1e-12, rtol=0)
 
 
 class TestUnroll:
@@ -143,9 +141,9 @@ class TestUnroll:
         x = rng.normal(size=3)
         aspect = rng.normal(size=3)
         H, cache = unroll(p, x[None], aspect[None])
-        state, _ = aa_lstm_step(p, x, aspect, zero_state(3))
+        _, step = unroll(p, x[None], aspect[None], init=zero_state(3))
         assert H.shape == (1, 3) and cache.Z.shape[0] == cache.Z.shape[2] == 1
-        np.testing.assert_array_equal(H[0], state.h)
+        np.testing.assert_array_equal(H[0], step.H[1, 0])
 
     def test_zero_params_give_zero_outputs(self):
         p = ClassicLstmParams.empty(2, 3)
@@ -162,7 +160,8 @@ class TestUnroll:
         state = zero_state(4)
         # A T-row input projection rounds differently from T one-row ones.
         for t, x in enumerate(X):
-            state, _ = aa_lstm_step(p, x, aspect, state)
+            _, step = unroll(p, x[None], aspect[None], init=state)
+            state = CellState(h=step.H[1, 0], c=step.C[1, 0])
             np.testing.assert_allclose(H[t], state.h, atol=1e-12, rtol=0)
 
     def test_classic_matches_manual_composition_from_init(self):
@@ -173,7 +172,8 @@ class TestUnroll:
         H, cache = unroll(p, X, init=init)
         state = init
         for t, x in enumerate(X):
-            state, _ = classic_lstm_step(p, x, state)
+            _, step = unroll(p, x[None], init=state)
+            state = CellState(h=step.H[1, 0], c=step.C[1, 0])
             np.testing.assert_allclose(H[t], state.h, atol=1e-12, rtol=0)
             np.testing.assert_allclose(cache.C[t + 1, 0], state.c, atol=1e-12, rtol=0)
 
@@ -298,8 +298,6 @@ class TestBatchedRun:
                 assert cache.Z[t, g, :n_t].flags.c_contiguous, (t, g)
             for buf in (cache.H[t + 1], cache.C[t + 1], cache.tanh_c[t]):
                 assert buf[:n_t].flags.c_contiguous, t
-        assert cache.ifo.shape == cache.a_gates.shape == (n_steps, 3, n_seq, dc)
-        assert cache.c_cand.shape == (n_steps, n_seq, dc)
 
     def test_a_cache_serves_one_backward_pass(self):
         # The backward pass writes its gradients over the run's gate buffer.
@@ -344,14 +342,14 @@ class TestParamPlumbing:
         rng = tensor.make_rng(19)
         p = random_aa_params(rng, dx=2, dc=3)
         x, aspect, prev = rng.normal(size=2), rng.normal(size=3), random_state(rng, 3)
-        before, _ = aa_lstm_step(p, x, aspect, prev)
+        before, _ = unroll(p, x[None], aspect[None], init=prev)
         for arr in p.to_arrays().values():
             arr += 0.25
-        after, _ = aa_lstm_step(p, x, aspect, prev)
+        after, _ = unroll(p, x[None], aspect[None], init=prev)
         shifted = filled(AALstmParams.empty(2, 3), p.to_arrays())
-        expected, _ = aa_lstm_step(shifted, x, aspect, prev)
-        assert not np.array_equal(before.h, after.h)
-        np.testing.assert_array_equal(after.h, expected.h)
+        expected, _ = unroll(shifted, x[None], aspect[None], init=prev)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, expected)
 
     def test_arrays_round_trip(self):
         p = AALstmParams.init(3, 4, seed=6)

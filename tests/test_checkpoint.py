@@ -24,10 +24,9 @@ def tiny_embeddings(seed=90):
                           oov_tokens=frozenset([UNK_TOKEN, "salad"]))
 
 
-def make(task, cell_kind, head_kind, seed=91, train_embeddings=True):
+def make(task, cell_kind, head_kind, seed=91):
     return build_model(task, cell_kind, head_kind, tiny_embeddings(),
-                       hidden_dim=DIM, seed=seed,
-                       train_embeddings=train_embeddings)
+                       hidden_dim=DIM, seed=seed)
 
 
 def atsa_instance():
@@ -67,7 +66,6 @@ def test_round_trip_bit_exact(tmp_path, task, cell_kind, head_kind):
     assert loaded.task == task
     assert loaded.cell_kind == cell_kind
     assert loaded.head_kind == head_kind
-    assert loaded.train_embeddings is True
     assert loaded.embeddings.vocab == model.embeddings.vocab
     assert loaded.embeddings.oov_tokens == model.embeddings.oov_tokens
     assert loaded.embeddings.matrix.tobytes() == model.embeddings.matrix.tobytes()
@@ -93,36 +91,28 @@ def test_round_trip_predictions_identical(tmp_path, task, cell_kind, head_kind):
     assert np.array_equal(model.predict_probs(inst), loaded.predict_probs(inst))
 
 
-def test_frozen_embeddings_round_trip(tmp_path):
-    model = make("atsa", "aa", "last", train_embeddings=False)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    assert loaded.train_embeddings is False
-    assert "emb.words" not in loaded.params()
-    # Frozen embeddings still ride along: inference needs the table.
-    assert loaded.embeddings.matrix.tobytes() == model.embeddings.matrix.tobytes()
-
-
 _AA_CELL_KEYS = ["cell.W_x", "cell.W_a", "cell.W_h", "cell.b"]
 _CLASSIC_CELL_KEYS = ["cell.W_x", "cell.W_h", "cell.b"]
 
 
-@pytest.mark.parametrize("args,train_embeddings,keys", [
-    (("acsa", "aa", "attention"), True,
+@pytest.mark.parametrize("args,keys", [
+    (("acsa", "aa", "attention"),
      ["__meta__", "emb.words", "emb.aspects"] + _AA_CELL_KEYS
      + ["attn.W_h", "attn.w", "attn.W_p", "attn.W_x", "clf.W_s", "clf.b_s"]),
-    (("atsa", "classic", "last"), False,
+    (("atsa", "classic", "last"),
      ["__meta__", "emb.words"] + _CLASSIC_CELL_KEYS + ["clf.W_s", "clf.b_s"]),
 ])
-def test_archive_key_set_is_pinned(tmp_path, args, train_embeddings, keys):
-    # Format version 3 fixes these names and their order; frozen tables are
-    # stored too. The cell's arrays are its operand arrays, in field order.
+def test_archive_key_set_is_pinned(tmp_path, args, keys):
+    # Format version 4 fixes these names and their order, and the metadata's
+    # keys. The cell's arrays are its operand arrays, in field order.
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(make(*args, train_embeddings=train_embeddings), path)
+    save_checkpoint(make(*args), path)
     with np.load(path, allow_pickle=False) as archive:
         assert archive.files == keys
-        assert json.loads(str(archive["__meta__"][()]))["version"] == 3
+        meta = json.loads(str(archive["__meta__"][()]))
+    assert meta["version"] == 4
+    assert list(meta) == ["format", "version", "task", "cell", "head", "vocab",
+                          "oov_tokens", "categories"]
 
 
 def test_loaded_params_are_live_views(tmp_path):
@@ -195,10 +185,11 @@ def test_archive_without_meta(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 99])
 def test_unsupported_version(tmp_path, version):
-    # Version 1 held the attention head's aspect weights and version 2 the
-    # cell's per-gate matrices; neither is converted.
+    # Version 1 held the attention head's aspect weights, version 2 the
+    # cell's per-gate matrices and version 3 a frozen-word-table switch; none
+    # is converted.
     model = make("atsa", "classic", "last")
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(model, src)
@@ -349,9 +340,9 @@ def assert_round_trip(model, path, inst):
     """Load gives the same arrays and predictions, and saves the same bytes."""
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    assert (loaded.task, loaded.cell_kind, loaded.head_kind, loaded.train_embeddings) \
-        == (model.task, model.cell_kind, model.head_kind, model.train_embeddings)
-    before, after = model.arrays(), loaded.arrays()
+    assert (loaded.task, loaded.cell_kind, loaded.head_kind) \
+        == (model.task, model.cell_kind, model.head_kind)
+    before, after = model.params(), loaded.params()
     assert list(before) == list(after)
     for key in before:
         assert after[key].shape == before[key].shape, key
@@ -365,18 +356,16 @@ def assert_round_trip(model, path, inst):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(task=st.sampled_from(TASKS), cell_kind=st.sampled_from(CELLS),
        head_kind=st.sampled_from(HEADS), dim=st.integers(1, 6), hidden=st.integers(1, 6),
-       n_words=st.integers(0, 5), train_embeddings=st.booleans(),
-       seed=st.integers(0, 2 ** 16))
+       n_words=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
 def test_round_trip_property(tmp_path_factory, task, cell_kind, head_kind, dim, hidden,
-                             n_words, train_embeddings, seed):
+                             n_words, seed):
     if task == "atsa" and cell_kind == "aa":
         hidden = dim  # atsa aspect vectors have the embedding dim
     words = [UNK_TOKEN] + [f"w{i}" for i in range(n_words)]
     emb = EmbeddingTable({w: i for i, w in enumerate(words)},
                          make_rng(seed).uniform(-0.5, 0.5, size=(len(words), dim)),
                          oov_tokens=frozenset(words[::2]))
-    model = build_model(task, cell_kind, head_kind, emb, hidden_dim=hidden, seed=seed,
-                        train_embeddings=train_embeddings)
+    model = build_model(task, cell_kind, head_kind, emb, hidden_dim=hidden, seed=seed)
     aspect = TermSpan(0, 0) if task == "atsa" else CategoryId(seed % 5)
     inst = LabeledInstance(tuple(words[-2:]), aspect, "neutral")
     assert_round_trip(model, tmp_path_factory.mktemp("ckpt") / "ckpt.npz", inst)
@@ -390,7 +379,7 @@ def test_round_trip_of_shapes_build_model_does_not_make(tmp_path, head_kind):
     # archive.
     model = assemble_model("acsa", "classic", head_kind, tiny_embeddings(), 3,
                            ("food", "price"),
-                           lambda cls, *dims: cls.init(*dims, seed=4), train_embeddings=False)
+                           lambda cls, *dims: cls.init(*dims, seed=4))
     assert model.aspect_embeddings is None
     assert_round_trip(model, tmp_path / "ckpt.npz",
                       LabeledInstance(("the", "soup", "is", "bad"), CategoryId(1), "negative"))

@@ -27,7 +27,6 @@ from aalstm.data import (
     parse_semeval_xml,
     polarity_counts,
     save_instances,
-    tokenize,
     tokenize_with_offsets,
 )
 
@@ -39,11 +38,12 @@ FIXTURE = Path(__file__).parent / "fixtures" / "mini_reviews.xml"
 # --- tokenizer --------------------------------------------------------------
 
 def test_tokenize_lowercases_and_splits_punctuation():
-    assert tokenize("The salad is delicious!") == ["the", "salad", "is", "delicious", "!"]
+    assert tokenize_with_offsets("The salad is delicious!")[0] \
+        == ["the", "salad", "is", "delicious", "!"]
 
 
 def test_tokenize_interior_apostrophe():
-    assert tokenize("Don't go.") == ["don", "'", "t", "go", "."]
+    assert tokenize_with_offsets("Don't go.")[0] == ["don", "'", "t", "go", "."]
 
 
 def test_tokenize_offsets_recover_source_slices():
@@ -208,7 +208,7 @@ def test_load_embeddings_arity_error_names_line(tmp_path):
 
 
 def test_load_embeddings_skips_tokens_with_spaces(tmp_path):
-    # GloVe has tokens such as ". . ."; tokenize never emits one.
+    # GloVe has tokens such as ". . ."; tokenize_with_offsets never emits one.
     f = tmp_path / "vec.txt"
     f.write_text(". . . 0.1 0.2\n. 0.3 0.4\n")
     vocab = {UNK_TOKEN: 0, ".": 1}

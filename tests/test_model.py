@@ -56,9 +56,9 @@ def three_instance_run(task):
             LabeledInstance(("salad", "."), CategoryId(2), "neutral")]
 
 
-def make(task, cell_kind, head_kind, seed=61, train_embeddings=True):
+def make(task, cell_kind, head_kind, seed=61):
     m = build_model(task, cell_kind, head_kind, tiny_embeddings(),
-                    hidden_dim=DIM, seed=seed, train_embeddings=train_embeddings)
+                    hidden_dim=DIM, seed=seed)
     # The training init (+-0.1) leaves many gradient coordinates down in the
     # finite-difference noise zone near 1e-8; redraw at a healthier scale so
     # the checks compare signal, not roundoff.
@@ -312,9 +312,8 @@ def test_a_longer_instance_moves_no_other(task, cell_kind, head_kind, data, extr
 
 # --- full-pipeline gradient checks -------------------------------------------
 
-def _pipeline_grad_report(task, cell_kind, head_kind, insts, seed,
-                          train_embeddings=True):
-    m = make(task, cell_kind, head_kind, seed=seed, train_embeddings=train_embeddings)
+def _pipeline_grad_report(task, cell_kind, head_kind, insts, seed):
+    m = make(task, cell_kind, head_kind, seed=seed)
     params = m.params()
     analytic = m.backward(m.forward(insts))
 
@@ -341,10 +340,3 @@ def test_full_pipeline_gradients_acsa(cell_kind, head_kind):
     assert report.worst_rel_err < 1e-4, (
         f"worst {report.worst_rel_err:.2e} at {report.worst_name}{report.worst_index}")
 
-
-def test_frozen_embeddings_drop_the_key_and_still_check():
-    m = make("atsa", "aa", "last", train_embeddings=False)
-    assert "emb.words" not in m.params()
-    report = _pipeline_grad_report("atsa", "aa", "last", [atsa_instance()],
-                                   seed=68, train_embeddings=False)
-    assert report.worst_rel_err < 1e-4
