@@ -67,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import ParamSet, ShapeError, sigmoid, tanh_v, uniform_init
+from .tensor import INIT_HIGH, INIT_LOW, ParamSet, ShapeError, sigmoid, tanh_v, uniform_init
 
 # Seed stream of each gate's weights at init, in row order: i, f, o, c, then
 # a_i, a_f, a_o. The three sigmoid gates come first so one sigmoid covers
@@ -130,8 +130,8 @@ class _CellParams(ParamSet):
         return self.W_x.shape[1]
 
     @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, lo: float = -0.1, hi: float = 0.1,
-             seed=0):
+    def init(cls, input_dim: int, hidden_dim: int, lo: float = INIT_LOW,
+             hi: float = INIT_HIGH, seed=0):
         """Each gate's (dc, in+dc) matrix over [input, h_prev] from U(lo, hi)
         seeded [seed, stream], split into its input rows and its ``W_h`` rows;
         the biases zero."""

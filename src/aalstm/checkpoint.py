@@ -111,7 +111,12 @@ def _read_into(path, archive, key: str, out: np.ndarray) -> None:
 def load_checkpoint(path) -> SentimentModel:
     """Rebuild a model from `save_checkpoint` output, bit-exactly."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        try:  # an npz archive, not whatever else `np.load` reads
+            archive = np.lib.npyio.NpzFile(path)
+        except zipfile.BadZipFile as exc:
+            raise CheckpointError(
+                f"cannot read checkpoint {path}: not a checkpoint archive ({exc})") from None
+        with archive:
             return _read_model(path, archive)
     except CheckpointError:
         raise

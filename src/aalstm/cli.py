@@ -8,23 +8,24 @@ field names; `#` starts a comment line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields as dataclass_fields
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (POLARITIES, RESTAURANT_CATEGORIES, UNK_TOKEN, CategoryId,
                    DataFormatError, EmbeddingTable, LabeledInstance, TermSpan,
-                   build_vocab, dev_split, disambiguation_subset,
+                   _numbered_lines, build_vocab, dev_split, disambiguation_subset,
                    generate_synthetic, load_embeddings, load_instances,
                    parse_semeval_xml, save_instances)
 from .model import CELLS, HEADS, TASKS, build_model
 from .tensor import ConfigError, make_rng
-from .train import (GRADCHECK_THRESHOLD, GradCheckReport, TrainConfig,
+from .train import (FD_FLOOR, GRADCHECK_THRESHOLD, GradCheckReport, TrainConfig,
                     TrainingDiverged, cross_entropy, evaluate, grad_check, train)
 
 # Weights and inputs for the end-to-end gradient check are drawn from
@@ -53,27 +54,23 @@ _SYNTH_OVERRIDES = {
     "patience": 10,
 }
 
+# File names of a training run's epoch log and checkpoint, behind its prefix.
+_METRICS, _CHECKPOINT = "metrics.tsv", "checkpoint.npz"
+
 
 class CliError(Exception):
     """User-facing failure: bad paths, incompatible inputs, bad config."""
 
 
-def _config_field_types() -> dict[str, type]:
-    defaults = TrainConfig()
-    return {f.name: type(getattr(defaults, f.name))
-            for f in dataclass_fields(TrainConfig)}
-
-
 def parse_config_file(path) -> dict:
     """Read flat key=value lines into TrainConfig field values."""
-    field_types = _config_field_types()
+    field_types = {f.name: type(f.default) for f in dataclass_fields(TrainConfig)}
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        lines = list(_numbered_lines(path))
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -96,18 +93,12 @@ def parse_config_file(path) -> dict:
 
 def resolve_config(args, synthetic: bool = False) -> TrainConfig:
     """Merge defaults, config file, and flags into a validated TrainConfig."""
-    values = asdict(TrainConfig())
     file_values = parse_config_file(args.config) if args.config else {}
-    values.update(file_values)
-    flag_values = {key: getattr(args, key) for key in values
-                   if getattr(args, key, None) is not None}
-    values.update(flag_values)
-    if synthetic:
-        for key, small in _SYNTH_OVERRIDES.items():
-            if key not in file_values and key not in flag_values:
-                values[key] = small
+    flag_values = {f.name: getattr(args, f.name) for f in dataclass_fields(TrainConfig)
+                   if getattr(args, f.name, None) is not None}
     try:
-        return TrainConfig(**values)
+        return TrainConfig(**{**(_SYNTH_OVERRIDES if synthetic else {}),
+                              **file_values, **flag_values})
     except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}") from None
 
@@ -132,6 +123,26 @@ def _load_eval_instances(path, model):
             raise CliError(f"{path}: instance {n} has category index {inst.aspect.index}, "
                            f"but the checkpoint has {len(categories)} categories")
     return instances
+
+
+def _train_model(task, cell_kind, head_kind, emb, cfg, tr, dev, out_dir=None, prefix=""):
+    """Build the (task, cell, head) model over `emb` from `cfg`'s seed and
+    init range and train it on `tr`, early-stopping on `dev`; under `out_dir`,
+    log to `<prefix>metrics.tsv` and save `<prefix>checkpoint.npz`. Returns the
+    model, the TrainResult and the seconds `train` alone took."""
+    model = build_model(task, cell_kind, head_kind, emb, cfg.hidden_dim, seed=cfg.seed,
+                        init_low=cfg.init_low, init_high=cfg.init_high)
+    log = contextlib.nullcontext()
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        log = open(os.path.join(out_dir, prefix + _METRICS), "w")
+    with log as log_stream:
+        started = time.perf_counter()
+        result = train(model, tr, dev, cfg, log_stream=log_stream)
+        seconds = time.perf_counter() - started
+    if out_dir:
+        save_checkpoint(model, os.path.join(out_dir, prefix + _CHECKPOINT))
+    return model, result, seconds
 
 
 def cmd_train(args, parser) -> int:
@@ -164,34 +175,21 @@ def cmd_train(args, parser) -> int:
             test_insts = parse_semeval_xml(args.test_data, args.task)
 
     tr, dev = dev_split(train_insts, cfg.dev_fraction, cfg.seed)
-    model = build_model(args.task, args.cell, args.head, emb, cfg.hidden_dim,
-                        seed=cfg.seed, init_low=cfg.init_low,
-                        init_high=cfg.init_high)
-
-    os.makedirs(args.out, exist_ok=True)
-    metrics_path = os.path.join(args.out, "metrics.tsv")
-    ckpt_path = os.path.join(args.out, "checkpoint.npz")
-    dev_path = os.path.join(args.out, "dev.tsv")
-    with open(metrics_path, "w") as log_stream:
-        result = train(model, tr, dev, cfg, log_stream=log_stream)
-    save_checkpoint(model, ckpt_path)
-    save_instances(dev, dev_path)
+    model, result, _ = _train_model(args.task, args.cell, args.head, emb, cfg,
+                                    tr, dev, args.out)
+    paths = [os.path.join(args.out, name) for name in (_METRICS, _CHECKPOINT, "dev.tsv")]
+    save_instances(dev, paths[2])
     if args.synthetic:
         save_instances(test_insts, os.path.join(args.out, "test.tsv"))
 
-    print(f"wrote {metrics_path}, {ckpt_path}, {dev_path}")
+    print(f"wrote {', '.join(paths)}")
     stopped = ", stopped early" if result.stopped_early else ""
     print(f"best epoch {result.best_epoch}, "
           f"dev macro F1 {result.best_dev_macro_f1:.6f}{stopped}")
-    report = evaluate(model, dev)
-    print("dev evaluation:")
-    print(report.table())
-    print(report.json_line())
-    if test_insts:
-        test_report = evaluate(model, test_insts)
-        print("test evaluation:")
-        print(test_report.table())
-        print(test_report.json_line())
+    for name, instances in (("dev", dev), ("test", test_insts)):
+        if instances:
+            print(f"{name} evaluation:")
+            _print_report(model, instances)
     return 0
 
 
@@ -204,15 +202,19 @@ def cmd_eval(args, parser) -> int:
     instances = _load_eval_instances(args.data, model)
     if not instances:
         raise CliError(f"no {model.task} instances found in {args.data}")
+    _print_report(model, instances)
+    return 0
+
+
+def _print_report(model, instances) -> None:
     report = evaluate(model, instances)
     print(report.table())
     print(report.json_line())
-    return 0
 
 
 def pipeline_grad_report(cell_kind: str, head_kind: str, dx: int, dc: int,
                          seq_len: int, seed=0, corrupt=None,
-                         floor: float = 1e-8) -> GradCheckReport:
+                         floor: float = FD_FLOOR) -> GradCheckReport:
     """Finite-difference check of the model's full forward/backward.
 
     Builds an acsa model whose word table holds `seq_len` random inputs of
@@ -281,8 +283,6 @@ def run_bench(seed=0, n_sentences: int = _SYNTH_SENTENCES, out_dir=None,
         n_sentences, seed=cfg.seed, dim=cfg.emb_dim)
     tr, dev = dev_split(train_insts, cfg.dev_fraction, cfg.seed)
     disamb = disambiguation_subset(test_insts)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     summary = {"seed": seed, "sentences": n_sentences,
                "train": len(tr), "dev": len(dev), "test": len(test_insts),
                "disambiguation": len(disamb)}
@@ -290,20 +290,8 @@ def run_bench(seed=0, n_sentences: int = _SYNTH_SENTENCES, out_dir=None,
     for cell_kind in ("aa", "classic"):
         emb_copy = EmbeddingTable(dict(emb.vocab), emb.matrix.copy(),
                                   emb.oov_tokens)
-        model = build_model("atsa", cell_kind, "last", emb_copy,
-                            cfg.hidden_dim, seed=cfg.seed)
-        log_stream = None
-        if out_dir:
-            log_stream = open(os.path.join(out_dir, f"{cell_kind}_metrics.tsv"), "w")
-        started = time.perf_counter()
-        try:
-            result = train(model, tr, dev, cfg, log_stream=log_stream)
-        finally:
-            if log_stream is not None:
-                log_stream.close()
-        seconds = time.perf_counter() - started
-        if out_dir:
-            save_checkpoint(model, os.path.join(out_dir, f"{cell_kind}_checkpoint.npz"))
+        model, result, seconds = _train_model("atsa", cell_kind, "last", emb_copy, cfg,
+                                              tr, dev, out_dir, prefix=f"{cell_kind}_")
         test_report = evaluate(model, test_insts)
         disamb_acc = evaluate(model, disamb).accuracy if disamb else None
         summary[cell_kind] = {
@@ -412,10 +400,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, parser)
     except (CliError, CheckpointError, ConfigError, DataFormatError,
-            TrainingDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+            TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

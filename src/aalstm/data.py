@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .tensor import ConfigError, make_rng, uniform_init
+from .tensor import INIT_HIGH, INIT_LOW, ConfigError, make_rng, uniform_init
 
 POLARITIES = ("positive", "negative", "neutral")
 POLARITY_INDEX = {name: i for i, name in enumerate(POLARITIES)}
@@ -203,7 +203,7 @@ class AspectEmbeddingTable:
 
     @classmethod
     def init(cls, categories: tuple[str, ...], dim: int,
-             lo: float = -0.1, hi: float = 0.1, seed=0) -> "AspectEmbeddingTable":
+             lo: float = INIT_LOW, hi: float = INIT_HIGH, seed=0) -> "AspectEmbeddingTable":
         return cls(tuple(categories), uniform_init(len(categories), dim, lo, hi, seed=[seed, 40]))
 
 
@@ -245,7 +245,7 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
     """Embedding table for `vocab` from a whitespace text file.
 
     File rows are `token v1 ... v_dim`. Vocabulary tokens found in the file
-    get the file's values; the rest are drawn from U(-0.1, 0.1), filled in
+    get the file's values; the rest are drawn from U(INIT_LOW, INIT_HIGH), in
     vocabulary order from a single seeded stream so the result is
     deterministic for a fixed (vocab, seed). A token with spaces in it
     (GloVe has `. . .`) is skipped: `tokenize_with_offsets` never emits one.
@@ -279,7 +279,7 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
         if idx in found:
             matrix[idx] = found[idx]
         else:
-            matrix[idx] = rng.uniform(-0.1, 0.1, size=dim)
+            matrix[idx] = rng.uniform(INIT_LOW, INIT_HIGH, size=dim)
             oov.append(token)
     return EmbeddingTable(vocab=dict(vocab), matrix=matrix, oov_tokens=frozenset(oov))
 
@@ -287,7 +287,7 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
 def random_embeddings(vocab: dict[str, int], dim: int, seed=0) -> EmbeddingTable:
     """All-random table (every token counts as out-of-vocabulary)."""
     rng = make_rng([seed, 42])
-    matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
+    matrix = rng.uniform(INIT_LOW, INIT_HIGH, size=(len(vocab), dim))
     return EmbeddingTable(vocab=dict(vocab), matrix=matrix, oov_tokens=frozenset(vocab))
 
 
@@ -398,6 +398,9 @@ SYNTH_SENTIMENT_WORDS = {
 # Template: the <X> is <W1> but the <Y> is <W2> .
 _SYNTH_X_POS = 1
 _SYNTH_Y_POS = 6
+# Distinct sentences the template makes: ordered aspect pairs times two word slots.
+_SYNTH_DISTINCT = (len(SYNTH_ASPECT_NOUNS) * (len(SYNTH_ASPECT_NOUNS) - 1)
+                   * sum(map(len, SYNTH_SENTIMENT_WORDS.values())) ** 2)
 
 
 def _synth_sentence(rng) -> tuple[tuple[str, ...], str, str]:
@@ -429,8 +432,12 @@ def generate_synthetic(n_sentences: int, seed=0, dim: int = 24,
     aspect predicts identically inside a pair and cannot beat 0.5 on that
     subset. Token embeddings are random but fixed per token.
     """
+    n_test = n_sentences // 2
     if n_sentences < 20:
         raise ConfigError(f"the synthetic corpus needs at least 20 sentences, got {n_sentences}")
+    if n_sentences + n_test > _SYNTH_DISTINCT:
+        raise ConfigError(f"{n_sentences} synthetic sentences and their {n_test} test ones "
+                          f"exceed the template's {_SYNTH_DISTINCT} distinct sentences")
     rng = make_rng([seed, 44])
     train: list[LabeledInstance] = []
     seen: set[tuple[str, ...]] = set()
@@ -439,7 +446,6 @@ def generate_synthetic(n_sentences: int, seed=0, dim: int = 24,
         seen.add(tokens)
         train.extend(_sentence_instances(tokens, p1, p2))
     test: list[LabeledInstance] = []
-    n_test = n_sentences // 2
     made = 0
     while made < n_test:
         tokens, p1, p2 = _synth_sentence(rng)

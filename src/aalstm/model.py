@@ -54,7 +54,7 @@ from .data import (RESTAURANT_CATEGORIES, AspectEmbeddingTable, EmbeddingTable,
 from .heads import (AttentionCache, AttentionParams, ClassifierCache, ClassifierParams,
                     attention_backward, attention_head, classifier_backward,
                     classify_with_cache, last_hidden_backward, last_hidden_head)
-from .tensor import ConfigError
+from .tensor import INIT_HIGH, INIT_LOW, ConfigError
 from .train import dropout_mask
 
 TASKS = ("atsa", "acsa")
@@ -244,7 +244,7 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
 def build_model(task: str, cell_kind: str, head_kind: str,
                 embeddings: EmbeddingTable, hidden_dim: int, seed=0,
                 categories: tuple[str, ...] = RESTAURANT_CATEGORIES,
-                init_low: float = -0.1, init_high: float = 0.1) -> SentimentModel:
+                init_low: float = INIT_LOW, init_high: float = INIT_HIGH) -> SentimentModel:
     """Construct a model with freshly initialized weights.
 
     Only the aspect-aware cell reads the aspect, and it needs the aspect and

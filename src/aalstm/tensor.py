@@ -25,6 +25,8 @@ _SIGMOID_LO = np.array(np.nextafter(0.0, 1.0))
 _OPEN_HI = np.array(np.nextafter(1.0, 0.0))
 _TANH_LO = np.array(-_OPEN_HI)
 _ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
+# The default range U(INIT_LOW, INIT_HIGH) of every randomly drawn initial weight.
+INIT_LOW, INIT_HIGH = -0.1, 0.1
 
 
 class ShapeError(ValueError):
@@ -98,7 +100,7 @@ class ParamSet:
         return cls(**{name: np.empty(shape) for name, shape in cls._shapes(*dims).items()})
 
     @classmethod
-    def init(cls, *dims, lo: float = -0.1, hi: float = 0.1, seed=0):
+    def init(cls, *dims, lo: float = INIT_LOW, hi: float = INIT_HIGH, seed=0):
         """Arrays named in `_INIT_STREAM` from U(lo, hi) seeded [seed, stream],
         the others zero."""
         p = cls.empty(*dims)

@@ -16,10 +16,10 @@ import numpy as np
 
 from .heads import PROB_FLOOR
 from .metrics import EvalReport
-from .tensor import ConfigError, make_rng
+from .tensor import INIT_HIGH, INIT_LOW, ConfigError, make_rng
 
 _FD_EPS = 1e-4
-_FD_FLOOR = 1e-8
+FD_FLOOR = 1e-8
 # A gradient check passes when its worst relative error is below this.
 GRADCHECK_THRESHOLD = 1e-4
 # Instances per batched forward in `evaluate`: bounds the run's transient
@@ -49,8 +49,8 @@ class TrainConfig:
     patience: int = 5
     dev_fraction: float = 0.2
     seed: int = 0
-    init_low: float = -0.1
-    init_high: float = 0.1
+    init_low: float = INIT_LOW
+    init_high: float = INIT_HIGH
 
     def __post_init__(self):
         for name in ("lr", "l2", "init_low", "init_high"):
@@ -201,7 +201,7 @@ class GradCheckReport:
 
 def grad_check(loss_fn: Callable[[], float], params: dict[str, np.ndarray],
                analytic: dict[str, np.ndarray],
-               floor: float = _FD_FLOOR) -> GradCheckReport:
+               floor: float = FD_FLOOR) -> GradCheckReport:
     """Finite-difference check of `analytic` against `loss_fn`.
 
     Perturbs every entry of every array in `params` in place, by h and 2h

@@ -177,6 +177,22 @@ def test_not_an_archive(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("kind", ["empty", "npy", "text"])
+def test_non_archive_file_is_named_as_such(tmp_path, kind):
+    # A checkpoint is read as an npz archive only: an empty file must not end
+    # in EOFError, a plain .npy in an array without a context manager, nor a
+    # text file in a message about pickled data.
+    path = tmp_path / "model.npz"
+    if kind == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        path.write_text("" if kind == "empty" else "epoch\ttrain_loss\n")
+    with pytest.raises(CheckpointError,
+                       match="^cannot read checkpoint .*: not a checkpoint archive"):
+        load_checkpoint(path)
+
+
 def test_archive_without_meta(tmp_path):
     path = tmp_path / "plain.npz"
     with open(path, "wb") as fh:

@@ -12,7 +12,7 @@ from aalstm.checkpoint import load_checkpoint, save_checkpoint
 from aalstm.cli import (CliError, _load_eval_instances, build_parser, main,
                         parse_config_file, pipeline_grad_report, resolve_config,
                         run_bench)
-from aalstm.data import CategoryId, build_vocab, random_embeddings
+from aalstm.data import CategoryId, DataFormatError, build_vocab, random_embeddings
 from aalstm.model import build_model
 from aalstm.tensor import ConfigError
 
@@ -410,6 +410,13 @@ def test_config_file_missing(tmp_path):
         parse_config_file(tmp_path / "absent.cfg")
 
 
+def test_config_file_invalid_utf8_names_the_line(tmp_path):
+    cfg_file = tmp_path / "train.cfg"
+    cfg_file.write_bytes(b"lr = 0.5\n\xff\xfe\n")
+    with pytest.raises(DataFormatError, match=r"train\.cfg:2: not valid UTF-8"):
+        parse_config_file(cfg_file)
+
+
 def test_flags_override_file_overrides_defaults(tmp_path):
     cfg_file = tmp_path / "train.cfg"
     cfg_file.write_text("lr = 0.5\nseed = 3\nbatch_size = 4\n")
@@ -488,6 +495,54 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, command, source):
     assert not out_dir.exists()
 
 
+# --- no file input ends in a traceback -----------------------------------------
+
+def _odd_file(tmp_path, kind):
+    """A path to a file of one kind that no input of the CLI takes."""
+    path = tmp_path / f"odd_{kind}"
+    if kind == "dir":
+        path.mkdir()
+    elif kind == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        path.write_bytes({"empty": b"", "utf8": b"\xff\xfe",
+                          "text": b"just some words\n"}[kind])
+    return str(path)
+
+
+# An empty config file, and an embeddings file with no vocabulary token in
+# it, are valid inputs: those runs train.
+_TRAINS = {("train --config", "empty"), ("train --emb", "empty"), ("train --emb", "text")}
+
+
+@pytest.mark.parametrize("kind", ["empty", "dir", "utf8", "npy", "text"])
+@pytest.mark.parametrize("flag", ["train --config", "train --data", "train --emb",
+                                  "eval --checkpoint", "eval --data"])
+def test_no_file_input_ends_in_a_traceback(tmp_path, capsys, flag, kind):
+    odd, out = _odd_file(tmp_path, kind), str(tmp_path / "o")
+    glove = write_glove(tmp_path / "vectors.txt", dim=4)
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(build_model("atsa", "classic", "last",
+                                random_embeddings(build_vocab([]), dim=4), hidden_dim=4), ckpt)
+    fixture_train = ["train", "--dim", "4", "--hidden", "4", "--epochs", "1", "--out", out]
+    argv = {
+        "train --config": ["train", "--synthetic", "--epochs", "1", "--out", out,
+                           "--config", odd],
+        "train --data": fixture_train + ["--data", odd, "--emb", glove],
+        "train --emb": fixture_train + ["--data", FIXTURE, "--emb", odd],
+        "eval --checkpoint": ["eval", "--checkpoint", odd, "--data", FIXTURE],
+        "eval --data": ["eval", "--checkpoint", ckpt, "--data", odd],
+    }[flag]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if (flag, kind) in _TRAINS:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 # --- bench ---------------------------------------------------------------------
 
 def test_bench_smoke(tmp_path, capsys):
@@ -522,3 +577,13 @@ def test_bench_too_few_sentences_is_one_error_line(capsys):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "at least 20" in err
+
+
+def test_bench_too_many_sentences_is_one_error_line(capsys):
+    # 10,000 training sentences and 5,000 unseen test ones exceed the
+    # template's 9,720 distinct sentences: refused up front, not a hang.
+    code = main(["bench", "--sentences", "10000"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "9720 distinct sentences" in err

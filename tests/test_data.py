@@ -30,6 +30,8 @@ from aalstm.data import (
     tokenize_with_offsets,
 )
 
+from aalstm.tensor import ConfigError
+
 from helpers import instance_aspect_vector
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini_reviews.xml"
@@ -477,6 +479,15 @@ def test_synthetic_test_sentences_unique_and_unseen():
     test_surfaces = [test[k].tokens for k in range(0, len(test), 2)]
     assert len(set(test_surfaces)) == len(test_surfaces)
     assert not (set(test_surfaces) & train_surfaces)
+
+
+def test_synthetic_size_is_bounded_by_distinct_sentences():
+    # The template makes 30 ordered aspect pairs x 18 x 18 sentiment words =
+    # 9,720 sentences, and n training sentences need n // 2 unseen test ones.
+    train, test, _ = generate_synthetic(6480)
+    assert (len(train), len(test)) == (12960, 6480)
+    with pytest.raises(ConfigError, match="exceed the template's 9720 distinct sentences"):
+        generate_synthetic(6481)
 
 
 def test_synthetic_deterministic_per_seed():
