@@ -6,18 +6,22 @@ everything that is not a weight: format version, task/cell/head switches,
 the vocabulary in row order, which rows were randomly initialized, and the
 category list.
 
-Loading mirrors saving. The .npy headers of "emb.words" and "cell.W_h"
-give the dims; the model the switches name is built around them with
+Loading mirrors saving. The vocabulary must be a list of distinct strings,
+and the categories null or one. The .npy headers of "emb.words" and
+"cell.W_h" give the dims, and a header that does not parse is an error
+naming its array; the model the switches name is built around them with
 uninitialized storage; the archive's keys must equal `__meta__` plus its
 `params()`, and its metadata lists categories exactly for a model with a
-table; and each array is read straight into its live array, whose shape it
-must have, so a category table of the wrong width is caught there. NaN or
-inf is rejected.
+table; and each array is read straight into its live array, whose shape
+and float64 values it must have, so a category table of the wrong width
+is caught there. NaN or inf is rejected.
 """
 
 from __future__ import annotations
 
 import json
+import tokenize
+import warnings
 import zipfile
 
 import numpy as np
@@ -35,12 +39,10 @@ class CheckpointError(ValueError):
 
 
 def _vocab_rows(vocab: dict[str, int]) -> list[str]:
-    rows: list[str | None] = [None] * len(vocab)
-    for token, i in vocab.items():
-        if not 0 <= i < len(rows) or rows[i] is not None:
-            raise CheckpointError(f"vocabulary indices are not a permutation at {token!r}")
-        rows[i] = token
-    return rows  # type: ignore[return-value]
+    rows = sorted(vocab, key=vocab.__getitem__)
+    if [vocab[token] for token in rows] != list(range(len(rows))):
+        raise CheckpointError("vocabulary indices are not a permutation of the rows")
+    return rows
 
 
 def save_checkpoint(model: SentimentModel, path) -> None:
@@ -53,8 +55,7 @@ def save_checkpoint(model: SentimentModel, path) -> None:
         "head": model.head_kind,
         "vocab": _vocab_rows(model.embeddings.vocab),
         "oov_tokens": sorted(model.embeddings.oov_tokens),
-        "categories": (list(model.aspect_embeddings.categories)
-                       if model.aspect_embeddings is not None else None),
+        "categories": model.categories,
     }
     with open(path, "wb") as fh:
         np.savez(fh, **{_META_KEY: np.array(json.dumps(meta))}, **model.params())
@@ -63,14 +64,20 @@ def save_checkpoint(model: SentimentModel, path) -> None:
 _READ_CHUNK = 1 << 18  # numpy's own read size; larger ones raise peak memory
 
 
-def _npy_header(fp):
-    """(shape, fortran_order, dtype) from the header of an .npy stream."""
-    version = np.lib.format.read_magic(fp)
-    if version == (1, 0):
-        return np.lib.format.read_array_header_1_0(fp)
-    if version == (2, 0):
-        return np.lib.format.read_array_header_2_0(fp)
-    raise CheckpointError(f"unsupported .npy format version {version}")
+def _npy_header(path, fp, key: str):
+    """(shape, fortran_order, dtype) from the header of array `key`'s .npy
+    stream; one that parses only through numpy's warning fallback for
+    Python 2 files is as corrupt as one that does not parse."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            version = np.lib.format.read_magic(fp)
+            if version != (1, 0):  # what np.savez writes for every checkpoint array
+                raise ValueError(f"unsupported .npy format version {version}")
+            return np.lib.format.read_array_header_1_0(fp)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError, Warning) as exc:
+        raise CheckpointError(
+            f"checkpoint {path}: array {key!r} has a corrupt .npy header: {exc}") from None
 
 
 def _shape(path, archive, key: str, ndim: int) -> tuple:
@@ -78,7 +85,7 @@ def _shape(path, archive, key: str, ndim: int) -> tuple:
     if key not in archive:
         raise CheckpointError(f"checkpoint {path} is missing array {key!r}")
     with archive.zip.open(key + ".npy") as fp:
-        shape = _npy_header(fp)[0]
+        shape = _npy_header(path, fp, key)[0]
     if len(shape) != ndim:
         raise CheckpointError(
             f"checkpoint {path}: array {key!r} has shape {shape}, not {ndim} dimensions")
@@ -89,23 +96,25 @@ def _read_into(path, archive, key: str, out: np.ndarray) -> None:
     """Read array `key` into `out`, whose shape it must have.
 
     Native C-order float64 data goes straight into `out`, chunk by chunk,
-    so a load allocates no scratch array; other layouts and dtypes are
-    converted through one.
+    so a load allocates no scratch array, and must end where `out` does;
+    Fortran order and the other byte order are converted through one.
     """
     with archive.zip.open(key + ".npy") as fp:
-        shape, fortran_order, dtype = _npy_header(fp)
+        shape, fortran_order, dtype = _npy_header(path, fp, key)
         if shape != out.shape:
             raise CheckpointError(
                 f"checkpoint {path}: array {key!r} has shape {shape}, but the "
                 f"dims of its other arrays need {out.shape}")
+        if dtype.newbyteorder("=") != out.dtype:
+            raise CheckpointError(f"checkpoint {path}: array {key!r} holds {dtype}, not float64")
         if fortran_order or dtype != out.dtype:
             out[...] = archive[key]
             return
-        data = memoryview(out).cast("B")
-        for start in range(0, data.nbytes, _READ_CHUNK):
-            chunk = data[start:start + _READ_CHUNK]
-            if fp.readinto(chunk) != chunk.nbytes:
-                raise CheckpointError(f"checkpoint {path}: array {key!r} is truncated")
+        data, n = memoryview(out).cast("B"), out.nbytes
+        got = sum(fp.readinto(data[at:at + _READ_CHUNK]) for at in range(0, n, _READ_CHUNK))
+        if got != n or fp.read(1):  # reading to the end checks the CRC
+            problem = "truncated" if got < n else "longer than its header's shape"
+            raise CheckpointError(f"checkpoint {path}: array {key!r} is {problem}")
 
 
 def load_checkpoint(path) -> SentimentModel:
@@ -122,8 +131,15 @@ def load_checkpoint(path) -> SentimentModel:
         raise
     except FileNotFoundError:
         raise CheckpointError(f"no such checkpoint: {path}") from None
-    except (zipfile.BadZipFile, OSError, ValueError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+    except (zipfile.BadZipFile, OSError, ValueError, EOFError, NotImplementedError,
+            RuntimeError) as exc:  # the last three: zip headers that zipfile refuses
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc or 'it ends early'}") from None
+
+
+def _names(value) -> bool:
+    """Whether `value` is a list of distinct strings."""
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and len(set(value)) == len(value))
 
 
 def _read_model(path, archive) -> SentimentModel:
@@ -144,10 +160,13 @@ def _read_model(path, archive) -> SentimentModel:
             f"(this build reads version {FORMAT_VERSION})")
 
     try:
+        vocab, categories = meta["vocab"], meta["categories"]
+        if not (_names(vocab) and (categories is None or _names(categories))):
+            raise ValueError("the vocabulary must be a list of distinct strings, "
+                             "and the categories null or one")
         n_words, dx = _shape(path, archive, "emb.words", 2)
         _, hidden_dim = _shape(path, archive, "cell.W_h", 2)
-        categories = meta["categories"]
-        embeddings = EmbeddingTable({token: i for i, token in enumerate(meta["vocab"])},
+        embeddings = EmbeddingTable({token: i for i, token in enumerate(vocab)},
                                     np.empty((n_words, dx)), frozenset(meta["oov_tokens"]))
         model = assemble_model(meta["task"], meta["cell"], meta["head"], embeddings,
                                hidden_dim, categories, lambda cls, *dims: cls.empty(*dims))
@@ -159,7 +178,7 @@ def _read_model(path, archive) -> SentimentModel:
     stored = set(archive.files) - {_META_KEY}
     mismatch = ([f"missing array {key!r}" for key in arrays if key not in stored]
                 + [f"unused array {key!r}" for key in sorted(stored.difference(arrays))])
-    if categories is not None and model.aspect_embeddings is None:
+    if categories is not None and model.categories is None:
         mismatch.insert(0, f"categories {categories!r}, but it has no category table")
     if mismatch:
         raise CheckpointError(

@@ -24,7 +24,7 @@ from .data import (POLARITIES, RESTAURANT_CATEGORIES, UNK_TOKEN, CategoryId,
                    generate_synthetic, load_embeddings, load_instances,
                    parse_semeval_xml, save_instances)
 from .model import CELLS, HEADS, TASKS, build_model
-from .tensor import ConfigError, make_rng
+from .tensor import ConfigError, make_rng, uniform_init
 from .train import (FD_FLOOR, GRADCHECK_THRESHOLD, GradCheckReport, TrainConfig,
                     TrainingDiverged, cross_entropy, evaluate, grad_check, train)
 
@@ -106,8 +106,7 @@ def resolve_config(args, synthetic: bool = False) -> TrainConfig:
 def _load_eval_instances(path, model):
     """Instances from a SemEval XML file (by extension) or the internal TSV,
     each checked against the model's task and categories."""
-    table = model.aspect_embeddings
-    categories = RESTAURANT_CATEGORIES if table is None else table.categories
+    categories = model.categories or RESTAURANT_CATEGORIES
     if str(path).endswith(".xml"):
         instances = parse_semeval_xml(path, model.task, categories)
     else:
@@ -232,18 +231,16 @@ def pipeline_grad_report(cell_kind: str, head_kind: str, dx: int, dc: int,
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     lo, hi = -_GRADCHECK_SCALE, _GRADCHECK_SCALE
-    rng = make_rng([seed, 70])
-    xs = [rng.uniform(lo, hi, dx) for _ in range(seq_len)]
-    aspect = make_rng([seed, 71]).uniform(lo, hi, dc)
+    xs = uniform_init(seq_len, dx, lo, hi, seed=[seed, 70])
     gold = int(make_rng([seed, 72]).integers(3))
 
     tokens = tuple(f"x{t}" for t in range(seq_len))
     vocab = {UNK_TOKEN: 0, **{tok: t + 1 for t, tok in enumerate(tokens)}}
-    emb = EmbeddingTable(vocab, np.array([np.zeros(dx)] + xs))
+    emb = EmbeddingTable(vocab, np.vstack([np.zeros(dx), xs]))
     model = build_model("acsa", cell_kind, head_kind, emb, dc, seed=seed,
                         categories=("aspect",), init_low=lo, init_high=hi)
     if model.aspect_embeddings is not None:
-        model.aspect_embeddings.matrix[0] = aspect
+        model.aspect_embeddings.matrix[:] = uniform_init(1, dc, lo, hi, seed=[seed, 71])
     inst = LabeledInstance(tokens, CategoryId(0), POLARITIES[gold])
 
     analytic = model.backward(model.forward([inst]))
@@ -272,12 +269,10 @@ def cmd_gradcheck(args, parser) -> int:
     return 1
 
 
-def run_bench(seed=0, n_sentences: int = _SYNTH_SENTENCES, out_dir=None,
-              stream=None) -> dict:
+def run_bench(seed=0, n_sentences: int = _SYNTH_SENTENCES, out_dir=None) -> dict:
     """Train aspect-aware and classic last-hidden models on one synthetic
     corpus and report test plus disambiguation accuracy for both; the
     latter is None when the test split holds no disambiguation instance."""
-    stream = sys.stdout if stream is None else stream
     cfg = TrainConfig(seed=seed, **_SYNTH_OVERRIDES)
     train_insts, test_insts, emb = generate_synthetic(
         n_sentences, seed=cfg.seed, dim=cfg.emb_dim)
@@ -306,8 +301,8 @@ def run_bench(seed=0, n_sentences: int = _SYNTH_SENTENCES, out_dir=None,
               f"disambiguation accuracy "
               f"{'n/a' if disamb_acc is None else format(disamb_acc, '.4f')} "
               f"over {len(disamb)} instances, {len(result.logs)} epochs, "
-              f"{seconds:.1f}s", file=stream)
-    print(json.dumps(summary), file=stream)
+              f"{seconds:.1f}s")
+    print(json.dumps(summary))
     return summary
 
 
@@ -401,7 +396,7 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except (CliError, CheckpointError, ConfigError, DataFormatError,
             TrainingDiverged, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 1
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .tensor import INIT_HIGH, INIT_LOW, ConfigError, make_rng, uniform_init
+from .tensor import INIT_HIGH, INIT_LOW, ConfigError, ParamSet, make_rng, uniform_init
 
 POLARITIES = ("positive", "negative", "neutral")
 POLARITY_INDEX = {name: i for i, name in enumerate(POLARITIES)}
@@ -154,14 +154,6 @@ def parse_semeval_xml(path, task: str,
     return instances
 
 
-def polarity_counts(instances: Iterable[LabeledInstance]) -> tuple[int, int, int]:
-    """(positive, negative, neutral) instance counts."""
-    counts = [0, 0, 0]
-    for inst in instances:
-        counts[inst.label] += 1
-    return tuple(counts)
-
-
 @dataclass
 class EmbeddingTable:
     """Token embeddings: vocabulary mapping plus a row-per-token matrix.
@@ -191,20 +183,17 @@ class EmbeddingTable:
 
 
 @dataclass
-class AspectEmbeddingTable:
-    """One trainable vector per predefined aspect category."""
+class AspectEmbeddingTable(ParamSet):
+    """One trainable vector per aspect category, in the model's category
+    order; the names are the model's `categories`."""
 
-    categories: tuple[str, ...]
-    matrix: np.ndarray
+    matrix: np.ndarray  # (n_categories, d)
 
-    @classmethod
-    def empty(cls, categories: tuple[str, ...], dim: int) -> "AspectEmbeddingTable":
-        return cls(tuple(categories), np.empty((len(categories), dim)))
+    _INIT_STREAM = {"matrix": 40}
 
-    @classmethod
-    def init(cls, categories: tuple[str, ...], dim: int,
-             lo: float = INIT_LOW, hi: float = INIT_HIGH, seed=0) -> "AspectEmbeddingTable":
-        return cls(tuple(categories), uniform_init(len(categories), dim, lo, hi, seed=[seed, 40]))
+    @staticmethod
+    def _shapes(n_categories: int, dim: int) -> dict[str, tuple[int, ...]]:
+        return {"matrix": (n_categories, dim)}
 
 
 def build_vocab(instances: Iterable[LabeledInstance]) -> dict[str, int]:
@@ -245,15 +234,14 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
     """Embedding table for `vocab` from a whitespace text file.
 
     File rows are `token v1 ... v_dim`. Vocabulary tokens found in the file
-    get the file's values; the rest are drawn from U(INIT_LOW, INIT_HIGH), in
-    vocabulary order from a single seeded stream so the result is
-    deterministic for a fixed (vocab, seed). A token with spaces in it
-    (GloVe has `. . .`) is skipped: `tokenize_with_offsets` never emits one.
-    A vocabulary token followed by more or fewer than `dim` numbers, or by a
-    non-number or a non-finite one, is a DataFormatError, as is invalid
-    UTF-8.
+    get the file's values; the rest are drawn from U(INIT_LOW, INIT_HIGH) in
+    one seeded draw, in vocabulary order. A token with spaces in it (GloVe
+    has `. . .`) is skipped: `tokenize_with_offsets` never emits one. A
+    vocabulary token followed by more or fewer than `dim` numbers, or by a
+    non-number or a non-finite one, is a DataFormatError, as is invalid UTF-8.
     """
-    found: dict[int, np.ndarray] = {}
+    matrix = np.zeros((len(vocab), dim))
+    found = set()
     for lineno, line in _numbered_lines(path):
         # Most lines of a real file are outside the vocabulary: split off only
         # the token, and the numbers only for vocabulary tokens.
@@ -267,27 +255,22 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
             raise DataFormatError(
                 f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(values)}")
         try:
-            found[vocab[token]] = row = np.array([float(v) for v in values])
+            row = matrix[vocab[token]]
+            row[:] = [float(v) for v in values]
             if not np.isfinite(row).all():
                 raise ValueError("values must be finite")
         except ValueError as e:
             raise DataFormatError(f"{path}:{lineno}: {token!r}: {e}") from None
-    matrix = np.zeros((len(vocab), dim))
-    rng = make_rng([seed, 41])
-    oov = []
-    for token, idx in sorted(vocab.items(), key=lambda kv: kv[1]):
-        if idx in found:
-            matrix[idx] = found[idx]
-        else:
-            matrix[idx] = rng.uniform(INIT_LOW, INIT_HIGH, size=dim)
-            oov.append(token)
+        found.add(token)
+    oov = sorted(vocab.keys() - found, key=vocab.__getitem__)
+    matrix[[vocab[t] for t in oov]] = uniform_init(len(oov), dim, INIT_LOW, INIT_HIGH,
+                                                   seed=[seed, 41])
     return EmbeddingTable(vocab=dict(vocab), matrix=matrix, oov_tokens=frozenset(oov))
 
 
 def random_embeddings(vocab: dict[str, int], dim: int, seed=0) -> EmbeddingTable:
     """All-random table (every token counts as out-of-vocabulary)."""
-    rng = make_rng([seed, 42])
-    matrix = rng.uniform(INIT_LOW, INIT_HIGH, size=(len(vocab), dim))
+    matrix = uniform_init(len(vocab), dim, INIT_LOW, INIT_HIGH, seed=[seed, 42])
     return EmbeddingTable(vocab=dict(vocab), matrix=matrix, oov_tokens=frozenset(vocab))
 
 
@@ -308,7 +291,7 @@ def build_aspect_vector(instances: list[LabeledInstance], embeddings: EmbeddingT
         if not isinstance(a, kind):
             raise ValueError(f"{a} {'without' if kind is TermSpan else 'with'} "
                              f"an aspect embedding table")
-        if kind is CategoryId and a.index >= len(aspect_embeddings.categories):
+        if kind is CategoryId and a.index >= len(aspect_embeddings.matrix):
             raise ValueError(f"category index {a.index} out of range")
         rows.append([a.index] if kind is CategoryId else
                     [embeddings.index(t) for t in inst.tokens[a.start:a.end + 1]])

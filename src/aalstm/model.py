@@ -12,11 +12,11 @@ is the one constructor: it picks the parts from the kinds by name, for
 fills), and it owns the rules the names and dims must keep: known names,
 every dim at least 1, and a category table exactly for an acsa model with
 the aa cell, so a model holds no array it does not read. The `SentimentModel`
-constructor only stores the parts. `SentimentModel.params()` is the one
-owner of the namespaced array names ("emb.words", "cell.W_x", "clf.b_s",
-...), and `backward` names its gradients the same way: the optimizer and
-the gradient check walk exactly those arrays, and the checkpoint writes
-and reads them.
+constructor only stores the parts, the task and a table's category names.
+`SentimentModel.params()` is the one owner of the namespaced array names
+("emb.words", "cell.W_x", "clf.b_s", ...), and `backward` names its
+gradients the same way: the optimizer and the gradient check walk exactly
+those arrays, and the checkpoint writes and reads them.
 
 One run is the only way the model is driven: `forward` takes a minibatch,
 an evaluation chunk or one instance to predict. It gathers their input rows,
@@ -101,8 +101,10 @@ class SentimentModel:
                  cell: Union[ClassicLstmParams, AALstmParams],
                  clf: ClassifierParams,
                  attn: Optional[AttentionParams] = None,
-                 aspect_embeddings: Optional[AspectEmbeddingTable] = None):
+                 aspect_embeddings: Optional[AspectEmbeddingTable] = None,
+                 categories: Optional[tuple[str, ...]] = None):
         self.task = task
+        self.categories = categories
         self.embeddings = embeddings
         self.aspect_embeddings = aspect_embeddings
         self.cell = cell
@@ -214,9 +216,9 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
     at least 1, so the parts fit together and no array is empty.
     `make(cls, *dims)` makes each part: its `init` for a new model, its
     `empty` for one a checkpoint fills. Only an acsa model with the aa
-    cell gets a category table, of `categories` with vectors of the hidden
-    dim, which the cell needs; other models ignore `categories`. atsa aspect
-    vectors have the embedding dim.
+    cell gets a category table, a row of the hidden dim, which the cell
+    needs, per name in `categories`, and keeps the names; other models keep
+    None. atsa aspect vectors have the embedding dim.
     """
     for kind, name, known in (("task", task, TASKS), ("cell", cell_kind, CELLS),
                               ("head", head_kind, HEADS)):
@@ -235,10 +237,10 @@ def assemble_model(task: str, cell_kind: str, head_kind: str,
             f"have the embedding dim {dx}, hidden is {hidden_dim}")
     cell = make(AALstmParams if cell_kind == "aa" else ClassicLstmParams, dx, hidden_dim)
     attn = make(AttentionParams, hidden_dim) if head_kind == "attention" else None
-    aspect_embeddings = (make(AspectEmbeddingTable, categories, hidden_dim)
-                         if with_table else None)
+    table = make(AspectEmbeddingTable, len(categories), hidden_dim) if with_table else None
     return SentimentModel(task, embeddings, cell, make(ClassifierParams, hidden_dim),
-                          attn=attn, aspect_embeddings=aspect_embeddings)
+                          attn=attn, aspect_embeddings=table,
+                          categories=tuple(categories) if with_table else None)
 
 
 def build_model(task: str, cell_kind: str, head_kind: str,

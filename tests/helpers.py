@@ -11,8 +11,10 @@ the two-branch activations are the earlier numpy forms of the batched and
 fused kernels, and the per-step attention forward and backward and the
 one-instance classifier the earlier forms of the batched heads, kept as
 oracles for them. `LoopAdam` is the optimizer step before it was fused into one
-blocked pass, and `instance_aspect_vector` the aspect vector of one
-instance before a run's were built at once. The per-function metrics
+blocked pass, `loop_embedding_rows` the word table `load_embeddings` made
+when it drew its random rows one by one, and `instance_aspect_vector` the
+aspect vector of one instance before a run's were built at once.
+`polarity_counts` counts instances per class for the ingestion checks. The per-function metrics
 (`oracle_accuracy` through `oracle_report`) are the evaluation report
 before it was read off one confusion matrix.
 """
@@ -419,6 +421,32 @@ class LoopAdam:
             v *= _ADAM_BETA2
             v += (1.0 - _ADAM_BETA2) * (g * g)
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+
+
+def loop_embedding_rows(rows, vocab, dim, seed=0):
+    """(matrix, oov_tokens) that `load_embeddings` gives for a file of `rows`
+    (token -> values), with the random rows drawn the earlier way: one
+    U(INIT_LOW, INIT_HIGH) draw of `dim` per missing token, in vocabulary
+    order, from seed stream [seed, 41]."""
+    from aalstm.tensor import INIT_HIGH, INIT_LOW, make_rng
+    matrix = np.zeros((len(vocab), dim))
+    rng = make_rng([seed, 41])
+    oov = []
+    for token, idx in sorted(vocab.items(), key=lambda kv: kv[1]):
+        if token in rows:
+            matrix[idx] = rows[token]
+        else:
+            matrix[idx] = rng.uniform(INIT_LOW, INIT_HIGH, size=dim)
+            oov.append(token)
+    return matrix, frozenset(oov)
+
+
+def polarity_counts(instances) -> tuple[int, int, int]:
+    """(positive, negative, neutral) instance counts."""
+    counts = [0, 0, 0]
+    for inst in instances:
+        counts[inst.label] += 1
+    return tuple(counts)
 
 
 def instance_aspect_vector(inst, embeddings, aspect_embeddings=None) -> np.ndarray:

@@ -14,7 +14,7 @@ Criterion 7 is informational: when it runs and the result falls outside
 the expected band it reports xfail (investigate), not a build failure.
 """
 
-import io
+import json
 import os
 import time
 from pathlib import Path
@@ -31,7 +31,6 @@ from aalstm.data import (
     dev_split,
     load_embeddings,
     parse_semeval_xml,
-    polarity_counts,
 )
 from aalstm.model import build_model
 from aalstm.tensor import make_rng
@@ -161,7 +160,7 @@ def test_criterion_4_gate_and_hidden_range_invariants():
     assert violations == 0
 
 
-def test_criterion_5_synthetic_benchmark_separates_cells(tmp_path):
+def test_criterion_5_synthetic_benchmark_separates_cells(tmp_path, capsys):
     """On the seeded two-aspect corpus the aspect-aware cell solves the
     test split while the aspect-blind classic cell cannot beat chance on
     the disambiguation subset.
@@ -175,9 +174,9 @@ def test_criterion_5_synthetic_benchmark_separates_cells(tmp_path):
     labels, so at most half the subset can be right.
     """
     started = time.perf_counter()
-    summary = run_bench(seed=0, n_sentences=300, out_dir=str(tmp_path),
-                        stream=io.StringIO())
+    summary = run_bench(seed=0, n_sentences=300, out_dir=str(tmp_path))
     elapsed = time.perf_counter() - started
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == summary
     assert summary["train"] >= 400
     assert summary["test"] >= 200
     assert summary["disambiguation"] >= 100
@@ -194,6 +193,8 @@ def test_criterion_6_fixture_ingestion_counts():
     """The hand-written miniature review file parses to exact per-polarity
     counts under both tasks (it exercises conflict filtering, no-aspect
     sentences, and character-offset mapping)."""
+    from helpers import polarity_counts
+
     assert polarity_counts(parse_semeval_xml(FIXTURE, "atsa")) == (2, 2, 1)
     assert polarity_counts(parse_semeval_xml(FIXTURE, "acsa")) == (2, 1, 1)
 
@@ -208,6 +209,8 @@ def test_criterion_6_official_ingestion_counts():
     """Parsing the official 2014 benchmark files reproduces the published
     per-polarity instance counts exactly, after dropping conflict labels.
     Runs only when AALSTM_SEMEVAL_DIR is set."""
+    from helpers import polarity_counts
+
     root = os.environ.get(_SEMEVAL_ENV)
     if not root:
         pytest.skip(f"set {_SEMEVAL_ENV} to a directory with the official 2014 "

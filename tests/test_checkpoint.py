@@ -69,8 +69,8 @@ def test_round_trip_bit_exact(tmp_path, task, cell_kind, head_kind):
     assert loaded.embeddings.vocab == model.embeddings.vocab
     assert loaded.embeddings.oov_tokens == model.embeddings.oov_tokens
     assert loaded.embeddings.matrix.tobytes() == model.embeddings.matrix.tobytes()
+    assert loaded.categories == model.categories
     if model.aspect_embeddings is not None:
-        assert loaded.aspect_embeddings.categories == model.aspect_embeddings.categories
         assert (loaded.aspect_embeddings.matrix.tobytes()
                 == model.aspect_embeddings.matrix.tobytes())
     else:

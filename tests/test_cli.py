@@ -4,6 +4,8 @@ determinism, and error paths."""
 import json
 import os
 import re
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -12,9 +14,10 @@ from aalstm.checkpoint import load_checkpoint, save_checkpoint
 from aalstm.cli import (CliError, _load_eval_instances, build_parser, main,
                         parse_config_file, pipeline_grad_report, resolve_config,
                         run_bench)
-from aalstm.data import CategoryId, DataFormatError, build_vocab, random_embeddings
+from aalstm.data import (CategoryId, DataFormatError, build_vocab, parse_semeval_xml,
+                         random_embeddings)
 from aalstm.model import build_model
-from aalstm.tensor import ConfigError
+from aalstm.tensor import ConfigError, make_rng
 
 from test_checkpoint import edit_meta, rewrite_npz
 
@@ -210,6 +213,58 @@ def test_eval_zero_size_checkpoint_is_one_error_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def rewrite_member(src, dst, key, edit):
+    """Copy archive `src` to `dst` with `edit` applied to member `key`'s bytes."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for info in zin.infolist():
+            data = zin.read(info)
+            zout.writestr(info.filename, edit(data) if info.filename == key else data)
+
+
+def _entries(mutate):
+    return lambda src, dst: rewrite_npz(src, dst, mutate)
+
+
+def _w_h_bytes(edit):
+    return lambda src, dst: rewrite_member(src, dst, "cell.W_h.npy", edit)
+
+
+_BAD_NAMES = ("inconsistent checkpoint {bad}: the vocabulary must be a list of distinct "
+              "strings, and the categories null or one")
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_entries(lambda e: e.pop("cell.W_h")), "is missing array 'cell.W_h'"),
+    (_entries(lambda e: e.update({"emb.words": e["emb.words"][0]})),
+     "array 'emb.words' has shape (4,), not 2 dimensions"),
+    (_w_h_bytes(lambda data: data[:-800]), "array 'cell.W_h' is truncated"),
+    # numpy reads the shape "(28L,4)" as (28, 4) after a warning that the
+    # file came from Python 2: the warning must not print above the error.
+    (_w_h_bytes(lambda data: re.sub(rb"\((\d+), ", rb"(\1L,", data, count=1)),
+     "array 'cell.W_h' has a corrupt .npy header: Reading"),
+    (_entries(lambda e: edit_meta(e, categories="abcde")), _BAD_NAMES),
+    (_entries(lambda e: edit_meta(e, categories=[[1], [2], [3], [4], [5]])), _BAD_NAMES),
+    (_entries(lambda e: edit_meta(e, categories=["food", "food", "price", "ambience",
+                                                 "service"])), _BAD_NAMES),
+    (_entries(lambda e: edit_meta(e, vocab=["<unk>", 1, 2])), _BAD_NAMES),
+], ids=["no-W_h", "1-D-words", "W_h-short", "python-2-header", "categories-string",
+        "categories-lists", "categories-repeated", "vocab-numbers"])
+def test_eval_corrupt_checkpoint_is_one_error_line(tmp_path, capsys, corrupt, message):
+    emb = random_embeddings({"<unk>": 0, "soup": 1, "bad": 2}, dim=4)
+    src, bad = tmp_path / "acsa.npz", tmp_path / "bad.npz"
+    save_checkpoint(build_model("acsa", "aa", "last", emb, hidden_dim=4), src)
+    corrupt(src, bad)
+    data = tmp_path / "insts.tsv"
+    data.write_text("the soup is bad\tcategory:0\tnegative\n")
+    with warnings.catch_warnings():  # as outside this suite's error filter
+        warnings.simplefilter("default")
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(bad) in err and message.format(bad=bad) in err
+
+
 def test_eval_whitespace_only_sentence_is_data_error(tmp_path, capsys):
     emb = random_embeddings(build_vocab([]), dim=4)
     ckpt = tmp_path / "acsa.npz"
@@ -235,6 +290,7 @@ def test_eval_whitespace_only_sentence_is_data_error(tmp_path, capsys):
      "instance 1 has a term aspect, but the checkpoint's task 'acsa' takes category"),
     ("acsa", "the soup is bad\tcategory:5\tnegative",
      "instance 1 has category index 5, but the checkpoint has 5 categories"),
+    ("atsa", "the soup is bad\tterm:1\tnegative", "insts.tsv:1: bad aspect spec 'term:1'"),
 ])
 def test_eval_bad_instances_tsv_is_data_error(tmp_path, capsys, task, line, message):
     # Both cells: a classic acsa model has no category table, but its
@@ -279,16 +335,27 @@ def test_eval_xml_categories_use_the_checkpoint_table(tmp_path, capsys):
     assert "amb.xml" in err and "unknown category 'ambience'" in err
 
 
-@pytest.mark.parametrize("command,payload,message", [
-    ("eval", b"the soup is bad\tterm:1:1\tnegative\ncaf\xe9\tterm:0:0\tneutral\n",
+def _term_doc(offsets):
+    return ('<sentences><sentence id="s1"><text>The soup is bad.</text><aspectTerms>'
+            f'<aspectTerm term="soup" polarity="negative" {offsets}/>'
+            "</aspectTerms></sentence></sentences>").encode()
+
+
+@pytest.mark.parametrize("command,name,payload,message", [
+    ("eval", "bad.txt", b"the soup is bad\tterm:1:1\tnegative\ncaf\xe9\tterm:0:0\tneutral\n",
      "bad.txt:2: not valid UTF-8"),
-    ("train", b"the 0.1 0.2 0.3 0.4 0.5\nsoup 0.1 abc 0.3 0.4 0.5\n",
+    ("train", "bad.txt", b"the 0.1 0.2 0.3 0.4 0.5\nsoup 0.1 abc 0.3 0.4 0.5\n",
      "bad.txt:2: 'soup': could not convert string to float: 'abc'"),
-    ("train", b"the 0.1 0.2 0.3 0.4 0.5\ncaf\xe9 0.1 0.2 0.3 0.4 0.5\n",
+    ("train", "bad.txt", b"the 0.1 0.2 0.3 0.4 0.5\ncaf\xe9 0.1 0.2 0.3 0.4 0.5\n",
      "bad.txt:2: not valid UTF-8"),
-], ids=["eval-tsv-utf8", "train-emb-number", "train-emb-utf8"])
-def test_bad_input_file_is_data_error(tmp_path, capsys, command, payload, message):
-    bad = tmp_path / "bad.txt"
+    ("eval", "bad.xml", _term_doc('from="x" to="8"'),
+     "bad.xml: sentence 's1': bad offsets on term 'soup'"),
+    ("eval", "bad.xml", _term_doc('from="40" to="44"'),
+     "bad.xml: sentence 's1': character range [40, 44) covers no token"),
+], ids=["eval-tsv-utf8", "train-emb-number", "train-emb-utf8", "eval-xml-offsets",
+        "eval-xml-past-the-text"])
+def test_bad_input_file_is_data_error(tmp_path, capsys, command, name, payload, message):
+    bad = tmp_path / name
     bad.write_bytes(payload)
     if command == "eval":
         emb = random_embeddings(build_vocab([]), dim=4)
@@ -301,7 +368,7 @@ def test_bad_input_file_is_data_error(tmp_path, capsys, command, payload, messag
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
 
 
@@ -497,9 +564,13 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, command, source):
 
 # --- no file input ends in a traceback -----------------------------------------
 
-def _odd_file(tmp_path, kind):
-    """A path to a file of one kind that no input of the CLI takes."""
+def _odd_files(tmp_path, kind):
+    """Paths to files of one kind that no input of the CLI takes: one file,
+    or for "header" and "truncated" seeded corruptions of a checkpoint."""
     path = tmp_path / f"odd_{kind}"
+    if kind in ("header", "truncated"):
+        yield from _corrupt_checkpoints(tmp_path, path, kind)
+        return
     if kind == "dir":
         path.mkdir()
     elif kind == "npy":
@@ -508,7 +579,60 @@ def _odd_file(tmp_path, kind):
     else:
         path.write_bytes({"empty": b"", "utf8": b"\xff\xfe",
                           "text": b"just some words\n"}[kind])
-    return str(path)
+    yield str(path)
+
+
+def _corrupt_checkpoints(tmp_path, path, kind):
+    """Seeded corruptions of a 24-dim checkpoint, at `path` or beside it.
+
+    At 24 dims the arrays changed here are over 4 KiB, so zipfile parses
+    their .npy header before it has read them whole and checked their CRC.
+    "header" changes one byte in the first 128 of emb.words, cell.W_h and
+    cell.W_x, 40 seeded ones each, then gives every other value to the "("
+    that opens cell.W_h's shape, which gives the dims, and to six bytes of
+    cell.W_x's, which is only read: the two bytes of the header's length,
+    the "8" of its dtype, the space before "'fortran_order'", the "(" and
+    the shape's last digit. "truncated" cuts the file short, and cuts
+    cell.W_h's member inside its header in an otherwise whole archive.
+    """
+    src = tmp_path / "ckpt24.npz"
+    emb = random_embeddings(build_vocab(parse_semeval_xml(FIXTURE, "atsa")), dim=24)
+    save_checkpoint(build_model("atsa", "aa", "last", emb, hidden_dim=24), src)
+    raw = src.read_bytes()
+    with zipfile.ZipFile(src) as archive:
+        # A member's bytes follow its 30-byte local header, name and extra field.
+        start = {info.filename: info.header_offset + 30
+                 + int.from_bytes(raw[info.header_offset + 26:info.header_offset + 28], "little")
+                 + int.from_bytes(raw[info.header_offset + 28:info.header_offset + 30], "little")
+                 for info in archive.infolist()}
+    rng = make_rng([2027, 5])
+    if kind == "header":
+        changes = [(start[name] + at, raw[start[name] + at] ^ flip)
+                   for name in ("emb.words.npy", "cell.W_h.npy", "cell.W_x.npy")
+                   for at, flip in zip(rng.integers(0, 128, 40), rng.integers(1, 256, 40))]
+        w_h, w_x = start["cell.W_h.npy"], start["cell.W_x.npy"]
+        header = raw[w_x:w_x + 128]
+        spots = [raw.index(b"(", w_h)] + [w_x + header.index(text) + shift for text, shift in (
+            (b"\x00{", -1), (b"\x00{", 0), (b"8'", 0), (b" 'fortran_order'", 0), (b"(", 0),
+            (b")", -1))]
+        changes += [(at, value) for at in spots for value in range(256) if value != raw[at]]
+        path.write_bytes(raw)
+        with open(path, "r+b") as fh:  # in place: rewriting the file is slow
+            for at, value in changes:
+                fh.seek(at)
+                fh.write(bytes([value]))
+                fh.flush()
+                yield str(path)
+                fh.seek(at)
+                fh.write(raw[at:at + 1])
+    else:
+        for n, cut in enumerate(rng.integers(1, len(raw), 20)):
+            (tmp_path / f"cut{n}.npz").write_bytes(raw[:cut])
+            yield str(tmp_path / f"cut{n}.npz")
+        for n, cut in enumerate(rng.integers(0, 128, 10)):
+            rewrite_member(src, tmp_path / f"member_cut{n}.npz", "cell.W_h.npy",
+                           lambda data: data[:cut])
+            yield str(tmp_path / f"member_cut{n}.npz")
 
 
 # An empty config file, and an embeddings file with no vocabulary token in
@@ -516,31 +640,32 @@ def _odd_file(tmp_path, kind):
 _TRAINS = {("train --config", "empty"), ("train --emb", "empty"), ("train --emb", "text")}
 
 
-@pytest.mark.parametrize("kind", ["empty", "dir", "utf8", "npy", "text"])
+@pytest.mark.parametrize("kind", ["empty", "dir", "utf8", "npy", "text", "header", "truncated"])
 @pytest.mark.parametrize("flag", ["train --config", "train --data", "train --emb",
                                   "eval --checkpoint", "eval --data"])
 def test_no_file_input_ends_in_a_traceback(tmp_path, capsys, flag, kind):
-    odd, out = _odd_file(tmp_path, kind), str(tmp_path / "o")
+    out = str(tmp_path / "o")
     glove = write_glove(tmp_path / "vectors.txt", dim=4)
     ckpt = str(tmp_path / "model.npz")
     save_checkpoint(build_model("atsa", "classic", "last",
                                 random_embeddings(build_vocab([]), dim=4), hidden_dim=4), ckpt)
     fixture_train = ["train", "--dim", "4", "--hidden", "4", "--epochs", "1", "--out", out]
-    argv = {
-        "train --config": ["train", "--synthetic", "--epochs", "1", "--out", out,
-                           "--config", odd],
-        "train --data": fixture_train + ["--data", odd, "--emb", glove],
-        "train --emb": fixture_train + ["--data", FIXTURE, "--emb", odd],
-        "eval --checkpoint": ["eval", "--checkpoint", odd, "--data", FIXTURE],
-        "eval --data": ["eval", "--checkpoint", ckpt, "--data", odd],
-    }[flag]
-    code = main(argv)
-    err = capsys.readouterr().err
-    if (flag, kind) in _TRAINS:
-        assert (code, err) == (0, "")
-    else:
-        assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    for n, odd in enumerate(_odd_files(tmp_path, kind)):
+        argv = {
+            "train --config": ["train", "--synthetic", "--epochs", "1", "--out", out,
+                               "--config", odd],
+            "train --data": fixture_train + ["--data", odd, "--emb", glove],
+            "train --emb": fixture_train + ["--data", FIXTURE, "--emb", odd],
+            "eval --checkpoint": ["eval", "--checkpoint", odd, "--data", FIXTURE],
+            "eval --data": ["eval", "--checkpoint", ckpt, "--data", odd],
+        }[flag]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if (flag, kind) in _TRAINS:
+            assert (code, err) == (0, ""), n
+        else:
+            assert code == 1, n
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), (n, err)
 
 
 # --- bench ---------------------------------------------------------------------

@@ -25,14 +25,13 @@ from aalstm.data import (
     load_embeddings,
     load_instances,
     parse_semeval_xml,
-    polarity_counts,
     save_instances,
     tokenize_with_offsets,
 )
 
-from aalstm.tensor import ConfigError
+from aalstm.tensor import ConfigError, uniform_init
 
-from helpers import instance_aspect_vector
+from helpers import instance_aspect_vector, loop_embedding_rows, polarity_counts
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini_reviews.xml"
 
@@ -282,6 +281,27 @@ def test_load_embeddings_oov_rows_deterministic(tmp_path):
     assert not np.array_equal(a.matrix[2], c.matrix[2])
 
 
+@pytest.mark.parametrize("in_file", [("b", "d", "f"), (), ("<unk>", "a", "b", "c", "d", "e", "f")],
+                         ids=["some-missing", "all-missing", "none-missing"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_load_embeddings_equals_the_per_row_draw(tmp_path, in_file, seed):
+    # One draw of the missing rows gives the numbers the per-row draws gave.
+    vocab = {w: i for i, w in enumerate(["<unk>", "a", "b", "c", "d", "e", "f"])}
+    rows = {w: [0.1 * i, -0.2 * i, 0.3] for i, w in enumerate(in_file)}
+    f = tmp_path / "vec.txt"
+    f.write_text("".join(f"{w} {' '.join(map(str, v))}\n" for w, v in rows.items()))
+    table = load_embeddings(f, vocab, dim=3, seed=seed)
+    matrix, oov = loop_embedding_rows(rows, vocab, dim=3, seed=seed)
+    assert np.array_equal(table.matrix, matrix)
+    assert table.oov_tokens == oov == vocab.keys() - set(in_file)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_category_table_init_is_one_draw_from_stream_40(seed):
+    table = AspectEmbeddingTable.init(5, 6, lo=-0.3, hi=0.2, seed=seed)
+    assert np.array_equal(table.matrix, uniform_init(5, 6, -0.3, 0.2, seed=[seed, 40]))
+
+
 def test_embedding_lookup_falls_back_to_unk():
     vocab = {UNK_TOKEN: 0, "soup": 1}
     table = EmbeddingTable(vocab, np.array([[1.0, 1.0], [2.0, 2.0]]))
@@ -320,7 +340,7 @@ def test_aspect_vector_is_span_mean():
 def test_aspect_vector_category_is_its_table_row():
     vocab = {UNK_TOKEN: 0}
     emb = EmbeddingTable(vocab, np.zeros((1, 2)))
-    cats = AspectEmbeddingTable(("food", "price"), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    cats = AspectEmbeddingTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
     insts = [LabeledInstance(("fine",), CategoryId(k), "neutral") for k in (1, 0, 1)]
     vectors, rows, counts = build_aspect_vector(insts, emb, cats)
     assert np.array_equal(vectors, [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
@@ -341,7 +361,7 @@ def test_aspect_vector_category_without_table_errors():
 ])
 def test_aspect_vector_with_a_category_table_errors(aspect, message):
     emb = EmbeddingTable({UNK_TOKEN: 0}, np.zeros((1, 2)))
-    cats = AspectEmbeddingTable(("food", "price"), np.zeros((2, 2)))
+    cats = AspectEmbeddingTable(np.zeros((2, 2)))
     insts = [LabeledInstance(("fine",), a, "neutral") for a in (CategoryId(1), aspect)]
     with pytest.raises(ValueError, match=message):
         build_aspect_vector(insts, emb, cats)
@@ -360,7 +380,7 @@ def aspect_runs(draw):
     cats = None
     if draw(st.booleans()):
         n_cats = draw(st.integers(1, 4))
-        cats = AspectEmbeddingTable(tuple(f"c{k}" for k in range(n_cats)), np.array(draw(
+        cats = AspectEmbeddingTable(np.array(draw(
             st.lists(st.lists(values, min_size=dim, max_size=dim),
                      min_size=n_cats, max_size=n_cats))))
     insts = []
@@ -371,7 +391,7 @@ def aspect_runs(draw):
             start = draw(st.integers(0, len(tokens) - 1))
             aspect = TermSpan(start, draw(st.integers(start, min(start + 2, len(tokens) - 1))))
         else:
-            aspect = CategoryId(draw(st.integers(0, len(cats.categories) - 1)))
+            aspect = CategoryId(draw(st.integers(0, len(cats.matrix) - 1)))
         insts.append(LabeledInstance(tokens, aspect, "neutral"))
     return insts, emb, cats
 

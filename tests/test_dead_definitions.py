@@ -13,9 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "aalstm").glob("*.py"))
 USERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
-# Criterion 6 counts the corpora's polarities with it.
-UNUSED_ON_PURPOSE = {"polarity_counts"}
-
 
 def _definitions(tree):
     for node in ast.walk(tree):
@@ -60,11 +57,5 @@ def test_every_source_definition_is_named_somewhere():
     used = _used()
     dead = [f"{path.relative_to(ROOT)}:{line} {name}"
             for path in SOURCES for name, line in _definitions(_parse(path))
-            if name not in used and name not in UNUSED_ON_PURPOSE]
+            if name not in used]
     assert not dead, "defined but never named: " + ", ".join(dead)
-
-
-def test_the_exceptions_are_still_defined_and_unused():
-    # An exception that code starts to use, or that is deleted, leaves the list.
-    defined = {name for path in SOURCES for name, _ in _definitions(_parse(path))}
-    assert UNUSED_ON_PURPOSE <= defined - _used()
