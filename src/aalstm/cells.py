@@ -76,18 +76,6 @@ _GATE_STREAMS = (0, 1, 3, 2, 10, 11, 12)
 
 
 @dataclass
-class CellState:
-    """Recurrent state: hidden vector h and cell memory c, both length dc."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-
-def zero_state(hidden_dim: int) -> CellState:
-    return CellState(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
-
-
-@dataclass
 class CellCache:
     """One run over B sequences, kept for its backward pass.
 
@@ -180,9 +168,10 @@ class AALstmParams(_CellParams):
 
 
 def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
-         prev: CellState) -> CellCache:
+         init: Optional[tuple]) -> CellCache:
     """The one kernel: run the cell over B sequences whose rows lie one after
-    another in X, `lengths[b]` rows each, every one from state `prev`.
+    another in X, `lengths[b]` rows each, every one from the (h, c) pair
+    `init`, or from zeros when it is None.
     `aspects` holds one row per sequence, or is None for the classic cell.
     `unroll` validates.
 
@@ -218,7 +207,7 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
         Z_aspect = np.ascontiguousarray(Z_aspect.reshape(n_seq, 3, dc).transpose(1, 0, 2))
     H = np.empty((n_steps + 1, n_seq, dc))
     C = np.empty((n_steps + 1, n_seq, dc))
-    H[0], C[0] = prev.h, prev.c
+    H[0], C[0] = (0.0, 0.0) if init is None else init
     tanh_c = np.empty((n_steps, n_seq, dc))
     # The step's recurrent product lands in `rec`, one (B, G dc) row-major
     # block so the product is never split per group; `rec_g` is its group view.
@@ -248,16 +237,16 @@ def _run(p, X: np.ndarray, lengths: list[int], aspects: Optional[np.ndarray],
 
 
 def unroll(params, xs: np.ndarray, aspect: Optional[np.ndarray] = None,
-           init: Optional[CellState] = None, lengths: Optional[list[int]] = None):
-    """Run the cell over B sequences, threading state; init defaults to zeros.
+           init: Optional[tuple] = None, lengths: Optional[list[int]] = None):
+    """Run the cell over B sequences, threading state from `init`, an (h, c)
+    pair of (dc,) arrays like PyTorch's (h_0, c_0); without it, from zeros.
 
     `xs` is an (N, dx) array holding the sequences' rows one after another,
     `lengths[b]` rows for sequence b; without `lengths` it is one sequence.
     `params` selects the cell: AALstmParams requires `aspect`, a (B, dc)
-    array of one row per sequence, and ClassicLstmParams forbids it. Every
-    sequence starts from `init`. Returns the (N, dc) hidden states, laid
-    out like `xs` (for one sequence a view of the run's buffer), and the
-    run's cache.
+    array of one row per sequence, and ClassicLstmParams forbids it.
+    Returns the (N, dc) hidden states, laid out like `xs` (for one sequence
+    a view of the run's buffer), and the run's cache.
     """
     X, dc = np.asarray(xs, dtype=np.float64), params.hidden_dim
     lengths = [len(X)] if lengths is None else list(lengths)
@@ -268,16 +257,15 @@ def unroll(params, xs: np.ndarray, aspect: Optional[np.ndarray] = None,
         raise ValueError("unroll: aspect vector required for the aspect-aware cell")
     if not aware and aspect is not None:
         raise ValueError("unroll: classic cell takes no aspect vector")
-    state = zero_state(dc) if init is None else init
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ShapeError(f"input shape {X.shape} != (N, {params.input_dim})")
     if X.shape[0] != sum(lengths):
         raise ShapeError(f"{X.shape[0]} input rows, but the lengths add up to {sum(lengths)}")
-    if state.h.shape != (dc,) or state.c.shape != (dc,):
-        raise ShapeError(f"state shapes {state.h.shape}/{state.c.shape} != ({dc},)")
+    if init is not None and [np.shape(v) for v in init] != [(dc,), (dc,)]:
+        raise ShapeError(f"init shapes {[np.shape(v) for v in init]} != [({dc},), ({dc},)]")
     if aware and np.shape(aspect) != (len(lengths), dc):
         raise ShapeError(f"aspect shape {np.shape(aspect)} != {(len(lengths), dc)}")
-    cache = _run(params, X, lengths, aspect, state)
+    cache = _run(params, X, lengths, aspect, init)
     if len(lengths) == 1:
         return cache.H[1:, 0], cache
     steps, rows = cache.packed

@@ -160,14 +160,16 @@ def _read_model(path, archive) -> SentimentModel:
             f"(this build reads version {FORMAT_VERSION})")
 
     try:
-        vocab, categories = meta["vocab"], meta["categories"]
+        vocab, categories, oov = meta["vocab"], meta["categories"], meta["oov_tokens"]
         if not (_names(vocab) and (categories is None or _names(categories))):
             raise ValueError("the vocabulary must be a list of distinct strings, "
                              "and the categories null or one")
+        words = {token: i for i, token in enumerate(vocab)}
+        if not (_names(oov) and words.keys() >= set(oov)):
+            raise ValueError("the out-of-vocabulary tokens must be distinct vocabulary tokens")
         n_words, dx = _shape(path, archive, "emb.words", 2)
         _, hidden_dim = _shape(path, archive, "cell.W_h", 2)
-        embeddings = EmbeddingTable({token: i for i, token in enumerate(vocab)},
-                                    np.empty((n_words, dx)), frozenset(meta["oov_tokens"]))
+        embeddings = EmbeddingTable(words, np.empty((n_words, dx)), frozenset(oov))
         model = assemble_model(meta["task"], meta["cell"], meta["head"], embeddings,
                                hidden_dim, categories, lambda cls, *dims: cls.empty(*dims))
     except CheckpointError:

@@ -172,6 +172,8 @@ def cmd_train(args, parser) -> int:
                               cfg.emb_dim, cfg.seed)
         if args.test_data:
             test_insts = parse_semeval_xml(args.test_data, args.task)
+            if not test_insts:
+                raise CliError(f"no {args.task} instances found in {args.test_data}")
 
     tr, dev = dev_split(train_insts, cfg.dev_fraction, cfg.seed)
     model, result, _ = _train_model(args.task, args.cell, args.head, emb, cfg,

@@ -178,9 +178,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def index(self, token: str) -> int:
-        return self.vocab.get(token, self.vocab[UNK_TOKEN])
-
 
 @dataclass
 class AspectEmbeddingTable(ParamSet):
@@ -274,18 +271,20 @@ def random_embeddings(vocab: dict[str, int], dim: int, seed=0) -> EmbeddingTable
     return EmbeddingTable(vocab=dict(vocab), matrix=matrix, oov_tokens=frozenset(vocab))
 
 
-def build_aspect_vector(instances: list[LabeledInstance], embeddings: EmbeddingTable,
+def build_aspect_vector(instances: list[LabeledInstance], token_rows: list[int],
+                        embeddings: EmbeddingTable,
                         aspect_embeddings: Optional[AspectEmbeddingTable] = None,
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A run's (B, d) aspect vectors, each the mean of its source rows in one
     table, with those rows, one aspect after another, and each one's count.
 
     Term spans, the only aspects without `aspect_embeddings`, read their
-    tokens' word-table rows; categories, the only ones with it, their row.
+    tokens' rows out of `token_rows`, the run's word-table row of each token,
+    one instance after another; categories, the only ones with it, their row.
     The rows are summed in order, as `np.mean` over them does when d > 1.
     """
     kind = TermSpan if aspect_embeddings is None else CategoryId
-    rows = []
+    rows, start = [], 0
     for inst in instances:
         a = inst.aspect
         if not isinstance(a, kind):
@@ -294,7 +293,8 @@ def build_aspect_vector(instances: list[LabeledInstance], embeddings: EmbeddingT
         if kind is CategoryId and a.index >= len(aspect_embeddings.matrix):
             raise ValueError(f"category index {a.index} out of range")
         rows.append([a.index] if kind is CategoryId else
-                    [embeddings.index(t) for t in inst.tokens[a.start:a.end + 1]])
+                    token_rows[start + a.start:start + a.end + 1])
+        start += len(inst.tokens)
     table = (embeddings if kind is TermSpan else aspect_embeddings).matrix
     vectors = table[[r[0] for r in rows]]
     for k in range(1, max(map(len, rows))):

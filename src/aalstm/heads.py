@@ -161,26 +161,19 @@ def attention_backward(p: AttentionParams, cache: AttentionCache, d_repr: np.nda
     return grads, dH
 
 
-@dataclass
-class ClassifierCache:
-    rep: np.ndarray           # (B, dc)
-    probs: np.ndarray         # (B, 3)
-
-
-def classify_with_cache(rep: np.ndarray, p: ClassifierParams,
-                        ) -> tuple[np.ndarray, ClassifierCache]:
-    """(B, 3) class probabilities of (B, dc) representations."""
+def classify_with_cache(rep: np.ndarray, p: ClassifierParams) -> np.ndarray:
+    """(B, 3) class probabilities of (B, dc) representations; the backward
+    pass reads `rep` itself. perfbench's tracer binds this name."""
     if rep.ndim != 2 or rep.shape[1] != p.repr_dim:
         raise ShapeError(f"representation shape {rep.shape} != (B, {p.repr_dim})")
-    probs = softmax(rep @ p.W_s.T + p.b_s)
-    return probs, ClassifierCache(rep=rep, probs=probs)
+    return softmax(rep @ p.W_s.T + p.b_s)
 
 
-def classifier_backward(p: ClassifierParams, cache: ClassifierCache, d_logits: np.ndarray,
+def classifier_backward(p: ClassifierParams, rep: np.ndarray, d_logits: np.ndarray,
                         ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Grads for the classifier, summed over the rows, and the (B, dc) grads
-    of its input, given (B, 3) logit-space upstream."""
-    if d_logits.shape != cache.probs.shape:
-        raise ValueError(f"logit gradient shape {d_logits.shape} != {cache.probs.shape}")
-    grads = {"W_s": d_logits.T @ cache.rep, "b_s": d_logits.sum(axis=0)}
+    of its input `rep`, given (B, 3) logit-space upstream."""
+    if d_logits.shape != (len(rep), N_CLASSES):
+        raise ValueError(f"logit gradient shape {d_logits.shape} != {(len(rep), N_CLASSES)}")
+    grads = {"W_s": d_logits.T @ rep, "b_s": d_logits.sum(axis=0)}
     return grads, d_logits @ p.W_s

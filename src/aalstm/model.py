@@ -49,11 +49,11 @@ import numpy as np
 
 from .cells import (AALstmParams, CellCache, ClassicLstmParams, aa_lstm_backward,
                     classic_lstm_backward, unroll)
-from .data import (RESTAURANT_CATEGORIES, AspectEmbeddingTable, EmbeddingTable,
+from .data import (RESTAURANT_CATEGORIES, UNK_TOKEN, AspectEmbeddingTable, EmbeddingTable,
                    LabeledInstance, build_aspect_vector)
-from .heads import (AttentionCache, AttentionParams, ClassifierCache, ClassifierParams,
-                    attention_backward, attention_head, classifier_backward,
-                    classify_with_cache, last_hidden_backward, last_hidden_head)
+from .heads import (AttentionCache, AttentionParams, ClassifierParams, attention_backward,
+                    attention_head, classifier_backward, classify_with_cache,
+                    last_hidden_backward, last_hidden_head)
 from .tensor import INIT_HIGH, INIT_LOW, ConfigError
 from .train import dropout_mask
 
@@ -73,10 +73,10 @@ def _part_arrays(**parts: Optional[dict[str, np.ndarray]]) -> dict[str, np.ndarr
 class RunCache:
     """Everything the backward pass needs about one forward run: the token
     rows of every instance, one after another, the aspects' source rows and
-    counts (None without the aa cell), the cell's, the head's (None for the
-    last-hidden head) and the classifier's caches, the (N, dx) input and
-    (B, dc) representation dropout multipliers (None at rate 0), and the
-    (B, 3) class probabilities."""
+    counts (None without the aa cell), the cell's and the head's (None for
+    the last-hidden head) caches, the (B, dc) representations the classifier
+    read, the (N, dx) input and (B, dc) representation dropout multipliers
+    (None at rate 0), and the (B, 3) class probabilities."""
 
     insts: list[LabeledInstance]
     indices: list[int]
@@ -84,7 +84,7 @@ class RunCache:
     aspect_counts: Optional[np.ndarray]
     cell: CellCache
     head: Optional[AttentionCache]
-    clf: ClassifierCache
+    rep: np.ndarray
     x_mask: Optional[np.ndarray]
     rep_mask: Optional[np.ndarray]
     probs: np.ndarray
@@ -141,7 +141,8 @@ class SentimentModel:
         call. Dropout masks come from one draw, split per instance in this
         order: its input mask, then its representation mask."""
         lengths = [len(inst.tokens) for inst in insts]
-        indices = [self.embeddings.index(t) for inst in insts for t in inst.tokens]
+        vocab, unk = self.embeddings.vocab, self.embeddings.vocab[UNK_TOKEN]
+        indices = [vocab.get(t, unk) for inst in insts for t in inst.tokens]
         X = self.embeddings.matrix[indices]
         x_mask = rep_mask = None
         if dropout:
@@ -154,7 +155,7 @@ class SentimentModel:
         aspects = aspect_rows = aspect_counts = None
         if self.cell_kind == "aa":
             aspects, aspect_rows, aspect_counts = build_aspect_vector(
-                insts, self.embeddings, self.aspect_embeddings)
+                insts, indices, self.embeddings, self.aspect_embeddings)
         H, cell_cache = unroll(self.cell, X, aspect=aspects, lengths=lengths)
         head_cache = None
         if self.attn is not None:
@@ -163,9 +164,9 @@ class SentimentModel:
             rep = last_hidden_head(H, lengths)
         if rep_mask is not None:
             rep = rep * rep_mask
-        probs, clf_cache = classify_with_cache(rep, self.clf)
+        probs = classify_with_cache(rep, self.clf)
         return RunCache(insts, indices, aspect_rows, aspect_counts, cell_cache, head_cache,
-                        clf_cache, x_mask, rep_mask, probs)
+                        rep, x_mask, rep_mask, probs)
 
     def backward(self, cache: RunCache) -> dict[str, np.ndarray]:
         """Cross-entropy gradient of the run, summed over its instances and
@@ -174,7 +175,7 @@ class SentimentModel:
         insts, lengths = cache.insts, cache.cell.lengths
         d_logits = cache.probs.copy()
         d_logits[np.arange(len(insts)), [inst.label for inst in insts]] -= 1.0
-        clf_grads, d_rep = classifier_backward(self.clf, cache.clf, d_logits)
+        clf_grads, d_rep = classifier_backward(self.clf, cache.rep, d_logits)
         if cache.rep_mask is not None:
             d_rep *= cache.rep_mask
         attn_grads = d_aspects = None

@@ -144,14 +144,15 @@ def core(p):
 
 
 def loop_run(p, X, prev, aspect=None):
-    """Per-step run of one sequence, two matvecs a step over [x_t, h_prev]
-    and [A, h_prev]: the per-sequence cache each sequence of a batched run
-    must match. `aspect` None runs the classic cell."""
+    """Per-step run of one sequence from the (h, c) pair `prev`, two matvecs
+    a step over [x_t, h_prev] and [A, h_prev]: the per-sequence cache each
+    sequence of a batched run must match. `aspect` None runs the classic
+    cell."""
     from aalstm.tensor import sigmoid, tanh_v
     n_steps, dc = X.shape[0], p.hidden_dim
     H = np.empty((n_steps + 1, dc))
     C = np.empty((n_steps + 1, dc))
-    H[0], C[0] = prev.h, prev.c
+    H[0], C[0] = prev
     ifo = np.empty((n_steps, 3 * dc))
     c_cand = np.empty((n_steps, dc))
     tanh_c = np.empty((n_steps, dc))
@@ -455,7 +456,8 @@ def instance_aspect_vector(inst, embeddings, aspect_embeddings=None) -> np.ndarr
     aspect = inst.aspect
     if hasattr(aspect, "index"):
         return aspect_embeddings.matrix[aspect.index]
-    return np.mean([embeddings.matrix[embeddings.index(inst.tokens[i])]
+    vocab = embeddings.vocab
+    return np.mean([embeddings.matrix[vocab.get(inst.tokens[i], vocab["<unk>"])]
                     for i in range(aspect.start, aspect.end + 1)], axis=0)
 
 

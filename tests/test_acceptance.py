@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aalstm.cells import AALstmParams, CellState, unroll
+from aalstm.cells import AALstmParams, unroll
 from aalstm.checkpoint import load_checkpoint
 from aalstm.cli import main, pipeline_grad_report, run_bench
 from aalstm.data import (
@@ -103,7 +103,7 @@ def test_criterion_2_zero_aspect_reduces_to_classic():
         x = rng.uniform(-2.0, 2.0, dx)
         h_prev = rng.uniform(-1.0, 1.0, dc)
         c_prev = rng.uniform(-2.0, 2.0, dc)
-        prev = CellState(h=h_prev, c=c_prev)
+        prev = h_prev, c_prev
         _, aa = unroll(p_aa, x[None], np.zeros((1, dc)), init=prev)
         _, cl = unroll(p_classic, x[None], init=prev)
         assert np.max(np.abs(aa.H[1, 0] - cl.H[1, 0])) <= 1e-12
@@ -125,7 +125,7 @@ def test_criterion_3_vectorized_step_matches_scalar_oracle():
         aspect = rng.uniform(-2.0, 2.0, dc)
         h_prev = rng.uniform(-1.0, 1.0, dc)
         c_prev = rng.uniform(-2.0, 2.0, dc)
-        _, cache = unroll(p, x[None], aspect[None], init=CellState(h=h_prev, c=c_prev))
+        _, cache = unroll(p, x[None], aspect[None], init=(h_prev, c_prev))
         h_ref, c_ref = scalar_aa_step(params_as_lists(p), x.tolist(), aspect.tolist(),
                                       h_prev.tolist(), c_prev.tolist())
         assert np.max(np.abs(cache.H[1, 0] - np.array(h_ref))) <= 1e-12
@@ -145,15 +145,15 @@ def test_criterion_4_gate_and_hidden_range_invariants():
         dc = int(rng.integers(1, 7))
         p = random_aa_params(dx, dc, lo=-2.0, hi=2.0, seed=[700, draw], rng=rng)
         aspect = rng.uniform(-3.0, 3.0, dc)
-        state = CellState(h=rng.uniform(-1.0, 1.0, dc), c=rng.uniform(-3.0, 3.0, dc))
+        state = rng.uniform(-1.0, 1.0, dc), rng.uniform(-3.0, 3.0, dc)
         for _ in range(100):
             x = rng.uniform(-3.0, 3.0, dx)
             _, cache = unroll(p, x[None], aspect[None], init=state)
-            state = CellState(h=cache.H[1, 0], c=cache.C[1, 0])
+            state = cache.H[1, 0], cache.C[1, 0]
             for g in (*cache.Z[:, :3].reshape(3, -1), *cache.Z[:, 4:].reshape(3, -1)):
                 if not (0.0 < g.min() and g.max() < 1.0):
                     violations += 1
-            if not (-1.0 < state.h.min() and state.h.max() < 1.0):
+            if not (-1.0 < state[0].min() and state[0].max() < 1.0):
                 violations += 1
             n_steps += 1
     assert n_steps == 100_000

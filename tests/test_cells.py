@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from aalstm import tensor
 from aalstm.cells import (
     AALstmParams,
-    CellState,
     ClassicLstmParams,
     _bptt,
     unroll,
-    zero_state,
 )
 from aalstm.tensor import ShapeError
 
@@ -43,14 +41,19 @@ def random_classic_params(rng, dx=3, dc=3, scale=0.5):
 
 
 def random_state(rng, dc):
-    return CellState(h=np.tanh(rng.normal(size=dc)), c=rng.normal(size=dc))
+    """A random (h, c) pair to start a run from."""
+    return np.tanh(rng.normal(size=dc)), rng.normal(size=dc)
+
+
+def zero_pair(dc):
+    return np.zeros(dc), np.zeros(dc)
 
 
 class TestAAStep:
     def test_zero_everything_gives_half_gates(self):
         p = AALstmParams.empty(2, 2)
         filled(p, dict.fromkeys(p.to_arrays(), 0.0))
-        _, cache = unroll(p, np.array([[0.7, -0.3]]), np.zeros((1, 2)), init=zero_state(2))
+        _, cache = unroll(p, np.array([[0.7, -0.3]]), np.zeros((1, 2)), init=zero_pair(2))
         for gate in (*cache.Z[:, 4:].reshape(3, -1), *cache.Z[:, :3].reshape(3, -1)):
             assert np.all(gate == 0.5)
         assert np.all(cache.Z[:, 3] == 0.0)
@@ -78,7 +81,7 @@ class TestAAStep:
             prev = random_state(rng, dc)
             _, cache = unroll(p, x[None], aspect[None], init=prev)
             h_ref, c_ref = scalar_aa_step(params_as_lists(p), x.tolist(), aspect.tolist(),
-                                          prev.h.tolist(), prev.c.tolist())
+                                          prev[0].tolist(), prev[1].tolist())
             np.testing.assert_allclose(cache.H[1, 0], h_ref, atol=1e-12, rtol=0)
             np.testing.assert_allclose(cache.C[1, 0], c_ref, atol=1e-12, rtol=0)
 
@@ -107,18 +110,20 @@ class TestAAStep:
     def test_shape_errors(self):
         p = AALstmParams.init(3, 4, seed=0)
         with pytest.raises(ShapeError):
-            unroll(p, np.zeros((1, 2)), np.zeros((1, 4)), init=zero_state(4))
+            unroll(p, np.zeros((1, 2)), np.zeros((1, 4)), init=zero_pair(4))
         with pytest.raises(ShapeError):
-            unroll(p, np.zeros((1, 3)), np.zeros((1, 5)), init=zero_state(4))
+            unroll(p, np.zeros((1, 3)), np.zeros((1, 5)), init=zero_pair(4))
         with pytest.raises(ShapeError):
-            unroll(p, np.zeros((1, 3)), np.zeros((1, 4)), init=zero_state(3))
+            unroll(p, np.zeros((1, 3)), np.zeros((1, 4)), init=zero_pair(3))
+        with pytest.raises(ShapeError):
+            unroll(p, np.zeros((1, 3)), np.zeros((1, 4)), init=(np.zeros(4),))
 
 
 class TestClassicStep:
     def test_zero_everything(self):
         p = ClassicLstmParams.empty(2, 2)
         filled(p, dict.fromkeys(p.to_arrays(), 0.0))
-        _, cache = unroll(p, np.array([[1.0, 2.0]]), init=zero_state(2))
+        _, cache = unroll(p, np.array([[1.0, 2.0]]), init=zero_pair(2))
         assert np.all(cache.H[1, 0] == 0.0)
 
     def test_matches_scalar_oracle(self):
@@ -129,7 +134,7 @@ class TestClassicStep:
             prev = random_state(rng, 2)
             _, cache = unroll(p, x[None], init=prev)
             h_ref, c_ref = scalar_classic_step(params_as_lists(p), x.tolist(),
-                                               prev.h.tolist(), prev.c.tolist())
+                                               prev[0].tolist(), prev[1].tolist())
             np.testing.assert_allclose(cache.H[1, 0], h_ref, atol=1e-12, rtol=0)
             np.testing.assert_allclose(cache.C[1, 0], c_ref, atol=1e-12, rtol=0)
 
@@ -141,7 +146,7 @@ class TestUnroll:
         x = rng.normal(size=3)
         aspect = rng.normal(size=3)
         H, cache = unroll(p, x[None], aspect[None])
-        _, step = unroll(p, x[None], aspect[None], init=zero_state(3))
+        _, step = unroll(p, x[None], aspect[None], init=zero_pair(3))
         assert H.shape == (1, 3) and cache.Z.shape[0] == cache.Z.shape[2] == 1
         np.testing.assert_array_equal(H[0], step.H[1, 0])
 
@@ -157,12 +162,12 @@ class TestUnroll:
         X = rng.normal(size=(5, 2))
         aspect = rng.normal(size=4)
         H, _ = unroll(p, X, aspect[None])
-        state = zero_state(4)
+        state = zero_pair(4)
         # A T-row input projection rounds differently from T one-row ones.
         for t, x in enumerate(X):
             _, step = unroll(p, x[None], aspect[None], init=state)
-            state = CellState(h=step.H[1, 0], c=step.C[1, 0])
-            np.testing.assert_allclose(H[t], state.h, atol=1e-12, rtol=0)
+            state = step.H[1, 0], step.C[1, 0]
+            np.testing.assert_allclose(H[t], state[0], atol=1e-12, rtol=0)
 
     def test_classic_matches_manual_composition_from_init(self):
         rng = tensor.make_rng(18)
@@ -173,9 +178,9 @@ class TestUnroll:
         state = init
         for t, x in enumerate(X):
             _, step = unroll(p, x[None], init=state)
-            state = CellState(h=step.H[1, 0], c=step.C[1, 0])
-            np.testing.assert_allclose(H[t], state.h, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(cache.C[t + 1, 0], state.c, atol=1e-12, rtol=0)
+            state = step.H[1, 0], step.C[1, 0]
+            np.testing.assert_allclose(H[t], state[0], atol=1e-12, rtol=0)
+            np.testing.assert_allclose(cache.C[t + 1, 0], state[1], atol=1e-12, rtol=0)
 
     def test_empty_sequence_rejected(self):
         p = ClassicLstmParams.init(2, 2, seed=0)
@@ -235,7 +240,7 @@ class TestBatchedRun:
         summed = {name: np.zeros_like(g) for name, g in grads.items()}
         starts = np.cumsum(lengths) - lengths
         for b, (start, n, got) in enumerate(zip(starts, lengths, views)):
-            want = loop_run(p, X[start:start + n], zero_state(dc),
+            want = loop_run(p, X[start:start + n], zero_pair(dc),
                             aspects[b] if aware else None)
             np.testing.assert_array_equal(H[start:start + n], got.H[1:])
             for field in ("H", "C", "ifo", "c_cand", "tanh_c", "a_gates"):

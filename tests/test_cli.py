@@ -231,6 +231,8 @@ def _w_h_bytes(edit):
 
 _BAD_NAMES = ("inconsistent checkpoint {bad}: the vocabulary must be a list of distinct "
               "strings, and the categories null or one")
+_BAD_OOV = ("inconsistent checkpoint {bad}: the out-of-vocabulary tokens must be distinct "
+            "vocabulary tokens")
 
 
 @pytest.mark.parametrize("corrupt,message", [
@@ -247,8 +249,12 @@ _BAD_NAMES = ("inconsistent checkpoint {bad}: the vocabulary must be a list of d
     (_entries(lambda e: edit_meta(e, categories=["food", "food", "price", "ambience",
                                                  "service"])), _BAD_NAMES),
     (_entries(lambda e: edit_meta(e, vocab=["<unk>", 1, 2])), _BAD_NAMES),
+    (_entries(lambda e: edit_meta(e, oov_tokens="soup")), _BAD_OOV),
+    (_entries(lambda e: edit_meta(e, oov_tokens=[1, 2])), _BAD_OOV),
+    (_entries(lambda e: edit_meta(e, oov_tokens=["soup", "quiche"])), _BAD_OOV),
 ], ids=["no-W_h", "1-D-words", "W_h-short", "python-2-header", "categories-string",
-        "categories-lists", "categories-repeated", "vocab-numbers"])
+        "categories-lists", "categories-repeated", "vocab-numbers", "oov-string",
+        "oov-numbers", "oov-not-in-vocab"])
 def test_eval_corrupt_checkpoint_is_one_error_line(tmp_path, capsys, corrupt, message):
     emb = random_embeddings({"<unk>": 0, "soup": 1, "bad": 2}, dim=4)
     src, bad = tmp_path / "acsa.npz", tmp_path / "bad.npz"
@@ -385,6 +391,24 @@ def test_train_on_one_usable_instance_is_cli_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert "1 atsa instances found in" in err and "one.xml" in err
+
+
+def test_train_test_data_without_task_instances_is_one_error_line(tmp_path, capsys):
+    # A conflict-only test file holds no atsa instance: one error line, as
+    # `eval` gives on it, before any training, not a run without a test report.
+    glove = write_glove(tmp_path / "vectors.txt", dim=4)
+    doc = tmp_path / "conflict.xml"
+    doc.write_text(
+        '<sentences><sentence id="s1"><text>The soup is bad.</text><aspectTerms>'
+        '<aspectTerm term="soup" polarity="conflict" from="4" to="8"/>'
+        "</aspectTerms></sentence></sentences>")
+    out_dir = tmp_path / "o"
+    code = main(["train", "--data", FIXTURE, "--emb", glove, "--dim", "4", "--hidden", "4",
+                 "--epochs", "1", "--test-data", str(doc), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: no atsa instances found in {doc}"]
+    assert not out_dir.exists()
 
 
 def test_train_non_finite_embedding_is_one_error_line(tmp_path, capsys):

@@ -29,6 +29,7 @@ from aalstm.data import (
     tokenize_with_offsets,
 )
 
+from aalstm.model import build_model
 from aalstm.tensor import ConfigError, uniform_init
 
 from helpers import instance_aspect_vector, loop_embedding_rows, polarity_counts
@@ -303,11 +304,31 @@ def test_category_table_init_is_one_draw_from_stream_40(seed):
 
 
 def test_embedding_lookup_falls_back_to_unk():
+    # A run looks each token up once; an unknown one reads the <unk> row,
+    # in the cell's input and in its span's aspect vector.
     vocab = {UNK_TOKEN: 0, "soup": 1}
     table = EmbeddingTable(vocab, np.array([[1.0, 1.0], [2.0, 2.0]]))
-    assert table.index("soup") == 1
-    assert table.index("quiche") == 0
-    assert np.array_equal(table.matrix[table.index("quiche")], [1.0, 1.0])
+    m = build_model("atsa", "aa", "last", table, hidden_dim=2)
+    inst = LabeledInstance(("soup", "quiche"), TermSpan(1, 1), "positive")
+    cache = m.forward([inst])
+    assert cache.indices == [1, 0]
+    assert np.array_equal(cache.cell.X, [[2.0, 2.0], [1.0, 1.0]])
+    assert cache.aspect_rows.tolist() == [0]
+
+
+def token_rows(insts, emb):
+    """Each token's word-table row, one instance after another, as a run
+    looks them up."""
+    return [emb.vocab.get(t, emb.vocab[UNK_TOKEN]) for inst in insts for t in inst.tokens]
+
+
+@pytest.mark.parametrize("vocab,message", [
+    ({UNK_TOKEN: 0, "soup": 1, "salad": 2}, "vocab size 3 != matrix rows 2"),
+    ({"soup": 0, "salad": 1}, "must contain the reserved token '<unk>'"),
+])
+def test_embedding_table_rejects_a_vocabulary_that_does_not_fit(vocab, message):
+    with pytest.raises(ValueError, match=message):
+        EmbeddingTable(vocab, np.zeros((2, 3)))
 
 
 def test_build_vocab_reserves_unk_row_zero():
@@ -323,7 +344,7 @@ def test_aspect_vector_single_token():
     vocab = {UNK_TOKEN: 0, "salad": 1}
     table = EmbeddingTable(vocab, np.array([[0.0, 0.0], [3.0, 4.0]]))
     inst = LabeledInstance(("salad",), TermSpan(0, 0), "positive")
-    vectors, rows, counts = build_aspect_vector([inst], table)
+    vectors, rows, counts = build_aspect_vector([inst], token_rows([inst], table), table)
     assert np.array_equal(vectors, [[3.0, 4.0]])
     assert rows.tolist() == [1] and counts.tolist() == [1]
 
@@ -332,7 +353,7 @@ def test_aspect_vector_is_span_mean():
     vocab = {UNK_TOKEN: 0, "wine": 1, "list": 2}
     table = EmbeddingTable(vocab, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     inst = LabeledInstance(("wine", "list", "?"), TermSpan(0, 2), "neutral")
-    vectors, rows, counts = build_aspect_vector([inst], table)
+    vectors, rows, counts = build_aspect_vector([inst], token_rows([inst], table), table)
     assert np.allclose(vectors, [[1 / 3, 1 / 3]])
     assert rows.tolist() == [1, 2, 0] and counts.tolist() == [3]
 
@@ -342,7 +363,7 @@ def test_aspect_vector_category_is_its_table_row():
     emb = EmbeddingTable(vocab, np.zeros((1, 2)))
     cats = AspectEmbeddingTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
     insts = [LabeledInstance(("fine",), CategoryId(k), "neutral") for k in (1, 0, 1)]
-    vectors, rows, counts = build_aspect_vector(insts, emb, cats)
+    vectors, rows, counts = build_aspect_vector(insts, token_rows(insts, emb), emb, cats)
     assert np.array_equal(vectors, [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
     assert rows.tolist() == [1, 0, 1] and counts.tolist() == [1, 1, 1]
 
@@ -352,7 +373,7 @@ def test_aspect_vector_category_without_table_errors():
     insts = [LabeledInstance(("fine",), aspect, "neutral") for aspect in (TermSpan(0, 0),
                                                                          CategoryId(0))]
     with pytest.raises(ValueError, match="aspect embedding table"):
-        build_aspect_vector(insts, emb)
+        build_aspect_vector(insts, token_rows(insts, emb), emb)
 
 
 @pytest.mark.parametrize("aspect,message", [
@@ -364,7 +385,7 @@ def test_aspect_vector_with_a_category_table_errors(aspect, message):
     cats = AspectEmbeddingTable(np.zeros((2, 2)))
     insts = [LabeledInstance(("fine",), a, "neutral") for a in (CategoryId(1), aspect)]
     with pytest.raises(ValueError, match=message):
-        build_aspect_vector(insts, emb, cats)
+        build_aspect_vector(insts, token_rows(insts, emb), emb, cats)
 
 
 @st.composite
@@ -400,7 +421,7 @@ def aspect_runs(draw):
 @given(aspect_runs())
 def test_run_aspect_vectors_equal_one_instance_vectors(run):
     insts, emb, cats = run
-    vectors, rows, counts = build_aspect_vector(insts, emb, cats)
+    vectors, rows, counts = build_aspect_vector(insts, token_rows(insts, emb), emb, cats)
     expected = np.array([instance_aspect_vector(inst, emb, cats) for inst in insts])
     assert np.array_equal(vectors, expected)
     table = emb.matrix if cats is None else cats.matrix
@@ -444,6 +465,12 @@ def test_dev_split_rejects_bad_fraction():
         dev_split(_dummy_instances(10), 1.5, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_dev_split_rejects_fewer_than_two_instances(n):
+    with pytest.raises(ValueError, match=f"cannot split {n} instances"):
+        dev_split(_dummy_instances(n), 0.2, seed=0)
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_instances_round_trip(tmp_path):
@@ -461,6 +488,8 @@ def test_instances_round_trip(tmp_path):
     ("the soup is bad\tterm:1:9\tnegative\n", "outside 4 tokens"),
     ("the soup\tterm:x:1\tnegative\n", "invalid literal"),
     ("the soup\tcategory:-1\tnegative\n", "bad category index"),
+    ("the soup\tterm:-1:0\tnegative\n", r"bad term span \(-1, 0\)"),
+    ("the soup is bad\tterm:3:2\tnegative\n", r"bad term span \(3, 2\)"),
     ("\tterm:0:0\tpositive\n", "empty token in ''"),
     ("the  soup\tterm:0:0\tpositive\n", "empty token in 'the  soup'"),
 ])

@@ -1,9 +1,12 @@
-"""Every function and class that `src/aalstm/` defines is used somewhere.
+"""Every function, class and module-level name that `src/aalstm/` defines
+is used somewhere.
 
 A use is a name in `src/aalstm/*.py` or `perfbench/*.py`: an `ast.Name`,
 an `ast.Attribute`, an imported name, or a part of a tracer `BINDINGS`
-string. Tests do not count, so a helper that only tests call fails here.
-Dunder methods are called by the language and are not checked.
+string. A constant or type alias assigned at the top level of a module must
+be loaded: read as an `ast.Name` or an `ast.Attribute`, so importing it is
+not enough. Tests do not count, so a helper or a constant that only tests
+read fails here. Dunder names are the language's and are not checked.
 """
 
 import ast
@@ -19,6 +22,25 @@ def _definitions(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
                 yield node.name, node.lineno
+
+
+def _module_names(tree):
+    """The names assigned at the top level of a module, with their lines."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, node.lineno
+
+
+def _loads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
 
 
 def _binding_parts(tree):
@@ -59,3 +81,18 @@ def test_every_source_definition_is_named_somewhere():
             for path in SOURCES for name, line in _definitions(_parse(path))
             if name not in used]
     assert not dead, "defined but never named: " + ", ".join(dead)
+
+
+def test_every_module_level_name_is_loaded_somewhere():
+    loaded = {name for path in USERS for name in _loads(_parse(path))}
+    dead = [f"{path.relative_to(ROOT)}:{line} {name}"
+            for path in SOURCES for name, line in _module_names(_parse(path))
+            if name not in loaded]
+    assert not dead, "assigned at module level but never loaded: " + ", ".join(dead)
+
+
+def test_module_level_names_and_loads_are_read_off_the_tree():
+    tree = ast.parse("A = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\n__all__ = []\n"
+                     "from m import F\ndef f():\n    G = A + m.B\n")
+    assert [name for name, _ in _module_names(tree)] == ["A", "B", "C", "D", "E"]
+    assert set(_loads(tree)) == {"int", "A", "m", "B"}

@@ -199,8 +199,8 @@ def test_batched_heads_match_loop_oracles(lengths, dc, attention, rate, seed):
         rep, weights, cache = attention_head(H, p, lengths)
     else:
         rep = last_hidden_head(H, lengths)
-    probs, clf_cache = classify_with_cache(rep * mask, clf)
-    clf_grads, d_rep = classifier_backward(clf, clf_cache, d_logits)
+    probs = classify_with_cache(rep * mask, clf)
+    clf_grads, d_rep = classifier_backward(clf, rep * mask, d_logits)
     if attention:
         grads, dH = attention_backward(p, cache, d_rep * mask)
     else:
@@ -238,6 +238,28 @@ def test_batched_heads_match_loop_oracles(lengths, dc, attention, rate, seed):
         close(g, summed[k])
 
 
+def _attention_backward_with(d_repr):
+    p = AttentionParams.empty(4)
+    _, _, cache = attention_head(np.zeros((5, 4)), p, [3, 2])
+    return attention_backward(p, cache, d_repr)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: attention_head(np.zeros((5, 3)), AttentionParams.empty(4)),
+     tensor.ShapeError, r"hidden state shape \(5, 3\) != \(N, 4\)"),
+    # A (1, dc) gradient would broadcast against the (B, dc) representations.
+    (lambda: _attention_backward_with(np.zeros((1, 4))),
+     ValueError, r"upstream gradient shape \(1, 4\) != \(2, 4\)"),
+    (lambda: classify_with_cache(np.zeros((2, 3)), ClassifierParams.empty(4)),
+     tensor.ShapeError, r"representation shape \(2, 3\) != \(B, 4\)"),
+    (lambda: classifier_backward(ClassifierParams.empty(4), np.zeros((2, 4)), np.zeros((1, 3))),
+     ValueError, r"logit gradient shape \(1, 3\) != \(2, 3\)"),
+], ids=["attention-H", "attention-d_repr", "classifier-rep", "classifier-d_logits"])
+def test_heads_reject_wrong_shapes(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_attention_head_takes_no_aspect():
     # AT-LSTM's aspect term is the same at every position of a sequence, so
     # the softmax cancels it: the head has no aspect input and no aspect
@@ -251,7 +273,7 @@ def test_attention_head_takes_no_aspect():
 class TestClassifier:
     def test_zero_logits_uniform(self):
         p = ClassifierParams(W_s=np.zeros((3, 4)), b_s=np.zeros(3))
-        probs, _ = classify_with_cache(np.ones((2, 4)), p)
+        probs = classify_with_cache(np.ones((2, 4)), p)
         assert probs.shape == (2, 3)
         np.testing.assert_allclose(probs, 1.0 / 3.0, rtol=1e-12)
 
@@ -283,8 +305,7 @@ class TestClassifier:
         def loss():
             return float(np.sum(d_logits * (rep @ p.W_s.T + p.b_s)))
 
-        _, cache = classify_with_cache(rep, p)
-        grads, d_rep = classifier_backward(p, cache, d_logits)
+        grads, d_rep = classifier_backward(p, rep, d_logits)
         for name, arr in p.to_arrays().items():
             numeric = fd_grad_of_array(loss, arr)
             assert worst_rel_err(grads[name], numeric) < 1e-6, name

@@ -187,7 +187,7 @@ def test_dropout_masks_are_the_multipliers():
     assert cache.rep_mask.shape == (len(insts), m.clf.repr_dim)
     for b, inst in enumerate(insts):
         h_last = cache.cell.H[len(inst.tokens), cache.cell.order.index(b)]
-        assert np.array_equal(cache.clf.rep[b], h_last * cache.rep_mask[b])
+        assert np.array_equal(cache.rep[b], h_last * cache.rep_mask[b])
     for mask in (cache.x_mask, cache.rep_mask):
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
 

@@ -47,6 +47,7 @@ def test_config_defaults_hold_protocol_values():
     dict(lr=0.0), dict(lr=-1.0), dict(dropout=1.0), dict(dropout=-0.1),
     dict(l2=-0.01), dict(batch_size=0), dict(dev_fraction=0.0),
     dict(dev_fraction=1.0), dict(max_epochs=0), dict(patience=0),
+    dict(emb_dim=0), dict(hidden_dim=0), dict(init_low=0.2, init_high=0.1),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -131,6 +132,8 @@ def test_l2_penalty_values():
     assert l2_penalty([np.ones((2, 2))], 0.0) == 0.0
     w = make_rng(74).uniform(-1, 1, (3, 4))
     assert l2_penalty([w, w], 0.5) == pytest.approx(2 * 0.5 * np.sum(w * w))
+    with pytest.raises(ValueError, match="nonnegative"):
+        l2_penalty([w], -0.01)
 
 
 def test_l2_grad_matches_finite_differences():
@@ -203,6 +206,8 @@ def test_adam_rejects_key_and_shape_mismatch():
         Adam(p, lr=0.1, l2=0.01, regularized=["b"])
     with pytest.raises(ValueError, match="nonnegative"):
         Adam(p, lr=0.1, l2=-1.0)
+    with pytest.raises(ValueError, match="lr must be positive"):
+        Adam(p, lr=0.0)
 
 
 # Parameter shapes around the optimizer's block size: under one block, one
