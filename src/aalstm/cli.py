@@ -168,12 +168,12 @@ def cmd_train(args, parser) -> int:
             raise CliError(
                 f"{len(train_insts)} {args.task} instances found in {args.data}; "
                 f"training needs at least 2, to split off a dev set")
-        emb = load_embeddings(args.emb, build_vocab(train_insts),
-                              cfg.emb_dim, cfg.seed)
         if args.test_data:
             test_insts = parse_semeval_xml(args.test_data, args.task)
             if not test_insts:
                 raise CliError(f"no {args.task} instances found in {args.test_data}")
+        emb = load_embeddings(args.emb, build_vocab(train_insts),
+                              cfg.emb_dim, cfg.seed)
 
     tr, dev = dev_split(train_insts, cfg.dev_fraction, cfg.seed)
     model, result, _ = _train_model(args.task, args.cell, args.head, emb, cfg,

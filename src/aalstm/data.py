@@ -33,6 +33,9 @@ UNK_TOKEN = "<unk>"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
+# Single-spaced vocabulary lines of an embeddings file parsed per np.loadtxt.
+_PARSE_ROWS = 256
+
 
 class DataFormatError(ValueError):
     """Malformed input file or annotation."""
@@ -212,10 +215,11 @@ def _is_number(text: str) -> bool:
 
 
 def _numbered_lines(path):
-    """(line number, line) over a UTF-8 text file. Invalid UTF-8 is a
-    DataFormatError naming the first line that does not decode."""
+    """(line number, line) over a UTF-8 text file, less a leading byte-order
+    mark. Invalid UTF-8 is a DataFormatError naming the first line that does
+    not decode."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             yield from enumerate(f, start=1)
     except UnicodeDecodeError as e:
         with open(path, "rb") as f:
@@ -227,6 +231,25 @@ def _numbered_lines(path):
         raise DataFormatError(f"{path}:{lineno}: not valid UTF-8 ({e.reason})") from None
 
 
+def _vocab_row(path, lineno, fields, dim):
+    """The row of one vocabulary line split into (token, value text) by the
+    per-line rule: None for a token with spaces in it, else `dim` finite
+    values, or a DataFormatError naming the line."""
+    token, values = fields[0], fields[1].split() if len(fields) > 1 else []
+    if len(values) > dim and not all(map(_is_number, values[:-dim])):
+        return None
+    if len(values) != dim:
+        raise DataFormatError(
+            f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(values)}")
+    try:
+        row = np.array([float(v) for v in values])
+        if not np.isfinite(row).all():
+            raise ValueError("values must be finite")
+    except ValueError as e:
+        raise DataFormatError(f"{path}:{lineno}: {token!r}: {e}") from None
+    return row
+
+
 def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingTable:
     """Embedding table for `vocab` from a whitespace text file.
 
@@ -236,29 +259,54 @@ def load_embeddings(path, vocab: dict[str, int], dim: int, seed=0) -> EmbeddingT
     has `. . .`) is skipped: `tokenize_with_offsets` never emits one. A
     vocabulary token followed by more or fewer than `dim` numbers, or by a
     non-number or a non-finite one, is a DataFormatError, as is invalid UTF-8.
+
+    Vocabulary lines whose values are joined by single spaces are parsed
+    `_PARSE_ROWS` at a time by one `np.loadtxt`; a batch it refuses, and
+    every other line, go through `_vocab_row` one line at a time. Rows are
+    written in file order, so a repeated token keeps its last line, and the
+    first bad line in the file is the one named.
     """
     matrix = np.zeros((len(vocab), dim))
     found = set()
-    for lineno, line in _numbered_lines(path):
-        # Most lines of a real file are outside the vocabulary: split off only
-        # the token, and the numbers only for vocabulary tokens.
-        fields = line.split(maxsplit=1)
-        if not fields or fields[0] not in vocab:
-            continue
-        token, values = fields[0], fields[1].split() if len(fields) > 1 else []
-        if len(values) > dim and not all(map(_is_number, values[:-dim])):
-            continue
-        if len(values) != dim:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(values)}")
+    batch = []  # (line number, fields) of single-spaced vocabulary lines
+
+    def put(token, row):
+        if row is not None:
+            matrix[vocab[token]] = row
+            found.add(token)
+
+    def flush():
+        if not batch:
+            return
+        lines = batch.copy()
+        batch.clear()  # first, so an error below leaves `finally` nothing to do
         try:
-            row = matrix[vocab[token]]
-            row[:] = [float(v) for v in values]
-            if not np.isfinite(row).all():
-                raise ValueError("values must be finite")
-        except ValueError as e:
-            raise DataFormatError(f"{path}:{lineno}: {token!r}: {e}") from None
-        found.add(token)
+            block = np.loadtxt([fields[1] for _, fields in lines], comments=None, ndmin=2)
+            if block.shape != (len(lines), dim) or not np.isfinite(block).all():
+                block = None
+        except ValueError:
+            block = None
+        for k, (lineno, fields) in enumerate(lines):
+            put(fields[0], _vocab_row(path, lineno, fields, dim) if block is None else block[k])
+
+    try:
+        for lineno, line in _numbered_lines(path):
+            # Most lines of a real file are outside the vocabulary: split off
+            # only the token, and the numbers only for vocabulary tokens.
+            fields = line.split(maxsplit=1)
+            if not fields or fields[0] not in vocab:
+                continue
+            if len(fields) > 1 and fields[1].count(" ") == dim - 1:
+                batch.append((lineno, fields))
+                if len(batch) == _PARSE_ROWS:
+                    flush()
+            else:
+                flush()
+                put(fields[0], _vocab_row(path, lineno, fields, dim))
+    finally:
+        # Also before a UTF-8 error propagates: a bad line read before it
+        # comes first.
+        flush()
     oov = sorted(vocab.keys() - found, key=vocab.__getitem__)
     matrix[[vocab[t] for t in oov]] = uniform_init(len(oov), dim, INIT_LOW, INIT_HIGH,
                                                    seed=[seed, 41])

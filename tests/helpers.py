@@ -12,8 +12,10 @@ fused kernels, and the per-step attention forward and backward and the
 one-instance classifier the earlier forms of the batched heads, kept as
 oracles for them. `LoopAdam` is the optimizer step before it was fused into one
 blocked pass, `loop_embedding_rows` the word table `load_embeddings` made
-when it drew its random rows one by one, and `instance_aspect_vector` the
-aspect vector of one instance before a run's were built at once.
+when it drew its random rows one by one, `loop_load_embeddings` the loader
+before it parsed an embeddings file's values in batches, and
+`instance_aspect_vector` the aspect vector of one instance before a run's
+were built at once.
 `polarity_counts` counts instances per class for the ingestion checks. The per-function metrics
 (`oracle_accuracy` through `oracle_report`) are the evaluation report
 before it was read off one confusion matrix.
@@ -440,6 +442,50 @@ def loop_embedding_rows(rows, vocab, dim, seed=0):
             matrix[idx] = rng.uniform(INIT_LOW, INIT_HIGH, size=dim)
             oov.append(token)
     return matrix, frozenset(oov)
+
+
+def loop_load_embeddings(path, vocab: dict[str, int], dim: int, seed=0):
+    """Embedding table for `vocab` from a whitespace text file.
+
+    File rows are `token v1 ... v_dim`. Vocabulary tokens found in the file
+    get the file's values; the rest are drawn from U(INIT_LOW, INIT_HIGH) in
+    one seeded draw, in vocabulary order. A token with spaces in it (GloVe
+    has `. . .`) is skipped: `tokenize_with_offsets` never emits one. A
+    vocabulary token followed by more or fewer than `dim` numbers, or by a
+    non-number or a non-finite one, is a DataFormatError, as is invalid UTF-8.
+
+    This is `load_embeddings` before it parsed single-spaced lines in
+    batches: every vocabulary line goes through `float` one value at a time.
+    """
+    from aalstm.data import (DataFormatError, EmbeddingTable, _is_number,
+                             _numbered_lines)
+    from aalstm.tensor import INIT_HIGH, INIT_LOW, uniform_init
+    matrix = np.zeros((len(vocab), dim))
+    found = set()
+    for lineno, line in _numbered_lines(path):
+        # Most lines of a real file are outside the vocabulary: split off only
+        # the token, and the numbers only for vocabulary tokens.
+        fields = line.split(maxsplit=1)
+        if not fields or fields[0] not in vocab:
+            continue
+        token, values = fields[0], fields[1].split() if len(fields) > 1 else []
+        if len(values) > dim and not all(map(_is_number, values[:-dim])):
+            continue
+        if len(values) != dim:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(values)}")
+        try:
+            row = matrix[vocab[token]]
+            row[:] = [float(v) for v in values]
+            if not np.isfinite(row).all():
+                raise ValueError("values must be finite")
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{lineno}: {token!r}: {e}") from None
+        found.add(token)
+    oov = sorted(vocab.keys() - found, key=vocab.__getitem__)
+    matrix[[vocab[t] for t in oov]] = uniform_init(len(oov), dim, INIT_LOW, INIT_HIGH,
+                                                   seed=[seed, 41])
+    return EmbeddingTable(vocab=dict(vocab), matrix=matrix, oov_tokens=frozenset(oov))
 
 
 def polarity_counts(instances) -> tuple[int, int, int]:

@@ -411,6 +411,22 @@ def test_train_test_data_without_task_instances_is_one_error_line(tmp_path, caps
     assert not out_dir.exists()
 
 
+def test_train_reads_test_data_before_the_embeddings(tmp_path, capsys):
+    # A missing test file is named before the embeddings file is read, so its
+    # bad value is never reached.
+    glove = tmp_path / "bad.txt"
+    glove.write_text("the 0.1 nan\n")
+    absent = tmp_path / "absent.xml"
+    out_dir = tmp_path / "o"
+    code = main(["train", "--data", FIXTURE, "--emb", str(glove), "--dim", "2",
+                 "--hidden", "2", "--test-data", str(absent), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(absent) in err and "bad.txt" not in err
+    assert not out_dir.exists()
+
+
 def test_train_non_finite_embedding_is_one_error_line(tmp_path, capsys):
     # Caught at ingestion, naming the file and line, before any training.
     glove = tmp_path / "vectors.txt"
@@ -506,6 +522,14 @@ def test_config_file_invalid_utf8_names_the_line(tmp_path):
     cfg_file.write_bytes(b"lr = 0.5\n\xff\xfe\n")
     with pytest.raises(DataFormatError, match=r"train\.cfg:2: not valid UTF-8"):
         parse_config_file(cfg_file)
+
+
+def test_config_file_reads_past_a_byte_order_mark(tmp_path):
+    text = "lr = 0.5\nseed = 3\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert parse_config_file(marked) == parse_config_file(plain) == {"lr": 0.5, "seed": 3}
 
 
 def test_flags_override_file_overrides_defaults(tmp_path):

@@ -32,7 +32,8 @@ from aalstm.data import (
 from aalstm.model import build_model
 from aalstm.tensor import ConfigError, uniform_init
 
-from helpers import instance_aspect_vector, loop_embedding_rows, polarity_counts
+from helpers import (instance_aspect_vector, loop_embedding_rows, loop_load_embeddings,
+                     polarity_counts)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini_reviews.xml"
 
@@ -297,6 +298,185 @@ def test_load_embeddings_equals_the_per_row_draw(tmp_path, in_file, seed):
     assert table.oov_tokens == oov == vocab.keys() - set(in_file)
 
 
+def test_load_embeddings_reads_past_a_byte_order_mark(tmp_path):
+    text = "euro 1.0 2.0\nyen 0.5 0.5\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    vocab = {UNK_TOKEN: 0, "euro": 1, "yen": 2}
+    a = load_embeddings(plain, vocab, dim=2, seed=0)
+    b = load_embeddings(marked, vocab, dim=2, seed=0)
+    assert np.array_equal(a.matrix, b.matrix)
+    assert a.oov_tokens == b.oov_tokens == {UNK_TOKEN}
+
+
+# --- batched embeddings parse against the per-line oracle ----------------------
+
+def _values(rng, dim, sep=" "):
+    """`dim` values of assorted magnitudes and precisions joined by `sep`."""
+    scale = 10.0 ** rng.integers(-8, 4, size=dim)
+    digits = rng.integers(1, 18, size=dim)
+    return sep.join(f"{v:.{p}g}" for v, p in zip(rng.uniform(-1, 1, dim) * scale, digits))
+
+
+def _mixed_embeddings_file(path, seed):
+    """Write an embeddings file of more than 600 vocabulary lines in every form
+    the loader meets; return the vocabulary and dim to read it with.
+
+    Runs of single-spaced vocabulary lines, 256, 257 and a seeded number of
+    lines long, fill whole batches, a batch and one line, and a part batch.
+    Tokens repeat within and across batches. Between runs sit lines the
+    batch does not take: a token with spaces, tab, double-space and trailing
+    space separators, malformed lines outside the vocabulary, and values
+    that `float` takes and `np.loadtxt` refuses (`1_0`, an Arabic-Indic
+    digit). A `\\r` ends a line in text mode, so it stands as an old-Mac line
+    end between two lines.
+    """
+    rng = np.random.default_rng(seed)
+    dim = (1, 4, 7)[seed % 3]
+    words = [f"w{i}" for i in range(300)]
+    vocab = {w: i for i, w in enumerate([UNK_TOKEN, ".", *words, "absent"])}
+    word = lambda: words[rng.integers(len(words))]
+    odd = [
+        lambda: f". . . {_values(rng, dim)}",
+        lambda: f". {_values(rng, dim)}",
+        lambda: f"{word()}\t{_values(rng, dim, sep=chr(9))}",
+        lambda: f"{word()} {_values(rng, dim, sep='  ')}",
+        lambda: f"{word()} {_values(rng, dim)}  ",
+        lambda: f"{word()} {_values(rng, dim, sep=chr(0xA0) + ' ')}",
+        lambda: f"other{rng.integers(9)} 1.0 abc",
+        lambda: "lone",
+        lambda: f"{word()} {_values(rng, dim)}\r{word()} {_values(rng, dim)}",
+        lambda: f"{word()} {' '.join(['1_0'] * dim)}",
+        lambda: f"{word()} {' '.join([chr(0x663)] * dim)}",
+    ]
+    lines = []
+    for run in rng.permutation([256, 257, int(rng.integers(1, 300))]):
+        for _ in range(run):
+            lines.append(f"{word()} {_values(rng, dim)}")
+            if rng.random() < 0.1:  # outside the vocabulary: neither batched nor flushed
+                lines.append(f"zz{rng.integers(1000)} {_values(rng, dim)}")
+        lines.extend(odd[k]() for k in rng.choice(len(odd), size=4))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return vocab, dim
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_load_embeddings_equals_the_per_line_oracle(tmp_path, monkeypatch, seed):
+    path = tmp_path / "vec.txt"
+    vocab, dim = _mixed_embeddings_file(path, seed)
+    sizes = []
+    loadtxt = np.loadtxt
+
+    def spy(texts, **kwargs):
+        sizes.append(len(texts))
+        return loadtxt(texts, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    table = load_embeddings(path, vocab, dim, seed=seed)
+    oracle = loop_load_embeddings(path, vocab, dim, seed=seed)
+    assert table.matrix.tobytes() == oracle.matrix.tobytes()
+    assert table.oov_tokens == oracle.oov_tokens
+    assert "absent" in table.oov_tokens
+    assert max(sizes) == 256 and min(sizes) > 0
+
+
+def test_load_embeddings_parses_single_spaced_lines_in_batches(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "vec.txt"
+    path.write_text("".join(f"w{i} {_values(rng, 3)}\n" for i in range(600)))
+    vocab = {w: i for i, w in enumerate([UNK_TOKEN] + [f"w{i}" for i in range(600)])}
+    results = []
+    loadtxt = np.loadtxt
+
+    def spy(texts, **kwargs):
+        results.append(loadtxt(texts, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    table = load_embeddings(path, vocab, 3)
+    assert [r.shape for r in results] == [(256, 3), (256, 3), (88, 3)]
+    assert np.array_equal(table.matrix[1:], np.concatenate(results))
+    assert table.matrix.tobytes() == loop_load_embeddings(path, vocab, 3).matrix.tobytes()
+
+
+# Each fault in a form the batch takes (single spaces) and in one it does not.
+_FAULTS = {
+    "non-number": ("0.1 abc 0.3", "0.1\tabc\t0.3"),
+    "non-finite": ("0.1 nan 0.3", "0.1 inf 0.3  "),
+    "wrong-count": ("0.1 0.2 ", "0.1 0.2 0.3 0.4"),
+    "hash": ("0.1 0.2 0.3#x", "0.1\t0.2\t0.3#x"),  # loadtxt's default comments would drop "#x"
+}
+_BATCHED, _PER_LINE = 0, 1
+
+
+def _faulty_file(path, faults):
+    """700 single-spaced dim-3 vocabulary lines, lines 7 and 357 (0-based)
+    tab-separated, so lines 8-263 make one full batch; line k is replaced by
+    a line of `faults[k]` = (kind, form)."""
+    rng = np.random.default_rng(1)
+    lines = []
+    for k in range(700):
+        token = f"w{rng.integers(60)}"
+        if k in faults:
+            kind, form = faults[k]
+            lines.append(f"{token} {_FAULTS[kind][form]}")
+        else:
+            lines.append(f"{token} {_values(rng, 3, sep=chr(9) if k % 350 == 7 else ' ')}")
+    path.write_text("\n".join(lines) + "\n")
+    return {w: i for i, w in enumerate([UNK_TOKEN] + [f"w{i}" for i in range(60)])}
+
+
+def _assert_oracle_error(path, vocab, line):
+    with pytest.raises(DataFormatError) as oracle:
+        loop_load_embeddings(path, vocab, 3)
+    with pytest.raises(DataFormatError) as batched:
+        load_embeddings(path, vocab, 3)
+    assert str(batched.value) == str(oracle.value)
+    assert f"vec.txt:{line}:" in str(oracle.value)
+
+
+@pytest.mark.parametrize("form", [_BATCHED, _PER_LINE], ids=["batched", "per-line"])
+@pytest.mark.parametrize("kind", sorted(_FAULTS))
+def test_load_embeddings_fault_raises_the_oracle_error(tmp_path, kind, form):
+    path = tmp_path / "vec.txt"
+    vocab = _faulty_file(path, {300: (kind, form)})
+    _assert_oracle_error(path, vocab, 301)
+
+
+@pytest.mark.parametrize("faults", [
+    {300: ("non-number", _BATCHED), 310: ("non-finite", _PER_LINE)},
+    {300: ("non-finite", _PER_LINE), 310: ("wrong-count", _BATCHED)},
+    {300: ("wrong-count", _BATCHED), 310: ("non-number", _BATCHED)},
+    {100: ("non-finite", _BATCHED), 600: ("non-number", _BATCHED)},
+    {263: ("non-finite", _BATCHED), 264: ("non-number", _BATCHED)},
+], ids=["batched-then-per-line", "per-line-then-batched", "one-batch",
+        "two-batches", "batch-boundary"])
+def test_load_embeddings_names_the_first_of_two_faults(tmp_path, faults):
+    path = tmp_path / "vec.txt"
+    vocab = _faulty_file(path, faults)
+    _assert_oracle_error(path, vocab, min(faults) + 1)
+
+
+def test_load_embeddings_batch_of_short_lines_raises_the_oracle_error(tmp_path):
+    # Every line of the batch has the same wrong count, which np.loadtxt
+    # reads without an error.
+    path = tmp_path / "vec.txt"
+    path.write_text("w1 0.1 0.2 \nw2 0.3 0.4 \n")
+    _assert_oracle_error(path, {UNK_TOKEN: 0, "w1": 1, "w2": 2}, 1)
+
+
+def test_load_embeddings_bad_value_comes_before_later_invalid_utf8(tmp_path):
+    # Line 2 still waits in its batch when the decoder reaches the bad bytes
+    # thousands of lines on.
+    path = tmp_path / "vec.txt"
+    outside = "".join(f"zz{i} 0.1 0.2 0.3\n" for i in range(5000))
+    path.write_bytes(("w1 0.1 0.2 0.3\nw2 0.1 abc 0.3\n" + outside).encode()
+                     + b"caf\xe9 0.1 0.2 0.3\n")
+    vocab = {UNK_TOKEN: 0, "w1": 1, "w2": 2}
+    _assert_oracle_error(path, vocab, 2)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_category_table_init_is_one_draw_from_stream_40(seed):
     table = AspectEmbeddingTable.init(5, 6, lo=-0.3, hi=0.2, seed=seed)
@@ -498,6 +678,15 @@ def test_load_instances_errors_name_file_and_line(tmp_path, line, message):
     path.write_text("fine\tcategory:0\tneutral\n\n" + line)
     with pytest.raises(DataFormatError, match=f"insts.tsv:3: .*{message}"):
         load_instances(path)
+
+
+def test_load_instances_reads_past_a_byte_order_mark(tmp_path):
+    text = "fine\tcategory:0\tneutral\nthe soup\tterm:1:1\tpositive\n"
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert load_instances(marked) == load_instances(plain)
+    assert load_instances(marked)[0].tokens == ("fine",)
 
 
 # --- synthetic corpus ---------------------------------------------------------
