@@ -22,8 +22,8 @@ that needs to know the kind asks ``isinstance(p, AALstmParams)``.
 
 Backward passes are hand-derived backpropagation through time with weight
 gradients accumulated across steps and sequences (weights are tied over
-time). The aspect-aware backward always returns each sequence's aspect
-gradient, summed over every step the aspect feeds.
+time). One backward serves both cells: it returns each sequence's aspect
+gradient, summed over every step the aspect feeds (None for the classic cell).
 
 Storage. A parameter set's fields are the arrays the kernel reads, grouped
 by operand like PyTorch's ``weight_ih``/``weight_hh``: ``W_x`` (4*dc, dx)
@@ -281,8 +281,9 @@ def _packed(lengths: list[int], order: list[int]) -> tuple[np.ndarray, np.ndarra
 
 
 def _bptt(p, cache: CellCache, dH: np.ndarray):
-    """BPTT shared by both cells over one run; returns (param grads summed
-    over the run's sequences, (N, dx) input grads, (B, dc) aspect grads).
+    """BPTT for either cell over one run; returns (param grads summed over
+    the run's sequences, (N, dx) input grads, (B, dc) aspect grads summed
+    over each sequence's steps, None for the classic cell).
 
     dH holds the (N, dc) gradients on the hidden states, laid out like the
     run's input rows. Only the recurrent gradients on h and c need the time
@@ -349,21 +350,5 @@ def _bptt(p, cache: CellCache, dH: np.ndarray):
     return grads, dZ[:, :4 * dc] @ p.W_x, d_aspect
 
 
-def classic_lstm_backward(p: ClassicLstmParams, cache: CellCache,
-                          dH: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """BPTT for the classic cell over one run: per-parameter grads summed over
-    its sequences and (N, dx) input grads."""
-    grads, dX, _ = _bptt(p, cache, dH)
-    return grads, dX
-
-
-def aa_lstm_backward(p: AALstmParams, cache: CellCache, dH: np.ndarray,
-                     ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """BPTT for the aspect-aware cell over one run.
-
-    Returns (param grads summed over its sequences, (N, dx) input grads,
-    (B, dc) aspect grads). A sequence's aspect feeds every step through all
-    three aspect gates and the three gated injections, so its gradient is
-    summed over the whole sequence.
-    """
-    return _bptt(p, cache, dH)
+# One function under two names; perfbench's tracer wraps both, in cells and model.
+aa_lstm_backward = classic_lstm_backward = _bptt

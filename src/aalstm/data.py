@@ -120,7 +120,7 @@ def parse_semeval_xml(path, task: str,
         raise ValueError(f"task must be 'atsa' or 'acsa', got {task!r}")
     try:
         tree = ET.parse(path)
-    except ET.ParseError as e:
+    except (ET.ParseError, LookupError, ValueError) as e:  # the last two: a declared encoding
         raise DataFormatError(f"{path}: malformed XML: {e}") from e
     category_index = {name: i for i, name in enumerate(categories)}
     tag = "aspectTerm" if task == "atsa" else "aspectCategory"

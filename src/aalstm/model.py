@@ -178,15 +178,13 @@ class SentimentModel:
         clf_grads, d_rep = classifier_backward(self.clf, cache.rep, d_logits)
         if cache.rep_mask is not None:
             d_rep *= cache.rep_mask
-        attn_grads = d_aspects = None
+        attn_grads = None
         if self.attn is not None:
             attn_grads, dH = attention_backward(self.attn, cache.head, d_rep)
         else:
             dH = last_hidden_backward(d_rep, lengths)
-        if self.cell_kind == "aa":
-            cell_grads, dX, d_aspects = aa_lstm_backward(self.cell, cache.cell, dH)
-        else:
-            cell_grads, dX = classic_lstm_backward(self.cell, cache.cell, dH)
+        cell_backward = aa_lstm_backward if self.cell_kind == "aa" else classic_lstm_backward
+        cell_grads, dX, d_aspects = cell_backward(self.cell, cache.cell, dH)
         grads = {k: np.zeros_like(v) for k, v in self.params().items() if k.startswith("emb.")}
         grads.update(_part_arrays(cell=cell_grads, attn=attn_grads, clf=clf_grads))
         if cache.x_mask is not None:

@@ -299,7 +299,6 @@ def train(model, train_insts, dev_insts, cfg: TrainConfig, log_stream=None) -> T
     dropout_rng = make_rng([cfg.seed, 51])
     result = TrainResult()
     best = None
-    since_best = 0
     if log_stream is not None:
         log_stream.write(TSV_HEADER + "\n")
         log_stream.flush()
@@ -336,12 +335,9 @@ def train(model, train_insts, dev_insts, cfg: TrainConfig, log_stream=None) -> T
                 best = {k: np.empty_like(v) for k, v in params.items()}
             for k, v in params.items():
                 np.copyto(best[k], v)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                result.stopped_early = True
-                break
+        elif epoch - result.best_epoch >= cfg.patience:
+            result.stopped_early = True
+            break
     if best is not None:
         for k, v in params.items():
             np.copyto(v, best[k])

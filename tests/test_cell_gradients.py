@@ -108,7 +108,8 @@ class TestClassicBackward:
         _, caches = unroll(p, xs)
         dh = np.zeros((4, 3))
         dh[-1] = 1.0
-        grads, dxs = classic_lstm_backward(p, caches, dh)
+        grads, dxs, d_aspect = classic_lstm_backward(p, caches, dh)
+        assert d_aspect is None
         for name, arr in p.to_arrays().items():
             numeric = fd_grad_of_array(lambda: sum_loss_classic(p, xs), arr, EPS)
             assert worst_rel_err(grads[name], numeric) < TOL, name

@@ -15,7 +15,7 @@ from aalstm.cli import (CliError, _load_eval_instances, build_parser, main,
                         parse_config_file, pipeline_grad_report, resolve_config,
                         run_bench)
 from aalstm.data import (CategoryId, DataFormatError, build_vocab, parse_semeval_xml,
-                         random_embeddings)
+                         random_embeddings, save_instances)
 from aalstm.model import build_model
 from aalstm.tensor import ConfigError, make_rng
 
@@ -612,12 +612,16 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, command, source):
 
 # --- no file input ends in a traceback -----------------------------------------
 
-def _odd_files(tmp_path, kind):
+def _odd_files(tmp_path, kind, flag):
     """Paths to files of one kind that no input of the CLI takes: one file,
-    or for "header" and "truncated" seeded corruptions of a checkpoint."""
+    for "header" and "truncated" seeded corruptions of a checkpoint, or for
+    "mutated" seeded mutations of the text inputs that `flag` reads."""
     path = tmp_path / f"odd_{kind}"
     if kind in ("header", "truncated"):
         yield from _corrupt_checkpoints(tmp_path, path, kind)
+        return
+    if kind == "mutated":
+        yield from _mutated_text_files(tmp_path, flag)
         return
     if kind == "dir":
         path.mkdir()
@@ -628,6 +632,42 @@ def _odd_files(tmp_path, kind):
         path.write_bytes({"empty": b"", "utf8": b"\xff\xfe",
                           "text": b"just some words\n"}[kind])
     yield str(path)
+
+
+def _mutated_text_files(tmp_path, flag):
+    """Seeded mutations of each text file that `flag` reads, 32 apiece: eight
+    each of one byte changed, the file cut short, a span of up to 40 bytes cut
+    out and a markup character put in. The XML also gets an unknown encoding
+    in its declaration. An XML file keeps its suffix, which `eval --data`
+    reads it by."""
+    with open(FIXTURE, "rb") as fh:
+        sources = [(fh.read(), ".xml")]
+    if flag == "train --config":
+        sources = [(b"# fixture run\nlr = 0.05\nl2 = 0.001\ndropout = 0.2\n"
+                    b"batch_size = 2\npatience = 2\nseed = 3\n", ".cfg")]
+    elif flag == "train --emb":
+        write_glove(tmp_path / "base.txt", dim=4)
+        sources = [((tmp_path / "base.txt").read_bytes(), ".txt")]
+    elif flag == "eval --data":
+        save_instances(parse_semeval_xml(FIXTURE, "atsa"), tmp_path / "base.tsv")
+        sources.append(((tmp_path / "base.tsv").read_bytes(), ".tsv"))
+    rng = make_rng([2027, 6])
+    for n_source, (raw, suffix) in enumerate(sources):
+        size, n = len(raw), 8
+        variants = [raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+                    for at, flip in zip(rng.integers(0, size, n), rng.integers(1, 256, n))]
+        variants += [raw[:cut] for cut in rng.integers(0, size, n)]
+        variants += [raw[:at] + raw[at + span:]
+                     for at, span in zip(rng.integers(0, size, n), rng.integers(1, 41, n))]
+        variants += [raw[:at] + bytes([char]) + raw[at:]
+                     for at, char in zip(rng.integers(0, size + 1, n),
+                                         rng.choice(list(b"<>&;\"'=/#\t\n"), n))]
+        if suffix == ".xml":
+            variants.append(raw.replace(b'encoding="UTF-8"', b'encoding="UjF-8"', 1))
+        for n_variant, data in enumerate(variants):
+            path = tmp_path / f"mutated{n_source}_{n_variant}{suffix}"
+            path.write_bytes(data)
+            yield str(path)
 
 
 def _corrupt_checkpoints(tmp_path, path, kind):
@@ -688,9 +728,14 @@ def _corrupt_checkpoints(tmp_path, path, kind):
 _TRAINS = {("train --config", "empty"), ("train --emb", "empty"), ("train --emb", "text")}
 
 
-@pytest.mark.parametrize("kind", ["empty", "dir", "utf8", "npy", "text", "header", "truncated"])
-@pytest.mark.parametrize("flag", ["train --config", "train --data", "train --emb",
-                                  "eval --checkpoint", "eval --data"])
+_FLAGS = ["train --config", "train --data", "train --emb", "eval --checkpoint", "eval --data"]
+
+
+# A checkpoint is no text input: its mutations are "header" and "truncated".
+@pytest.mark.parametrize("flag,kind", [
+    (flag, kind) for kind in ["empty", "dir", "utf8", "npy", "text", "header", "truncated",
+                              "mutated"]
+    for flag in _FLAGS if (flag, kind) != ("eval --checkpoint", "mutated")])
 def test_no_file_input_ends_in_a_traceback(tmp_path, capsys, flag, kind):
     out = str(tmp_path / "o")
     glove = write_glove(tmp_path / "vectors.txt", dim=4)
@@ -698,10 +743,10 @@ def test_no_file_input_ends_in_a_traceback(tmp_path, capsys, flag, kind):
     save_checkpoint(build_model("atsa", "classic", "last",
                                 random_embeddings(build_vocab([]), dim=4), hidden_dim=4), ckpt)
     fixture_train = ["train", "--dim", "4", "--hidden", "4", "--epochs", "1", "--out", out]
-    for n, odd in enumerate(_odd_files(tmp_path, kind)):
+    for n, odd in enumerate(_odd_files(tmp_path, kind, flag)):
         argv = {
-            "train --config": ["train", "--synthetic", "--epochs", "1", "--out", out,
-                               "--config", odd],
+            "train --config": fixture_train + ["--data", FIXTURE, "--emb", glove,
+                                               "--config", odd],
             "train --data": fixture_train + ["--data", odd, "--emb", glove],
             "train --emb": fixture_train + ["--data", FIXTURE, "--emb", odd],
             "eval --checkpoint": ["eval", "--checkpoint", odd, "--data", FIXTURE],
@@ -709,11 +754,37 @@ def test_no_file_input_ends_in_a_traceback(tmp_path, capsys, flag, kind):
         }[flag]
         code = main(argv)
         err = capsys.readouterr().err
-        if (flag, kind) in _TRAINS:
+        if kind == "mutated" and code == 0:
+            assert err == "", (odd, err)
+        elif (flag, kind) in _TRAINS:
             assert (code, err) == (0, ""), n
         else:
             assert code == 1, n
             assert len(err.splitlines()) == 1 and err.startswith("error:"), (n, err)
+
+
+# LookupError for the first two, ValueError for the rest, from ET.parse.
+@pytest.mark.parametrize("encoding", ["bogus", "hex", "shift_jis", "utf-32", "utf-7", "idna"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_declared_xml_encoding_is_one_error_line(tmp_path, capsys, command, encoding):
+    with open(FIXTURE, "rb") as fh:
+        raw = fh.read()
+    xml = tmp_path / "reviews.xml"
+    xml.write_bytes(raw.replace(b'encoding="UTF-8"', f'encoding="{encoding}"'.encode(), 1))
+    if command == "train":
+        argv = ["train", "--dim", "4", "--hidden", "4", "--epochs", "1",
+                "--out", str(tmp_path / "o"), "--data", str(xml),
+                "--emb", write_glove(tmp_path / "vectors.txt", dim=4)]
+    else:
+        ckpt = str(tmp_path / "model.npz")
+        save_checkpoint(build_model("atsa", "classic", "last",
+                                    random_embeddings(build_vocab([]), dim=4), hidden_dim=4),
+                        ckpt)
+        argv = ["eval", "--checkpoint", ckpt, "--data", str(xml)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and str(xml) in err, err
 
 
 # --- bench ---------------------------------------------------------------------

@@ -33,6 +33,13 @@ def test_binding_resolves(binding):
     assert callable(getattr(value, "__func__", value)), binding
 
 
+@pytest.mark.parametrize("module", ["aalstm.cells", "aalstm.model"])
+def test_both_cell_backward_names_bind_one_function(module):
+    # One BPTT serves both cells; the tracer wraps it under both names.
+    bound = importlib.import_module(module)
+    assert bound.aa_lstm_backward is bound.classic_lstm_backward
+
+
 def test_hooks_count_a_tiny_train_evaluate_and_predict():
     # A hook that raises is swallowed and leaves its counters absent, so run
     # the pipeline under the tracer and check that every hook counted. The
